@@ -26,7 +26,7 @@ import numpy as np
 from . import verify as verify_mod
 from .exact import SizeCapExceeded
 from .lattice import Boundary, build_lattice, decompose_box, tiling_interfaces, torus_cut
-from .mcmc import McmcConfig
+from .mcmc import CHAIN_ENGINE, McmcConfig
 from .model import uniform_params
 from .quenched import DisorderMC, GridTooLarge, Quadrature, quenched_pressure
 from .surface import (
@@ -66,6 +66,7 @@ class RunManifest:
     versions: dict
     wall_time_s: float
     outputs: dict = field(default_factory=dict)
+    telemetry: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -138,8 +139,12 @@ def _config_snapshot(args, command: str) -> dict:
     return cfg
 
 
-def _write_run(args, command: str, result: dict, csv_text: str | None = None) -> dict:
-    """Attach the manifest id, write result + manifest files, return manifest."""
+def _write_run(args, command: str, result: dict, csv_text: str | None = None, telemetry: dict | None = None) -> dict:
+    """Attach the manifest id, write result + manifest files, return manifest.
+
+    Telemetry (timings, counters, diagnostics) goes to the manifest only, so
+    the result bytes reproduce.
+    """
     config = _config_snapshot(args, command)
     manifest_id = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
     result = dict(result)
@@ -177,6 +182,7 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None) ->
         versions={"nlsurf": _package_version(), "numpy": np.__version__, "python": sys.version.split()[0]},
         wall_time_s=time.time() - args.start_time,
         outputs=outputs,
+        telemetry=telemetry or {},
     )
     if out is not None:
         mpath = out.with_name(out.stem + ".manifest.json")
@@ -307,7 +313,16 @@ def _cmd_scaling(args) -> int:
         "x": args.x,
         "terms": [_term_dict(r) for r in results],
     }
-    _write_run(args, "scaling", payload, csv_text=emit_sweep(results))
+    telemetry = {}
+    if mcmc is not None:
+        payload["method"]["mcmc"] = {
+            "engine": CHAIN_ENGINE,
+            "sweeps": mcmc.sweeps,
+            "burn_in": mcmc.burn_in,
+            "measure_stride": mcmc.measure_stride,
+        }
+        telemetry["chains"] = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
+    _write_run(args, "scaling", payload, csv_text=emit_sweep(results), telemetry=telemetry)
     return EXIT_OK
 
 
@@ -366,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     def out(p):
         p.add_argument("--out", type=str, default=None, help="result file (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1, help="parallelism cap (results are worker-independent)")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; starts no processes, results never depend on it"
+        )
 
     p = sub.add_parser("lattice-info", help="sites, bonds, corridor cardinalities")
     p.add_argument("--dim", type=int, required=True)

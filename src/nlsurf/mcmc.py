@@ -1,11 +1,28 @@
 """Metropolis single-flip sampling with replica exchange along a ladder in x.
 
 For lattices beyond the enumeration cap the fixed-disorder expectations are
-estimated by Markov chains.  On bipartite lattices whole sublattices are
-updated at once (same-color sites do not interact, so the parallel update is
-a product of single-flip Metropolis kernels); otherwise sites are scanned in
-index order.  The ladder re-weights the coupling field by x_r / x_target, and
-the exchange move swaps configurations between neighboring rungs.
+estimated by Markov chains.  One kernel advances a batch of independent
+chains held as a (chains x replicas, sites) spin array.  Sites are split into
+the classes of a greedy (DSatur) colouring, cached per lattice: same-colour
+sites do not interact, so updating a whole class at once is a product of
+single-flip Metropolis kernels.  Free boxes and even tori get their two
+sublattices; the odd 3x3 torus gets 3 classes, where a per-site scan took 9
+update groups.
+
+Each site update reads one uniform u and flips iff u < 1/2 min(1, e^D), with
+D the log weight change of the flip.  This is a proposal with probability 1/2
+followed by the Metropolis test, folded into one draw: u < 1/2 is the
+proposal, so acceptance diagnostics count flips per draw below 1/2.  Without
+the thinning a deterministic scan at zero coupling would flip every spin in
+lockstep and never decorrelate.  The ladder re-weights the coupling field by
+x_r / x_target, and the exchange move swaps configurations between
+neighboring rungs.
+
+Every chain draws from its own Philox stream, `rng.spawn_generator(seed)`, in
+blocks of BLOCK_SWEEPS sweeps with a fixed layout per sweep: one uniform per
+(replica, site), then one per neighboring-rung exchange.  A chain's result is
+therefore a function of its seed and couplings alone, whatever other chains
+share its batch.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
@@ -14,19 +31,23 @@ realizations are independent.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .exact import CouplingField, bipartite_classes, _endpoints
+from .exact import CouplingField, _endpoints
 from .lattice import Corridor, LatticeSpec
 from .model import NishimoriParams, sample_disorder
 from .quenched import DisorderMC, Estimate
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
+CHAIN_ENGINE = "metropolis-batched-2"  # recorded with results; changes whenever chain bytes do
+BLOCK_SWEEPS = 32  # sweeps of uniforms drawn per stream call
+CHAIN_BATCH = 256  # chains advanced together; bounds memory, not results
 
 
 class PoorMixingWarning(UserWarning):
@@ -93,6 +114,46 @@ def _neighbor_tables(lattice: LatticeSpec):
     return site, bond
 
 
+_colour_cache: dict = {}
+
+
+def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
+    """Sites split into independent sets by a greedy DSatur colouring.
+
+    The next site coloured is the one whose neighbors already show the most
+    distinct colours (ties: more neighbors, then lower index); it takes the
+    smallest colour its neighbors lack.  DSatur is exact on bipartite graphs,
+    so free boxes and even tori get two classes.  Cached per lattice.
+    """
+    key = lattice.cache_key()
+    if key in _colour_cache:
+        return _colour_cache[key]
+    n = lattice.n_sites
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for b in lattice.bonds:
+        nbrs[b.site_a].add(b.site_b)
+        nbrs[b.site_b].add(b.site_a)
+    colour = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]  # colours among coloured neighbors
+    heap = [(0, -len(nbrs[s]), s) for s in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_sat, _, s = heapq.heappop(heap)
+        if colour[s] >= 0 or -neg_sat != len(seen[s]):
+            continue  # stale entry: coloured already, or saturation has grown
+        c = 0
+        while c in seen[s]:
+            c += 1
+        colour[s] = c
+        for t in nbrs[s]:
+            if colour[t] < 0 and c not in seen[t]:
+                seen[t].add(c)
+                heapq.heappush(heap, (-len(seen[t]), -len(nbrs[t]), t))
+    classes = tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
+    _colour_cache[key] = classes
+    return classes
+
+
 def _tau_int(v: np.ndarray) -> float:
     """Integrated autocorrelation time with a self-consistent window."""
     n = len(v)
@@ -121,6 +182,100 @@ def blocked_estimate(v: np.ndarray) -> tuple[float, float, float, float]:
     return float(v.mean()), se, tau, ess
 
 
+def _run_chains(
+    lattice: LatticeSpec,
+    kvecs: np.ndarray,
+    seeds,
+    config: McmcConfig,
+    track: tuple[int, ...],
+    record_states: bool = False,
+):
+    """Advance one replica ladder per row of kvecs, chain c on stream seeds[c].
+
+    Spins are stored with the colour classes contiguous, so each class update
+    works on a slice.  Returns (bond series (C, measurements, len(track)),
+    encoded target states (C, measurements) or None, flips (C, R), proposals
+    (C, R), exchanges (C, R - 1), exchange tries).
+    """
+    C, R, n = len(seeds), config.replicas, lattice.n_sites
+    lam = np.asarray(config.x_ladder) / config.x_ladder[-1]
+    nbr_site, nbr_bond = _neighbor_tables(lattice)
+    classes = colour_classes(lattice)
+    perm = np.array([s for cls in classes for s in cls], dtype=np.int64)
+    pos = np.argsort(perm)  # site -> column
+    kpad = np.concatenate([kvecs, np.zeros((C, 1))], axis=1)
+    krows = (lam[None, :, None] * kpad[:, None, :]).reshape(C * R, -1)
+    updates = []  # (first column, end column, neighbor columns (deg, m), couplings (C R, deg, m))
+    a = 0
+    for cls in classes:
+        idx = np.array(cls, dtype=np.int64)
+        updates.append((a, a + len(cls), pos[nbr_site[idx].T], krows[:, nbr_bond[idx].T]))
+        a += len(cls)
+    ea, eb = _endpoints(lattice)
+    ta, tb = pos[ea[list(track)]], pos[eb[list(track)]]
+    ea_pos, eb_pos = pos[ea], pos[eb]
+    k_energy = np.repeat(kvecs, R, axis=0)
+
+    gens = [rng.spawn_generator(seed) for seed in seeds]
+    S = np.stack([g.integers(0, 2, size=(R, n)) for g in gens]).reshape(C * R, n)[:, perm] * 2.0 - 1.0
+    top = S[R - 1 :: R]  # measurement replicas; a view, since S is only updated in place
+
+    n_meas = config.n_measurements
+    series = np.empty((C, n_meas, len(track)))
+    states = np.empty((C, n_meas), dtype=np.int64) if record_states else None
+    pow2 = np.left_shift(1, perm) if record_states else None  # site bits of a state code
+    flips = np.zeros((C * R, n), dtype=np.int64)
+    proposals = np.zeros(C * R, dtype=np.int64)
+    exchanges = np.zeros((C, R - 1), dtype=np.int64)
+    width = R * n + R - 1
+    mi = 0
+    for start in range(0, config.sweeps, BLOCK_SWEEPS):
+        nb = min(BLOCK_SWEEPS, config.sweeps - start)
+        u = np.stack([g.random((nb, width)) for g in gens], axis=1)  # (sweep, chain, draw)
+        us = u[:, :, : R * n].reshape(nb, C * R, n)[:, :, perm]
+        proposed = us < 0.5
+        proposals += proposed.sum(axis=(0, 2))
+        # u < 1/2 min(1, e^D) with D = -2 s h  <=>  u < 1/2 and s h < -log(2u)/2
+        with np.errstate(divide="ignore"):
+            threshold = np.where(proposed, -0.5 * np.log(2.0 * us), -np.inf)
+            log_ex = np.log(u[:, :, R * n :])
+        snap = np.empty((nb, C, n))  # measured target-replica states of this block
+        k = 0
+        for j in range(nb):
+            thr = threshold[j]
+            for lo, hi, nbr, kc in updates:
+                s = S[:, lo:hi]
+                flip = s * (kc * S[:, nbr]).sum(axis=1) < thr[:, lo:hi]
+                np.negative(s, out=s, where=flip)
+                flips[:, lo:hi] += flip
+            if R > 1:
+                energy = ((S[:, ea_pos] * S[:, eb_pos]) * k_energy).sum(axis=1).reshape(C, R)
+                for r in range(R - 1):
+                    log_ratio = (lam[r] - lam[r + 1]) * (energy[:, r + 1] - energy[:, r])
+                    hit = np.flatnonzero(log_ex[j, :, r] < log_ratio)
+                    rows = hit * R + r
+                    S[np.concatenate([rows, rows + 1])] = S[np.concatenate([rows + 1, rows])]
+                    energy[hit, r], energy[hit, r + 1] = energy[hit, r + 1], energy[hit, r]
+                    exchanges[hit, r] += 1
+            sweep = start + j
+            if sweep >= config.burn_in and (sweep - config.burn_in) % config.measure_stride == 0:
+                snap[k] = top
+                k += 1
+        taken = snap[:k]
+        series[:, mi : mi + k] = (taken[:, :, ta] * taken[:, :, tb]).transpose(1, 0, 2)
+        if record_states:
+            states[:, mi : mi + k] = ((taken < 0) * pow2).sum(axis=2).T
+        mi += k
+    return (
+        series,
+        states,
+        flips.sum(axis=1).reshape(C, R),
+        proposals.reshape(C, R),
+        exchanges,
+        config.sweeps if R > 1 else 0,
+    )
+
+
 def _run_chain(
     lattice: LatticeSpec,
     kvec: np.ndarray,
@@ -128,65 +283,74 @@ def _run_chain(
     track: tuple[int, ...],
     record_states: bool = False,
 ):
-    """Drive the replica ladder; returns (bond series, encoded target states,
-    acceptance counts, exchange counts, exchange tries)."""
-    lam = np.asarray(config.x_ladder) / config.x_ladder[-1]
-    R = config.replicas
-    n_sites = lattice.n_sites
-    nbr_site, nbr_bond = _neighbor_tables(lattice)
-    kpad = np.concatenate([kvec, [0.0]])
-    krep = lam[:, None] * kpad[None, :]  # (R, B+1)
-    ea, eb = _endpoints(lattice)
-    ta = ea[list(track)]
-    tb = eb[list(track)]
-
-    classes = bipartite_classes(lattice)
-    groups = (
-        [np.array(classes[0], dtype=np.int64), np.array(classes[1], dtype=np.int64)]
-        if classes is not None
-        else [np.array([s], dtype=np.int64) for s in range(n_sites)]
+    """One chain of the batched kernel on stream config.seed; returns (bond
+    series, encoded target states, flips, proposals, exchanges, exchange tries)."""
+    series, states, flips, proposals, exchanges, tries = _run_chains(
+        lattice, np.asarray(kvec, dtype=np.float64)[None, :], [config.seed], config, track, record_states
     )
+    return series[0], None if states is None else states[0], flips[0], proposals[0], exchanges[0], tries
 
-    gen = rng.spawn_generator(config.seed)
-    S = (gen.integers(0, 2, size=(R, n_sites)) * 2 - 1).astype(np.float64)
 
+def estimate_correlations_batch(
+    lattice: LatticeSpec,
+    kvecs: np.ndarray,
+    seeds,
+    *,
+    bonds: tuple[int, ...] = (),
+    corridor: Corridor | None = None,
+    config: McmcConfig,
+) -> list[tuple[dict, ChainDiagnostics]]:
+    """estimate_correlations for many chains at once: row c of kvecs on seeds[c].
+
+    Entry c is bit-identical to estimate_correlations(lattice, kvecs[c],
+    config=replace(config, seed=seeds[c])), so results do not depend on how
+    chains are batched; chains run CHAIN_BATCH at a time to bound memory.
+    """
+    kvecs = np.asarray(kvecs, dtype=np.float64)
+    seeds = list(seeds)
+    if kvecs.shape != (len(seeds), lattice.n_bonds):
+        raise ValueError("coupling field does not match the lattice, or not one per chain seed")
+    query = tuple(bonds)
+    corr_idx: tuple[int, ...] = ()
+    if corridor is not None:
+        if corridor.cardinality == 0:
+            raise ValueError("corridor is empty")
+        corr_idx = corridor.sorted_indices()
+    track = tuple(dict.fromkeys(query + corr_idx))
+    if not track:
+        raise ValueError("nothing to measure: pass bonds and/or a corridor")
+    col = {b: i for i, b in enumerate(track)}
+    corr_cols = [col[b] for b in corr_idx]
     n_meas = config.n_measurements
-    series = np.empty((n_meas, len(track)))
-    states = np.empty(n_meas, dtype=np.int64) if record_states else None
-    pow2 = 1 << np.arange(n_sites, dtype=np.int64)
-    acc_count = np.zeros(R)
-    prop_count = np.zeros(R)
-    exch_count = np.zeros(max(R - 1, 1))
-    exch_tries = 0
-    mi = 0
-    for sweep in range(config.sweeps):
-        for idx in groups:
-            h = (krep[:, nbr_bond[idx]] * S[:, nbr_site[idx]]).sum(axis=2)
-            du = -2.0 * S[:, idx] * h
-            u = gen.random((R, len(idx)))
-            # thin proposals at random: a full deterministic scan would flip
-            # every spin in lockstep at zero coupling and never decorrelate
-            prop = gen.random((R, len(idx))) < 0.5
-            acc = prop & ((du >= 0.0) | (u < np.exp(np.minimum(du, 0.0))))
-            S[:, idx] = np.where(acc, -S[:, idx], S[:, idx])
-            acc_count += acc.sum(axis=1)
-            prop_count += prop.sum(axis=1)
-        if R > 1:
-            energy = (S[:, ea] * S[:, eb]) @ kvec
-            u = gen.random(R - 1)
-            for r in range(R - 1):
-                log_ratio = (lam[r] - lam[r + 1]) * (energy[r + 1] - energy[r])
-                if log_ratio >= 0.0 or u[r] < math.exp(log_ratio):
-                    S[[r, r + 1]] = S[[r + 1, r]]
-                    energy[[r, r + 1]] = energy[[r + 1, r]]
-                    exch_count[r] += 1
-            exch_tries += 1
-        if sweep >= config.burn_in and (sweep - config.burn_in) % config.measure_stride == 0:
-            series[mi] = S[-1, ta] * S[-1, tb]
-            if record_states:
-                states[mi] = int(((S[-1] < 0) * pow2).sum())
-            mi += 1
-    return series, states, acc_count, prop_count, exch_count, exch_tries
+    n_sites, n_bonds = lattice.n_sites, lattice.n_bonds
+    out = []
+    for lo in range(0, len(seeds), CHAIN_BATCH):
+        batch = seeds[lo : lo + CHAIN_BATCH]
+        series, _, flips, proposals, exchanges, tries = _run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
+        for c, seed in enumerate(batch):
+            method = replace(config, seed=seed)
+            estimates: dict = {}
+            taus = []
+            for b in query:
+                mean, se, tau, _ = blocked_estimate(series[c, :, col[b]])
+                estimates[b] = Estimate(value=mean, std_error=se, method=method, n_bonds=n_bonds, n_sites=n_sites)
+                taus.append(tau)
+            main_tau, main_ess = 0.5, float(n_meas)
+            if corr_cols:
+                mean, se, main_tau, main_ess = blocked_estimate(series[c][:, corr_cols].mean(axis=1))
+                estimates["corridor_mean"] = Estimate(value=mean, std_error=se, method=method, n_bonds=n_bonds, n_sites=n_sites)
+            elif taus:
+                main_tau = max(taus)
+                main_ess = min(float(n_meas), n_meas / (2.0 * main_tau))
+            diags = ChainDiagnostics(
+                acceptance=tuple(flips[c] / np.maximum(proposals[c], 1)),
+                exchange=tuple(exchanges[c] / tries) if tries else (),
+                autocorr_time=main_tau,
+                ess=main_ess,
+                n_measurements=n_meas,
+            )
+            out.append((estimates, diags))
+    return out
 
 
 def estimate_correlations(
@@ -204,45 +368,7 @@ def estimate_correlations(
     K; deterministic given config.seed.
     """
     kvec = K.K if isinstance(K, CouplingField) else np.asarray(K, dtype=np.float64)
-    if len(kvec) != lattice.n_bonds:
-        raise ValueError("coupling field does not match the lattice")
-    query = tuple(bonds)
-    corr_idx: tuple[int, ...] = ()
-    if corridor is not None:
-        if corridor.cardinality == 0:
-            raise ValueError("corridor is empty")
-        corr_idx = corridor.sorted_indices()
-    track = tuple(dict.fromkeys(query + corr_idx))
-    if not track:
-        raise ValueError("nothing to measure: pass bonds and/or a corridor")
-
-    n_sites, n_bonds = lattice.n_sites, lattice.n_bonds
-    series, _, acc_count, prop_count, exch_count, exch_tries = _run_chain(lattice, kvec, config, track)
-    n_meas = config.n_measurements
-
-    estimates: dict = {}
-    col = {b: i for i, b in enumerate(track)}
-    taus = []
-    for b in query:
-        mean, se, tau, _ = blocked_estimate(series[:, col[b]])
-        estimates[b] = Estimate(value=mean, std_error=se, method=config, n_bonds=n_bonds, n_sites=n_sites)
-        taus.append(tau)
-    main_tau, main_ess = 0.5, float(n_meas)
-    if corr_idx:
-        sc = series[:, [col[b] for b in corr_idx]].mean(axis=1)
-        mean, se, main_tau, main_ess = blocked_estimate(sc)
-        estimates["corridor_mean"] = Estimate(value=mean, std_error=se, method=config, n_bonds=n_bonds, n_sites=n_sites)
-    elif taus:
-        main_tau = max(taus)
-        main_ess = min(float(n_meas), n_meas / (2.0 * main_tau))
-    diags = ChainDiagnostics(
-        acceptance=tuple(acc_count / np.maximum(prop_count, 1.0)),
-        exchange=tuple(exch_count / exch_tries) if exch_tries else (),
-        autocorr_time=main_tau,
-        ess=main_ess,
-        n_measurements=n_meas,
-    )
-    return estimates, diags
+    return estimate_correlations_batch(lattice, kvec[None, :], [config.seed], bonds=bonds, corridor=corridor, config=config)[0]
 
 
 def quenched_estimate_mcmc(
@@ -257,35 +383,26 @@ def quenched_estimate_mcmc(
 ) -> Estimate:
     """Two-level estimator: disorder MC outside, one Markov chain inside.
 
-    The reported error is the spread of the per-realization chain estimates,
-    which already carries the mean inner error on top of the disorder
-    variance.
+    All realizations' chains run as one batch; chain s is keyed by
+    derive_seed(config.seed, s).  The reported error is the spread of the
+    per-realization chain estimates, which already carries the mean inner
+    error on top of the disorder variance.
     """
     if (corridor is None) == (bond is None):
         raise ValueError("specify exactly one of corridor or bond")
     if outer_samples < 2:
         raise ValueError("need at least 2 outer samples")
     seed0 = config.seed if disorder_seed is None else disorder_seed
-    vals = np.empty(outer_samples)
-    min_ess = math.inf
-    for s in range(outer_samples):
-        real = sample_disorder(params, seed0, sample_index=s)
-        kvec = params.x * real.j
-        cfg = McmcConfig(
-            sweeps=config.sweeps,
-            burn_in=config.burn_in,
-            seed=rng.derive_seed(config.seed, s),
-            x_ladder=config.x_ladder,
-            replicas=config.replicas,
-            measure_stride=config.measure_stride,
-        )
-        if corridor is not None:
-            est, diag = estimate_correlations(lattice, kvec, corridor=corridor, config=cfg)
-            vals[s] = est["corridor_mean"].value
-        else:
-            est, diag = estimate_correlations(lattice, kvec, bonds=(bond,), config=cfg)
-            vals[s] = est[bond].value
-        min_ess = min(min_ess, diag.ess)
+    kvecs = np.stack([params.x * sample_disorder(params, seed0, sample_index=s).j for s in range(outer_samples)])
+    seeds = [rng.derive_seed(config.seed, s) for s in range(outer_samples)]
+    if corridor is not None:
+        chains = estimate_correlations_batch(lattice, kvecs, seeds, corridor=corridor, config=config)
+        key = "corridor_mean"
+    else:
+        chains = estimate_correlations_batch(lattice, kvecs, seeds, bonds=(bond,), config=config)
+        key = bond
+    vals = np.array([est[key].value for est, _ in chains])
+    min_ess = min(diag.ess for _, diag in chains)
     if min_ess < MIN_INNER_ESS:
         warnings.warn(
             f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "

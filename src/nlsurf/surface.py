@@ -16,8 +16,9 @@ quadrature combination, never from independently-averaged nodes.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import rng
 from .exact import ENUMERATION_CAP, batch_gibbs
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
-from .mcmc import MIN_INNER_ESS, McmcConfig, PoorMixingWarning, estimate_correlations
+from .mcmc import MIN_INNER_ESS, McmcConfig, PoorMixingWarning, estimate_correlations_batch
 from .model import uniform_params
 from .quenched import (
     AveragingMethod,
@@ -73,6 +74,7 @@ class SurfaceTermResult:
     x: float
     t_nodes: int
     integrand_tables: dict
+    chain_telemetry: dict | None = field(default=None, compare=False)  # manifest only, never the result
 
 
 @dataclass
@@ -407,33 +409,20 @@ def surface_pressure_periodic(
     )
 
 
-def _mcmc_outer_sample(task) -> tuple[np.ndarray, float]:
-    """Inner-chain corridor estimates for one disorder realization (picklable)."""
-    lattice, corridor, x_at, disorder_seed, mcmc, s = task
-    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
-    g = rng.standard_normals(disorder_seed, bond_idx, s)
-    row = np.zeros(len(x_at))
-    min_ess = math.inf
-    for i, xt in enumerate(x_at):
-        K = xt * (xt + g)
-        cfg = replace(mcmc, seed=rng.derive_seed(mcmc.seed, s, i))
-        est, diag = estimate_correlations(lattice, K, corridor=corridor, config=cfg)
-        row[i] = est["corridor_mean"].value
-        min_ess = min(min_ess, diag.ess)
-    return row, min_ess
-
-
 def _adjacency_term_mcmc(
-    d: int, L: int, x: float, method: DisorderMC, t_nodes: int, mcmc: McmcConfig, workers: int = 1
+    d: int, L: int, x: float, method: DisorderMC, t_nodes: int, mcmc: McmcConfig
 ) -> SurfaceTermResult:
     """Two-level estimator of the adjacency integral beyond the enumeration cap.
 
     Outer: disorder realizations from the counter-based stream.  Inner: one
-    Markov chain per (realization, t-node) estimating the corridor average.
-    The t-quadrature is combined per realization, so the reported error is the
+    Markov chain per (realization, t-node) estimating the corridor average,
+    all of them advanced together in this process as one batch.  The
+    t-quadrature is combined per realization, so the reported error is the
     spread of complete per-realization integrals (inner noise included).
-    Results are independent of the worker count: every chain is keyed by
-    (seed, realization, t-node) and the reduction order is fixed.
+    Every chain is keyed by derive_seed(mcmc.seed, realization, t-node) and
+    its result does not depend on the rest of the batch.  Chain telemetry
+    (count, site-sweeps, time, acceptance, worst ESS, warnings) rides on the
+    result for the manifest.
     """
     lattice, corridor = _adjacency_setup(d, L)
     corr_idx = corridor.sorted_indices()
@@ -444,26 +433,36 @@ def _adjacency_term_mcmc(
         xt[list(corr_idx)] = x * math.sqrt(t)
         x_at.append(xt)
 
-    tasks = [
-        (lattice, corridor, x_at, method.seed, mcmc, s)
-        for s in range(method.samples)
-    ]
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_mcmc_outer_sample, tasks, chunksize=1))
-    else:
-        outcomes = [_mcmc_outer_sample(t) for t in tasks]
-    node_vals = np.stack([row for row, _ in outcomes])
-    min_ess = min(ess for _, ess in outcomes)
-    if min_ess < MIN_INNER_ESS:
+    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
+    kvecs, seeds = [], []
+    for s in range(method.samples):
+        g = rng.standard_normals(method.seed, bond_idx, s)
+        for i, xt in enumerate(x_at):
+            kvecs.append(xt * (xt + g))
+            seeds.append(rng.derive_seed(mcmc.seed, s, i))
+    t0 = time.perf_counter()
+    chains = estimate_correlations_batch(lattice, np.stack(kvecs), seeds, corridor=corridor, config=mcmc)
+    chain_s = time.perf_counter() - t0
+    node_vals = np.array([est["corridor_mean"].value for est, _ in chains]).reshape(method.samples, t_nodes)
+    min_ess = min(diag.ess for _, diag in chains)
+    poor = min_ess < MIN_INNER_ESS
+    if poor:
         warnings.warn(
             f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
             "treat this sweep point as under-resolved",
             PoorMixingWarning,
             stacklevel=2,
         )
+    site_sweeps = len(chains) * lattice.n_sites * mcmc.sweeps * mcmc.replicas
+    telemetry = {
+        "chains": len(chains),
+        "site_sweeps": site_sweeps,
+        "chain_s": chain_s,
+        "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
+        "mean_acceptance": float(np.mean([diag.acceptance[-1] for _, diag in chains])),
+        "min_ess": min_ess,
+        "poor_mixing_warnings": int(poor),
+    }
     f_vals = node_vals @ tw
 
     pref = corridor.cardinality * x * x / 2.0
@@ -494,6 +493,7 @@ def _adjacency_term_mcmc(
         x=x,
         t_nodes=t_nodes,
         integrand_tables={"corridor": curve},
+        chain_telemetry=telemetry,
     )
 
 
@@ -513,7 +513,9 @@ def scaling_sweep(
 
     Sizes within the enumeration cap run the exact inner engine; larger sizes
     need a DisorderMC method plus an McmcConfig for the two-level estimator.
-    Finite-L values only; no thermodynamic limit is claimed.
+    Finite-L values only; no thermodynamic limit is claimed.  `workers` is
+    accepted for compatibility and starts no processes: the chains of a
+    sweep point run batched in this process, so results never depend on it.
     """
     L_list = list(L_list)
     if not L_list:
@@ -528,7 +530,7 @@ def scaling_sweep(
         else:
             if not isinstance(method, DisorderMC) or mcmc is None:
                 raise SizeCapExceededForSweep(L, n_sites, cap)
-            results.append(_adjacency_term_mcmc(d, L, x, method, t_nodes, mcmc, workers=workers))
+            results.append(_adjacency_term_mcmc(d, L, x, method, t_nodes, mcmc))
     return results
 
 

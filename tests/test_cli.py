@@ -6,6 +6,7 @@ import math
 import pytest
 
 from nlsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, emit_sweep, run
+from nlsurf.mcmc import CHAIN_ENGINE, PoorMixingWarning
 from nlsurf.quenched import Quadrature
 from nlsurf.surface import scaling_sweep
 
@@ -140,6 +141,23 @@ def test_emit_sweep_format():
     assert len(val.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 15  # 17 significant digits
     with pytest.raises(ValueError):
         emit_sweep([])
+
+
+def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
+    argv = ["scaling", "--dim", "2", "--L-list", "4", "--x", "0.5", "--method", "mc", "--samples", "2", "--seed", "3",
+            "--t-nodes", "2", "--mcmc-sweeps", "40", "--mcmc-burn-in", "10"]
+    with pytest.warns(PoorMixingWarning):
+        status, data, _ = _run_json(tmp_path, "s.json", argv)
+    assert status == EXIT_OK
+    assert data["method"]["mcmc"] == {"engine": CHAIN_ENGINE, "sweeps": 40, "burn_in": 10, "measure_stride": 2}
+    assert "telemetry" not in data
+    chains = json.loads((tmp_path / "s.manifest.json").read_text())["telemetry"]["chains"]
+    tel = chains["L4"]
+    assert set(chains) == {"L4"}
+    assert tel["chains"] == 4 and tel["site_sweeps"] == 4 * 64 * 40
+    assert tel["chain_s"] > 0 and tel["ns_per_site_sweep"] > 0
+    assert 0.0 < tel["mean_acceptance"] <= 1.0
+    assert tel["min_ess"] < 32 and tel["poor_mixing_warnings"] == 1
 
 
 def test_manifest_roundtrip_mc(tmp_path):

@@ -1,10 +1,12 @@
 """Markov-chain estimates against the exact engine, balance, and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nlsurf import rng as nlrng
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
 from nlsurf.mcmc import (
@@ -12,11 +14,14 @@ from nlsurf.mcmc import (
     McmcConfig,
     _run_chain,
     blocked_estimate,
+    colour_classes,
     estimate_correlations,
+    estimate_correlations_batch,
     quenched_estimate_mcmc,
 )
 from nlsurf.model import sample_disorder, uniform_params
-from nlsurf.quenched import Quadrature, combined_std_error, quenched_correlation
+from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, legendre_nodes_01, quenched_correlation
+from nlsurf.surface import _adjacency_setup, _adjacency_term_mcmc
 
 from oracles import brute_gibbs
 
@@ -145,3 +150,62 @@ def test_starved_chain_is_flagged():
     cfg = McmcConfig(sweeps=20, burn_in=4, seed=1, measure_stride=2)
     with pytest.warns(PoorMixingWarning):
         quenched_estimate_mcmc(lat, uniform_params(lat, 0.8), corridor=dec.corridor, outer_samples=2, config=cfg)
+
+
+@pytest.mark.parametrize(
+    "dim,side,bc,n_classes",
+    [
+        (2, 8, Boundary.FREE, 2),
+        (2, 12, Boundary.FREE, 2),
+        (3, 4, Boundary.FREE, 2),
+        (1, 6, Boundary.FREE, 2),
+        (2, 4, Boundary.PERIODIC, 2),
+        (2, 6, Boundary.PERIODIC, 2),
+        (2, 3, Boundary.PERIODIC, 3),
+        (1, 5, Boundary.PERIODIC, 3),
+    ],
+)
+def test_colour_classes(dim, side, bc, n_classes):
+    lat = build_lattice(dim, side, bc)
+    classes = colour_classes(lat)
+    assert len(classes) == n_classes
+    assert sorted(s for cls in classes for s in cls) == list(range(lat.n_sites))
+    colour = {s: c for c, cls in enumerate(classes) for s in cls}
+    assert all(colour[b.site_a] != colour[b.site_b] for b in lat.bonds)
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
+def test_batch_composition_independence():
+    # a chain's estimates and diagnostics are a function of its seed and
+    # couplings only, whatever other chains share its batch
+    lat = build_lattice(2, 3, Boundary.PERIODIC)
+    ladder = McmcConfig(sweeps=300, burn_in=50, seed=0, x_ladder=(0.5, 1.0), replicas=2, measure_stride=1)
+    kv = np.random.default_rng(3).normal(0.3, 0.5, (5, lat.n_bonds))
+    seeds = [nlrng.derive_seed(9, c) for c in range(5)]
+    batch = estimate_correlations_batch(lat, kv, seeds, bonds=(0, 7), config=ladder)
+    assert estimate_correlations_batch(lat, kv[3:], seeds[3:], bonds=(0, 7), config=ladder) == batch[3:]
+    for c, seed in enumerate(seeds):
+        alone = estimate_correlations(lat, kv[c], bonds=(0, 7), config=replace(ladder, seed=seed))
+        assert alone == batch[c]
+
+    # chain (s, i) of the two-level adjacency call, run alone, reproduces its
+    # row: the node means and the worst ESS and mean acceptance are bit-equal
+    method, mcmc = DisorderMC(3, seed=4), McmcConfig(sweeps=120, burn_in=20, seed=11)
+    r = _adjacency_term_mcmc(2, 3, 0.5, method, 2, mcmc)
+    lattice, corridor = _adjacency_setup(2, 3)
+    corr_idx = list(corridor.sorted_indices())
+    tn, _ = legendre_nodes_01(2)
+    alone = []
+    for s in range(method.samples):
+        g = nlrng.standard_normals(method.seed, np.arange(lattice.n_bonds, dtype=np.uint64), s)
+        for i, t in enumerate(tn):
+            xt = np.full(lattice.n_bonds, 0.5)
+            xt[corr_idx] = 0.5 * math.sqrt(t)
+            cfg = replace(mcmc, seed=nlrng.derive_seed(mcmc.seed, s, i))
+            alone.append(estimate_correlations(lattice, xt * (xt + g), corridor=corridor, config=cfg))
+    values = np.array([est["corridor_mean"].value for est, _ in alone]).reshape(method.samples, 2)
+    for i, point in enumerate(r.integrand_tables["corridor"]):
+        assert point.value == float(values[:, i].mean())
+    assert r.chain_telemetry["chains"] == len(alone)
+    assert r.chain_telemetry["min_ess"] == min(d.ess for _, d in alone)
+    assert r.chain_telemetry["mean_acceptance"] == float(np.mean([d.acceptance[-1] for _, d in alone]))
