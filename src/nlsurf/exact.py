@@ -1,16 +1,20 @@
 """Exact Boltzmann-Gibbs computations at fixed disorder by full enumeration.
 
-Two engines share the bond-spin conventions:
+Three paths share the bond-spin conventions:
 
-* a float64 reference engine (`gibbs_report` and the single-quantity wrappers)
-  that enumerates the halved configuration space with a streaming-max
-  log-sum-exp, used by every quadrature path and by public callers;
-* a float32 batch engine (`batch_gibbs` with precise=False) for disorder
-  Monte Carlo, which vectorizes over many coupling fields at once and, on
-  bipartite lattices, sums one sublattice analytically so only half the spins
-  are enumerated.
+* `gibbs_report` and the single-quantity wrappers (`log_partition`,
+  `bond_correlation`, `pair_correlation`, `corridor_average`) loop over the
+  configurations of one coupling field in float64 with a streaming-max
+  log-sum-exp.  This is the reference engine the tests compare against, and
+  it serves public single-field callers such as `quenched.t_integrand`;
+* `batch_gibbs` with precise=True runs `_batch_dense` in float64, vectorized
+  over a batch of coupling fields: every quadrature grid goes through it;
+* `batch_gibbs` with precise=False serves disorder Monte Carlo in float32.
+  On bipartite lattices of 10 or more sites `_batch_decimated` sums one
+  sublattice analytically, so only half the spins are enumerated; on
+  non-bipartite or smaller lattices it runs `_batch_dense` in float32.
 
-Both exploit the global spin-flip symmetry: bond observables are invariant
+All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with the last spin fixed up are enumerated
 and log Z picks up an extra ln 2.
 """

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,7 +42,7 @@ import numpy as np
 from . import rng
 from .exact import CouplingField, _endpoints
 from .lattice import Corridor, LatticeSpec
-from .model import NishimoriParams, sample_disorder
+from .model import NishimoriParams
 from .quenched import DisorderMC, Estimate
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
@@ -371,6 +372,61 @@ def estimate_correlations(
     return estimate_correlations_batch(lattice, kvec[None, :], [config.seed], bonds=bonds, corridor=corridor, config=config)[0]
 
 
+def two_level_inner(
+    lattice: LatticeSpec,
+    x_at,
+    disorder: DisorderMC,
+    seeds,
+    *,
+    corridor: Corridor | None = None,
+    bond: int | None = None,
+    config: McmcConfig,
+) -> tuple[np.ndarray, dict]:
+    """Inner values of a two-level estimator: one chain per (realization, variant).
+
+    Realization s takes its normal core g from the disorder stream keyed by
+    (disorder.seed, bond, s); variant i runs the couplings x (x + g) with
+    x = x_at[i] on stream seeds[s * len(x_at) + i].  All chains run as one
+    batch.  Returns the (samples, variants) chain means of the corridor
+    average or of <S_bond>, and the chain telemetry for the manifest (count,
+    site-sweeps, time, mean acceptance, worst ESS, warning count).  Warns
+    PoorMixingWarning when the worst ESS falls below MIN_INNER_ESS.
+    """
+    if (corridor is None) == (bond is None):
+        raise ValueError("specify exactly one of corridor or bond")
+    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
+    kvecs = []
+    for s in range(disorder.samples):
+        g = rng.standard_normals(disorder.seed, bond_idx, s)
+        kvecs.extend(x * (x + g) for x in x_at)
+    t0 = time.perf_counter()
+    bonds = () if bond is None else (bond,)
+    chains = estimate_correlations_batch(lattice, np.stack(kvecs), seeds, bonds=bonds, corridor=corridor, config=config)
+    chain_s = time.perf_counter() - t0
+    key = "corridor_mean" if bond is None else bond
+    values = np.array([est[key].value for est, _ in chains]).reshape(disorder.samples, len(x_at))
+    min_ess = min(diag.ess for _, diag in chains)
+    poor = min_ess < MIN_INNER_ESS
+    if poor:
+        warnings.warn(
+            f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
+            "treat this estimate as under-resolved",
+            PoorMixingWarning,
+            stacklevel=3,
+        )
+    site_sweeps = len(chains) * lattice.n_sites * config.sweeps * config.replicas
+    telemetry = {
+        "chains": len(chains),
+        "site_sweeps": site_sweeps,
+        "chain_s": chain_s,
+        "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
+        "mean_acceptance": float(np.mean([diag.acceptance[-1] for _, diag in chains])),
+        "min_ess": min_ess,
+        "poor_mixing_warnings": int(poor),
+    }
+    return values, telemetry
+
+
 def quenched_estimate_mcmc(
     lattice: LatticeSpec,
     params: NishimoriParams,
@@ -379,41 +435,23 @@ def quenched_estimate_mcmc(
     bond: int | None = None,
     outer_samples: int,
     config: McmcConfig,
-    disorder_seed: int | None = None,
 ) -> Estimate:
     """Two-level estimator: disorder MC outside, one Markov chain inside.
 
-    All realizations' chains run as one batch; chain s is keyed by
+    Disorder and chains share config.seed: realization s draws its core from
+    the disorder stream under that seed, and its chain runs on
     derive_seed(config.seed, s).  The reported error is the spread of the
     per-realization chain estimates, which already carries the mean inner
     error on top of the disorder variance.
     """
-    if (corridor is None) == (bond is None):
-        raise ValueError("specify exactly one of corridor or bond")
-    if outer_samples < 2:
-        raise ValueError("need at least 2 outer samples")
-    seed0 = config.seed if disorder_seed is None else disorder_seed
-    kvecs = np.stack([params.x * sample_disorder(params, seed0, sample_index=s).j for s in range(outer_samples)])
+    disorder = DisorderMC(samples=outer_samples, seed=config.seed)
     seeds = [rng.derive_seed(config.seed, s) for s in range(outer_samples)]
-    if corridor is not None:
-        chains = estimate_correlations_batch(lattice, kvecs, seeds, corridor=corridor, config=config)
-        key = "corridor_mean"
-    else:
-        chains = estimate_correlations_batch(lattice, kvecs, seeds, bonds=(bond,), config=config)
-        key = bond
-    vals = np.array([est[key].value for est, _ in chains])
-    min_ess = min(diag.ess for _, diag in chains)
-    if min_ess < MIN_INNER_ESS:
-        warnings.warn(
-            f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
-            "treat this estimate as under-resolved",
-            PoorMixingWarning,
-            stacklevel=2,
-        )
+    values, _ = two_level_inner(lattice, [params.x], disorder, seeds, corridor=corridor, bond=bond, config=config)
+    vals = values[:, 0]
     return Estimate(
         value=float(vals.mean()),
         std_error=float(vals.std(ddof=1) / math.sqrt(outer_samples)),
-        method=DisorderMC(samples=outer_samples, seed=seed0),
+        method=disorder,
         n_bonds=lattice.n_bonds,
         n_sites=lattice.n_sites,
     )

@@ -152,6 +152,60 @@ def disorder_cores(
         yield core, weights
 
 
+class Moments:
+    """Streaming per-row means of per-sample values, fed one chunk at a time.
+
+    Row r of every chunk holds that chunk's samples of quantity r.  Weighted
+    chunks (quadrature) accumulate weighted sums and give the weighted mean
+    with std_error 0.  Unweighted chunks (Monte Carlo) accumulate sums and
+    squares shifted by the row's first sample, so the variance does not
+    cancel when a mean is large against its spread, and give the sample mean
+    with its std error (realizations are i.i.d., so no batching is needed).
+    Each row is reduced on its own, in chunk order.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.wsum = 0.0
+        self.weighted = False
+        self.shifts: list[float] = []
+        self.sums: list[float] = []
+        self.sqsums: list[float] = []
+
+    def add(self, rows: Sequence[np.ndarray], weights: np.ndarray | None) -> None:
+        if not rows:
+            return
+        rows = [np.asarray(r, dtype=np.float64) for r in rows]
+        if not self.sums:
+            self.weighted = weights is not None
+            self.shifts = [float(r[0]) for r in rows]
+            self.sums = [0.0] * len(rows)
+            self.sqsums = [0.0] * len(rows)
+        for i, r in enumerate(rows):
+            if weights is None:
+                c = r - self.shifts[i]
+                self.sums[i] += float(c.sum())
+                self.sqsums[i] += float(c @ c)
+            else:
+                self.sums[i] += float(weights @ r)
+        self.count += len(rows[0])
+        if weights is not None:
+            self.wsum += float(weights.sum())
+
+    def estimates(self, method: AveragingMethod, lattice: LatticeSpec) -> list[Estimate]:
+        """One Estimate per row, in row order."""
+        out = []
+        for shift, total, sq in zip(self.shifts, self.sums, self.sqsums):
+            if self.weighted:
+                value, se = total / self.wsum, 0.0
+            else:
+                mean_c = total / self.count
+                var = max(sq - self.count * mean_c * mean_c, 0.0) / max(self.count - 1, 1)
+                value, se = shift + mean_c, math.sqrt(var / self.count)
+            out.append(Estimate(value=value, std_error=se, method=method, n_bonds=lattice.n_bonds, n_sites=lattice.n_sites))
+        return out
+
+
 @dataclass
 class VariantChunk:
     """Fixed-disorder values for one parameter variant over one chunk."""
@@ -172,17 +226,14 @@ def quenched_joint(
     pairs: tuple[tuple[int, int], ...] = (),
     need_log_z: bool = False,
     j_bonds: tuple[int, ...] = (),
-    cap: int = ENUMERATION_CAP,
 ) -> dict[str, Estimate]:
     """Average per-sample functionals of several parameter variants jointly.
 
     All variants are evaluated on the same disorder cores, and all requested
-    functionals are accumulated in a single pass.  Quadrature estimates carry
-    std_error 0; Monte Carlo estimates carry the plain sample std error
-    (realizations are i.i.d., so no batching is needed).
+    functionals are accumulated in a single pass of one Moments accumulator.
     """
-    if lattice.n_sites > cap:
-        raise SizeCapExceeded(lattice.n_sites, cap)
+    if lattice.n_sites > ENUMERATION_CAP:
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
     for v in variants:
         if v.n_bonds != lattice.n_bonds:
             raise ValueError("variant bond count does not match the lattice")
@@ -194,59 +245,19 @@ def quenched_joint(
     precise = isinstance(method, Quadrature)
 
     names = list(functionals)
-    count = 0
-    wsum = 0.0
-    sums = {n: 0.0 for n in names}
-    sqsums = {n: 0.0 for n in names}
-    shifts: dict[str, float] = {}
+    moments = Moments()
     for core, weights in disorder_cores(lattice, method, active, x_ref):
         chunk_vals: list[VariantChunk] = []
         for v in variants:
             j = v.x[None, :] + core
             K = v.x[None, :] * j
-            bg = batch_gibbs(
-                lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise, cap=cap
-            )
+            bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
             chunk_vals.append(VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, j={b: j[:, b] for b in j_bonds}))
-        for name in names:
-            vals = np.asarray(functionals[name](chunk_vals), dtype=np.float64)
-            if weights is None:
-                if name not in shifts:
-                    shifts[name] = float(vals[0])
-                c = vals - shifts[name]
-                sums[name] += float(c.sum())
-                sqsums[name] += float(c @ c)
-            else:
-                sums[name] += float(weights @ vals)
-        count += len(core)
-        if weights is not None:
-            wsum += float(weights.sum())
-
-    out: dict[str, Estimate] = {}
-    for name in names:
-        if isinstance(method, DisorderMC):
-            n = count
-            mean_c = sums[name] / n
-            var = max(sqsums[name] - n * mean_c * mean_c, 0.0) / (n - 1)
-            out[name] = Estimate(
-                value=shifts[name] + mean_c,
-                std_error=math.sqrt(var / n),
-                method=method,
-                n_bonds=lattice.n_bonds,
-                n_sites=lattice.n_sites,
-            )
-        else:
-            out[name] = Estimate(
-                value=sums[name] / wsum,
-                std_error=0.0,
-                method=method,
-                n_bonds=lattice.n_bonds,
-                n_sites=lattice.n_sites,
-            )
-    return out
+        moments.add([functionals[name](chunk_vals) for name in names], weights)
+    return dict(zip(names, moments.estimates(method, lattice)))
 
 
-def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod, cap: int = ENUMERATION_CAP) -> Estimate:
+def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod) -> Estimate:
     """[ln Z] under the product Gaussian with means x_b."""
     res = quenched_joint(
         lattice,
@@ -254,7 +265,6 @@ def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: Ave
         method,
         {"pressure": lambda v: v[0].log_z},
         need_log_z=True,
-        cap=cap,
     )
     return res["pressure"]
 
@@ -264,7 +274,6 @@ def quenched_correlation(
     params: NishimoriParams,
     queries: Sequence[tuple],
     method: AveragingMethod,
-    cap: int = ENUMERATION_CAP,
 ) -> dict[tuple, Estimate]:
     """Quenched bond observables, one disorder pass shared by all queries.
 
@@ -305,7 +314,6 @@ def quenched_correlation(
         bonds=tuple(sorted(bonds)),
         pairs=tuple(sorted(pairs)),
         j_bonds=tuple(sorted(j_bonds)),
-        cap=cap,
     )
     return {q: res[repr(q)] for q in queries}
 
@@ -315,7 +323,6 @@ def t_integrand(
     sched: InterpolationSchedule,
     t: float,
     disorder: DisorderRealization,
-    cap: int = ENUMERATION_CAP,
 ) -> float:
     """Corridor bond-spin average <S_C> at fixed disorder and interpolation time t.
 
@@ -327,4 +334,4 @@ def t_integrand(
     sched_t = InterpolationSchedule(base_x=sched.base_x, corridor=sched.corridor, n_bonds=sched.n_bonds, t=t)
     params_t = interpolated_params(sched_t)
     shifted = shift_disorder(disorder, params_t)
-    return corridor_average(lattice, effective_couplings(params_t, shifted), sched.corridor, cap=cap)
+    return corridor_average(lattice, effective_couplings(params_t, shifted), sched.corridor)

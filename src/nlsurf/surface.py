@@ -16,8 +16,6 @@ quadrature combination, never from independently-averaged nodes.
 from __future__ import annotations
 
 import math
-import time
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -26,12 +24,13 @@ import numpy as np
 from . import rng
 from .exact import ENUMERATION_CAP, batch_gibbs
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
-from .mcmc import MIN_INNER_ESS, McmcConfig, PoorMixingWarning, estimate_correlations_batch
-from .model import uniform_params
+from .mcmc import McmcConfig, two_level_inner
+from .model import interpolated_params, interpolation_schedule, uniform_params
 from .quenched import (
     AveragingMethod,
     DisorderMC,
     Estimate,
+    Moments,
     Quadrature,
     disorder_cores,
     legendre_nodes_01,
@@ -87,20 +86,9 @@ class _TermData:
     center_curve: tuple[IntegrandPoint, ...] | None
 
 
-def _mean_std(count, total, sq_total, shift, method, lattice) -> Estimate:
-    mean_c = total / count
-    var = max(sq_total - count * mean_c * mean_c, 0.0) / max(count - 1, 1)
-    return Estimate(
-        value=shift + mean_c,
-        std_error=math.sqrt(var / count),
-        method=method,
-        n_bonds=lattice.n_bonds,
-        n_sites=lattice.n_sites,
-    )
-
-
-def _exact_estimate(value, method, lattice) -> Estimate:
-    return Estimate(value=value, std_error=0.0, method=method, n_bonds=lattice.n_bonds, n_sites=lattice.n_sites)
+def _corridor_x(lattice: LatticeSpec, corridor: Corridor, x: float, t: float) -> np.ndarray:
+    """x_b(t): x sqrt(t) on the corridor and x elsewhere (the model's schedule)."""
+    return interpolated_params(interpolation_schedule(lattice, corridor, x, t)).x
 
 
 def _interpolation_term(
@@ -113,126 +101,53 @@ def _interpolation_term(
     need_direct: bool = True,
     need_integral: bool = True,
     center_bond: int | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> _TermData:
+    """Endpoint difference and t-curve of one corridor interpolation.
+
+    Per disorder chunk the accumulator gets the rows [direct], the corridor
+    mean at each t-node, their t-quadrature combination per sample, and
+    [the center bond at each t-node].
+    """
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
         raise ValueError("corridor is empty")
-    x_uniform = np.full(lattice.n_bonds, float(x))
-    x_zero = x_uniform.copy()
-    x_zero[list(corr_idx)] = 0.0
+    x_one = _corridor_x(lattice, corridor, x, 1.0)
+    x_zero = _corridor_x(lattice, corridor, x, 0.0)
     tn, tw = legendre_nodes_01(t_nodes) if need_integral else (np.empty(0), np.empty(0))
-    x_at = []
-    for t in tn:
-        xt = x_uniform.copy()
-        xt[list(corr_idx)] = x * math.sqrt(t)
-        x_at.append(xt)
-
+    x_at = [_corridor_x(lattice, corridor, x, t) for t in tn]
     precise = isinstance(method, Quadrature)
     query = corr_idx if center_bond is None or center_bond in corr_idx else corr_idx + (center_bond,)
-    active = x_uniform > 0
 
-    count = 0
-    wsum = 0.0
-    d_sum = d_sq = 0.0
-    f_sum = f_sq = 0.0
-    node_sum = np.zeros(t_nodes)
-    node_sq = np.zeros(t_nodes)
-    cb_sum = np.zeros(t_nodes)
-    cb_sq = np.zeros(t_nodes)
-    d_shift = f_shift = None
-    node_shift = np.zeros(t_nodes)
-    cb_shift = np.zeros(t_nodes)
-    first = True
-    for core, weights in disorder_cores(lattice, method, active, x_uniform):
+    moments = Moments()
+    for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
+        rows = []
         if need_direct:
-            k1 = x_uniform[None, :] * (x_uniform[None, :] + core)
-            k0 = x_zero[None, :] * (x_zero[None, :] + core)
-            lz1 = batch_gibbs(lattice, k1, need_log_z=True, precise=precise, cap=cap).log_z
-            lz0 = batch_gibbs(lattice, k0, need_log_z=True, precise=precise, cap=cap).log_z
-            d = lz1 - lz0
-            if weights is None:
-                if d_shift is None:
-                    d_shift = float(d[0])
-                c = d - d_shift
-                d_sum += float(c.sum())
-                d_sq += float(c @ c)
-            else:
-                d_sum += float(weights @ d)
+            lz1 = batch_gibbs(lattice, x_one[None, :] * (x_one[None, :] + core), need_log_z=True, precise=precise).log_z
+            lz0 = batch_gibbs(lattice, x_zero[None, :] * (x_zero[None, :] + core), need_log_z=True, precise=precise).log_z
+            rows.append(lz1 - lz0)
         if need_integral:
+            node_rows, center_rows = [], []
             f_chunk = np.zeros(len(core))
-            for i, t in enumerate(tn):
-                xt = x_at[i]
-                kt = xt[None, :] * (xt[None, :] + core)
-                bg = batch_gibbs(lattice, kt, bonds=query, precise=precise, cap=cap)
+            for xt, w in zip(x_at, tw):
+                bg = batch_gibbs(lattice, xt[None, :] * (xt[None, :] + core), bonds=query, precise=precise)
                 sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
-                f_chunk += tw[i] * sc
-                if weights is None:
-                    if first:
-                        node_shift[i] = float(sc[0])
-                    cn = sc - node_shift[i]
-                    node_sum[i] += float(cn.sum())
-                    node_sq[i] += float(cn @ cn)
-                else:
-                    node_sum[i] += float(weights @ sc)
+                f_chunk += w * sc
+                node_rows.append(sc)
                 if center_bond is not None:
-                    cb = bg.bond[center_bond]
-                    if weights is None:
-                        if first:
-                            cb_shift[i] = float(cb[0])
-                        cc = cb - cb_shift[i]
-                        cb_sum[i] += float(cc.sum())
-                        cb_sq[i] += float(cc @ cc)
-                    else:
-                        cb_sum[i] += float(weights @ cb)
-            if weights is None:
-                if f_shift is None:
-                    f_shift = float(f_chunk[0])
-                c = f_chunk - f_shift
-                f_sum += float(c.sum())
-                f_sq += float(c @ c)
-            else:
-                f_sum += float(weights @ f_chunk)
-        count += len(core)
-        if weights is not None:
-            wsum += float(weights.sum())
-        first = False
+                    center_rows.append(bg.bond[center_bond])
+            rows += node_rows + [f_chunk] + center_rows
+        moments.add(rows, weights)
 
-    mc = isinstance(method, DisorderMC)
-    direct = None
-    if need_direct:
-        direct = (
-            _mean_std(count, d_sum, d_sq, d_shift, method, lattice)
-            if mc
-            else _exact_estimate(d_sum / wsum, method, lattice)
-        )
-    curve: tuple[IntegrandPoint, ...] = ()
+    est = moments.estimates(method, lattice)
+    direct = est.pop(0) if need_direct else None
+    if not need_integral:
+        return _TermData(direct=direct, curve=(), curve_integral=None, center_curve=None)
+    n = len(tn)
+    curve = tuple(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error) for t, e in zip(tn, est[:n]))
     center_curve = None
-    curve_integral = None
-    if need_integral:
-        pts = []
-        for i, t in enumerate(tn):
-            if mc:
-                e = _mean_std(count, node_sum[i], node_sq[i], node_shift[i], method, lattice)
-            else:
-                e = _exact_estimate(node_sum[i] / wsum, method, lattice)
-            pts.append(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error))
-        curve = tuple(pts)
-        curve_integral = (
-            _mean_std(count, f_sum, f_sq, f_shift, method, lattice)
-            if mc
-            else _exact_estimate(f_sum / wsum, method, lattice)
-        )
-        if center_bond is not None:
-            pts = []
-            for i, t in enumerate(tn):
-                if mc:
-                    e = _mean_std(count, cb_sum[i], cb_sq[i], cb_shift[i], method, lattice)
-                else:
-                    e = _exact_estimate(cb_sum[i] / wsum, method, lattice)
-                pts.append(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error))
-            center_curve = tuple(pts)
-    return _TermData(direct=direct, curve=curve, curve_integral=curve_integral, center_curve=center_curve)
+    if center_bond is not None:
+        center_curve = tuple(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error) for t, e in zip(tn, est[n + 1 :]))
+    return _TermData(direct=direct, curve=curve, curve_integral=est[n], center_curve=center_curve)
 
 
 def _scaled(e: Estimate, factor: float, offset: float = 0.0) -> Estimate:
@@ -259,7 +174,7 @@ def _adjacency_setup(d: int, L: int):
     return lattice, decomp.corridor
 
 
-def adjacency_direct(d: int, L: int, x: float, method: AveragingMethod, cap: int = ENUMERATION_CAP) -> Estimate:
+def adjacency_direct(d: int, L: int, x: float, method: AveragingMethod) -> Estimate:
     """Pressure of the free 2L-box minus the sum over its 2^d free L-boxes.
 
     Computed as the endpoint difference of the interpolation on one lattice:
@@ -267,22 +182,22 @@ def adjacency_direct(d: int, L: int, x: float, method: AveragingMethod, cap: int
     disorder core makes the difference variance-reduced.
     """
     lattice, corridor = _adjacency_setup(d, L)
-    term = _interpolation_term(lattice, corridor, x, method, 2, need_integral=False, cap=cap)
+    term = _interpolation_term(lattice, corridor, x, method, 2, need_integral=False)
     return term.direct
 
 
 def adjacency_integral(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, cap: int = ENUMERATION_CAP
+    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> Estimate:
     """|C| x^2/2 (1 + integral of the quenched corridor average over t)."""
     lattice, corridor = _adjacency_setup(d, L)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False, cap=cap)
+    term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False)
     pref = corridor.cardinality * x * x / 2.0
     return _scaled(term.curve_integral, pref, offset=pref)
 
 
 def adjacency_term(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, cap: int = ENUMERATION_CAP
+    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> SurfaceTermResult:
     """Both routes for the adjacency term, plus the center-bond integrand.
 
@@ -292,7 +207,7 @@ def adjacency_term(
     """
     lattice, corridor = _adjacency_setup(d, L)
     center = _center_corridor_bond(lattice, corridor)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, center_bond=center, cap=cap)
+    term = _interpolation_term(lattice, corridor, x, method, t_nodes, center_bond=center)
     pref = corridor.cardinality * x * x / 2.0
     integral = _scaled(term.curve_integral, pref, offset=pref)
     per_unit = _scaled(integral, 1.0 / L ** (d - 1))
@@ -309,12 +224,12 @@ def adjacency_term(
 
 
 def periodic_minus_free(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, cap: int = ENUMERATION_CAP
+    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> SurfaceTermResult:
     """Torus pressure minus free-box pressure via the standard cut of the torus."""
     lattice = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
     corridor = torus_cut(lattice)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, cap=cap)
+    term = _interpolation_term(lattice, corridor, x, method, t_nodes)
     pref = corridor.cardinality * x * x / 2.0
     integral = _scaled(term.curve_integral, pref, offset=pref)
     per_unit = _scaled(integral, 1.0 / L ** (d - 1))
@@ -331,7 +246,7 @@ def periodic_minus_free(
 
 
 def surface_pressure_free(
-    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, cap: int = ENUMERATION_CAP
+    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> SurfaceTermResult:
     """Finite-k surface pressure for free boundaries (nonpositive by structure).
 
@@ -343,7 +258,7 @@ def surface_pressure_free(
     """
     lattice, decomp = tiling_interfaces(d, L, k)
     corridor = decomp.corridor
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, cap=cap)
+    term = _interpolation_term(lattice, corridor, x, method, t_nodes)
     scale = k ** (-d)
     direct = _scaled(term.direct, -scale)
     pref = scale * corridor.cardinality * x * x / 2.0  # = (d/2) x^2 L^(d-1)
@@ -362,7 +277,7 @@ def surface_pressure_free(
 
 
 def surface_pressure_periodic(
-    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, cap: int = ENUMERATION_CAP
+    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> SurfaceTermResult:
     """Finite-k surface pressure for periodic boundaries.
 
@@ -372,9 +287,9 @@ def surface_pressure_periodic(
     """
     small = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
     cut = torus_cut(small)
-    cut_term = _interpolation_term(small, cut, x, method, t_nodes, need_direct=False, cap=cap)
+    cut_term = _interpolation_term(small, cut, x, method, t_nodes, need_direct=False)
     big, decomp = tiling_interfaces(d, L, k)
-    tile_term = _interpolation_term(big, decomp.corridor, x, method, t_nodes, need_direct=False, cap=cap)
+    tile_term = _interpolation_term(big, decomp.corridor, x, method, t_nodes, need_direct=False)
 
     pref = d * x * x * L ** (d - 1) / 2.0
     ci = cut_term.curve_integral
@@ -386,8 +301,8 @@ def surface_pressure_periodic(
         n_bonds=big.n_bonds,
         n_sites=big.n_sites,
     )
-    p_small = quenched_pressure(small, uniform_params(small, x), method, cap=cap)
-    p_big = quenched_pressure(big, uniform_params(big, x), method, cap=cap)
+    p_small = quenched_pressure(small, uniform_params(small, x), method)
+    p_big = quenched_pressure(big, uniform_params(big, x), method)
     scale = k ** (-d)
     direct = Estimate(
         value=p_small.value - scale * p_big.value,
@@ -425,44 +340,10 @@ def _adjacency_term_mcmc(
     result for the manifest.
     """
     lattice, corridor = _adjacency_setup(d, L)
-    corr_idx = corridor.sorted_indices()
     tn, tw = legendre_nodes_01(t_nodes)
-    x_at = []
-    for t in tn:
-        xt = np.full(lattice.n_bonds, float(x))
-        xt[list(corr_idx)] = x * math.sqrt(t)
-        x_at.append(xt)
-
-    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
-    kvecs, seeds = [], []
-    for s in range(method.samples):
-        g = rng.standard_normals(method.seed, bond_idx, s)
-        for i, xt in enumerate(x_at):
-            kvecs.append(xt * (xt + g))
-            seeds.append(rng.derive_seed(mcmc.seed, s, i))
-    t0 = time.perf_counter()
-    chains = estimate_correlations_batch(lattice, np.stack(kvecs), seeds, corridor=corridor, config=mcmc)
-    chain_s = time.perf_counter() - t0
-    node_vals = np.array([est["corridor_mean"].value for est, _ in chains]).reshape(method.samples, t_nodes)
-    min_ess = min(diag.ess for _, diag in chains)
-    poor = min_ess < MIN_INNER_ESS
-    if poor:
-        warnings.warn(
-            f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
-            "treat this sweep point as under-resolved",
-            PoorMixingWarning,
-            stacklevel=2,
-        )
-    site_sweeps = len(chains) * lattice.n_sites * mcmc.sweeps * mcmc.replicas
-    telemetry = {
-        "chains": len(chains),
-        "site_sweeps": site_sweeps,
-        "chain_s": chain_s,
-        "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
-        "mean_acceptance": float(np.mean([diag.acceptance[-1] for _, diag in chains])),
-        "min_ess": min_ess,
-        "poor_mixing_warnings": int(poor),
-    }
+    x_at = [_corridor_x(lattice, corridor, x, t) for t in tn]
+    seeds = [rng.derive_seed(mcmc.seed, s, i) for s in range(method.samples) for i in range(t_nodes)]
+    node_vals, telemetry = two_level_inner(lattice, x_at, method, seeds, corridor=corridor, config=mcmc)
     f_vals = node_vals @ tw
 
     pref = corridor.cardinality * x * x / 2.0
@@ -507,7 +388,6 @@ def scaling_sweep(
     t_nodes: int = DEFAULT_T_NODES,
     mcmc: McmcConfig | None = None,
     workers: int = 1,
-    cap: int = ENUMERATION_CAP,
 ) -> list[SurfaceTermResult]:
     """Adjacency term per unit surface, T_L / L^(d-1), across box sizes.
 
@@ -525,11 +405,11 @@ def scaling_sweep(
     results = []
     for L in L_list:
         n_sites = (2 * L) ** d
-        if n_sites <= cap:
-            results.append(adjacency_term(d, L, x, method, t_nodes=t_nodes, cap=cap))
+        if n_sites <= ENUMERATION_CAP:
+            results.append(adjacency_term(d, L, x, method, t_nodes=t_nodes))
         else:
             if not isinstance(method, DisorderMC) or mcmc is None:
-                raise SizeCapExceededForSweep(L, n_sites, cap)
+                raise SizeCapExceededForSweep(L, n_sites, ENUMERATION_CAP)
             results.append(_adjacency_term_mcmc(d, L, x, method, t_nodes, mcmc))
     return results
 

@@ -16,6 +16,7 @@ from nlsurf.model import (
 from nlsurf.quenched import (
     DisorderMC,
     GridTooLarge,
+    Moments,
     Quadrature,
     combined_std_error,
     quenched_correlation,
@@ -131,6 +132,26 @@ def test_mc_determinism():
     a = quenched_pressure(lat, p, DisorderMC(3000, seed=42))
     b = quenched_pressure(lat, p, DisorderMC(3000, seed=42))
     assert a.value == b.value and a.std_error == b.std_error
+
+
+def test_moments_shifted_and_weighted():
+    # a mean of 1e6 against a spread of 1: unshifted sums of squares would
+    # lose the variance to cancellation
+    lat = build_lattice(1, 2, Boundary.FREE)
+    gen = np.random.default_rng(5)
+    rows = 1e6 + gen.standard_normal((2, 1000))
+    w = gen.uniform(0.1, 1.0, 1000)
+    chunks = ((0, 137), (137, 700), (700, 1000))
+    mc, quad = Moments(), Moments()
+    for lo, hi in chunks:
+        mc.add([rows[0, lo:hi], rows[1, lo:hi]], None)
+        quad.add([rows[0, lo:hi]], w[lo:hi])
+    for est, r in zip(mc.estimates(DisorderMC(1000, seed=0), lat), rows, strict=True):
+        assert est.value == pytest.approx(r.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(r.std(ddof=1) / math.sqrt(len(r)), rel=1e-12)
+    (est,) = quad.estimates(Quadrature(), lat)
+    assert est.value == pytest.approx(np.average(rows[0], weights=w), rel=1e-12)
+    assert est.std_error == 0.0
 
 
 def test_grid_cap():
