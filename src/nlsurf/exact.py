@@ -1,22 +1,27 @@
 """Exact Boltzmann-Gibbs computations at fixed disorder by full enumeration.
 
-Three paths share the bond-spin conventions:
+Two paths share the bond-spin conventions:
 
 * `gibbs_report` and the single-quantity wrappers (`log_partition`,
   `bond_correlation`, `pair_correlation`, `corridor_average`) loop over the
   configurations of one coupling field in float64 with a streaming-max
   log-sum-exp.  This is the reference engine the tests compare against, and
   it serves public single-field callers such as `quenched.t_integrand`;
-* `batch_gibbs` with precise=True runs `_batch_dense` in float64, vectorized
-  over a batch of coupling fields: every quadrature grid goes through it;
-* `batch_gibbs` with precise=False serves disorder Monte Carlo in float32.
-  On bipartite lattices of 10 or more sites `_batch_decimated` sums one
-  sublattice analytically, so only half the spins are enumerated; on
-  non-bipartite or smaller lattices it runs `_batch_dense` in float32.
+* `batch_gibbs` is the one batch engine, vectorized over a batch of coupling
+  fields: float64 for quadrature grids (precise=True), float32 for disorder
+  Monte Carlo.  It enumerates every site outside an independent set A and
+  sums the spins of A analytically: given the enumerated spins each s_a sees
+  a local field h_a, contributes ln 2cosh h_a to the log weight, and averages
+  to tanh h_a.  A is the largest class of `lattice.colour_classes` (on a tie
+  the class without site 0) on lattices of 10 or more sites: one sublattice
+  on bipartite lattices, one of three classes on odd rings, whose bonds
+  between enumerated sites add K_b s s' to each configuration's energy.
+  Below 10 sites A is empty and every site is enumerated, which keeps
+  float32 connected correlations of tiny lattices at 0 where they vanish.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
-under S -> -S, so configurations with the last spin fixed up are enumerated
-and log Z picks up an extra ln 2.
+under S -> -S, so configurations with one spin fixed up are enumerated and
+log Z picks up an extra ln 2.
 """
 
 from __future__ import annotations
@@ -26,14 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Corridor, LatticeSpec
+from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import DisorderRealization, NishimoriParams
 
 ENUMERATION_CAP = 24
 _LN2 = math.log(2.0)
-_F32_EXP_FLOOR = -80.0  # keeps float32 exp() out of the subnormal range
+_EXP_FLOOR = -80.0  # keeps float32 exp() out of the subnormal range; e^-80 is far below float64 rounding
 _CONFIG_CHUNK = 1 << 15
 _ELEM_BUDGET = 1 << 24  # max scratch elements per inner block
+_ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
 
 
 class SizeCapExceeded(ValueError):
@@ -78,31 +84,11 @@ class GibbsReport:
     correlations: dict = field(default_factory=dict)
 
 
-def _check_lattice_K(lattice: LatticeSpec, K: CouplingField, cap: int):
-    if lattice.n_sites > cap:
-        raise SizeCapExceeded(lattice.n_sites, cap)
+def _check_lattice_K(lattice: LatticeSpec, K: CouplingField):
+    if lattice.n_sites > ENUMERATION_CAP:
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
     if K.n_bonds != lattice.n_bonds:
         raise ValueError(f"coupling field has {K.n_bonds} bonds, lattice {lattice.n_bonds}")
-
-
-_endpoint_cache: dict = {}
-
-
-def _endpoints(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    key = lattice.cache_key()
-    if key not in _endpoint_cache:
-        a = np.fromiter((b.site_a for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
-        b = np.fromiter((b.site_b for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
-        _endpoint_cache[key] = (a, b)
-    return _endpoint_cache[key]
-
-
-def _bond_spin_chunk(lattice: LatticeSpec, which: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """(hi-lo, len(which)) array of S_b = +-1 over halved configs [lo, hi)."""
-    ea, eb = _endpoints(lattice)
-    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
-    x = ((idx >> ea[which][None, :]) ^ (idx >> eb[which][None, :])) & 1
-    return 1.0 - 2.0 * x.astype(np.float64)
 
 
 def gibbs_report(
@@ -111,10 +97,9 @@ def gibbs_report(
     *,
     bonds: tuple[int, ...] = (),
     pairs: tuple[tuple[int, int], ...] = (),
-    cap: int = ENUMERATION_CAP,
 ) -> GibbsReport:
     """log Z and requested correlations from one sweep over all configurations."""
-    _check_lattice_K(lattice, K, cap)
+    _check_lattice_K(lattice, K)
     for b in bonds:
         if not 0 <= b < lattice.n_bonds:
             raise ValueError(f"bond index {b} out of range")
@@ -124,7 +109,7 @@ def gibbs_report(
         if not (0 <= b1 < lattice.n_bonds and 0 <= b2 < lattice.n_bonds):
             raise ValueError(f"pair ({b1}, {b2}) out of range")
 
-    ea, eb = _endpoints(lattice)
+    ea, eb = bond_endpoints(lattice)
     kvec = K.K
     n_half = 1 << (lattice.n_sites - 1)
     nq = len(bonds) + len(pairs)
@@ -163,23 +148,23 @@ def gibbs_report(
     return GibbsReport(log_z=_LN2 + m + math.log(zsum), correlations=correlations)
 
 
-def log_partition(lattice: LatticeSpec, K: CouplingField, cap: int = ENUMERATION_CAP) -> float:
-    return gibbs_report(lattice, K, cap=cap).log_z
+def log_partition(lattice: LatticeSpec, K: CouplingField) -> float:
+    return gibbs_report(lattice, K).log_z
 
 
-def bond_correlation(lattice: LatticeSpec, K: CouplingField, b: int, cap: int = ENUMERATION_CAP) -> float:
-    return gibbs_report(lattice, K, bonds=(b,), cap=cap).correlations[b]
+def bond_correlation(lattice: LatticeSpec, K: CouplingField, b: int) -> float:
+    return gibbs_report(lattice, K, bonds=(b,)).correlations[b]
 
 
-def pair_correlation(lattice: LatticeSpec, K: CouplingField, b1: int, b2: int, cap: int = ENUMERATION_CAP) -> float:
-    return gibbs_report(lattice, K, pairs=((b1, b2),), cap=cap).correlations[(b1, b2)]
+def pair_correlation(lattice: LatticeSpec, K: CouplingField, b1: int, b2: int) -> float:
+    return gibbs_report(lattice, K, pairs=((b1, b2),)).correlations[(b1, b2)]
 
 
-def corridor_average(lattice: LatticeSpec, K: CouplingField, corridor: Corridor, cap: int = ENUMERATION_CAP) -> float:
+def corridor_average(lattice: LatticeSpec, K: CouplingField, corridor: Corridor) -> float:
     if corridor.cardinality == 0:
         raise ValueError("corridor is empty")
     idx = corridor.sorted_indices()
-    rep = gibbs_report(lattice, K, bonds=idx, cap=cap)
+    rep = gibbs_report(lattice, K, bonds=idx)
     return sum(rep.correlations[b] for b in idx) / len(idx)
 
 
@@ -196,149 +181,55 @@ class BatchGibbs:
     pair: dict
 
 
-_bipartite_cache: dict = {}
+_table_cache: dict = {}
 
 
-def bipartite_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(enumerated sites, analytically summed sites) or None if not bipartite.
+def _analytic_sites(lattice: LatticeSpec) -> tuple[int, ...]:
+    """The independent set A that `batch_gibbs` sums analytically."""
+    if lattice.n_sites < _ANALYTIC_MIN_SITES:
+        return ()
+    return max(colour_classes(lattice), key=lambda c: (len(c), 0 not in c))
 
-    Coloring is by coordinate parity; valid whenever every bond joins the two
-    colors, which holds for all free boxes and for even-sided tori.
+
+def _engine_tables(lattice: LatticeSpec, dtype):
+    """Spin tables of the batch engine, cached per lattice and dtype.
+
+    The enumerated sites take the configurations of `n_cfg` bits, the first
+    of them fixed up.  W (bonds, n_cfg x |A|) maps couplings to the local
+    field h_a of every analytic site in every configuration.  sign (bonds,
+    n_cfg) is the product of a bond's enumerated end spins, and apos the
+    position in A of its analytic end, -1 if both ends are enumerated.
     """
-    key = lattice.cache_key()
-    if key in _bipartite_cache:
-        return _bipartite_cache[key]
-    parity = np.array([sum(lattice.site_coords(s)) % 2 for s in range(lattice.n_sites)])
-    ok = all(parity[b.site_a] != parity[b.site_b] for b in lattice.bonds)
-    result = None
-    if ok:
-        class0 = tuple(int(s) for s in np.flatnonzero(parity == 0))
-        class1 = tuple(int(s) for s in np.flatnonzero(parity == 1))
-        enum, analytic = (class1, class0) if len(class1) < len(class0) else (class0, class1)
-        result = (enum, analytic)
-    _bipartite_cache[key] = result
-    return result
-
-
-_decim_cache: dict = {}
-
-
-def _decimation_tables(lattice: LatticeSpec):
-    """Sign matrix and config bookkeeping for the half-lattice summation."""
-    key = lattice.cache_key()
-    if key in _decim_cache:
-        return _decim_cache[key]
-    enum, analytic = bipartite_classes(lattice)
+    key = (lattice.cache_key(), dtype)
+    if key in _table_cache:
+        return _table_cache[key]
+    analytic = _analytic_sites(lattice)
+    enum = tuple(s for s in range(lattice.n_sites) if s not in analytic)
     n_enum, n_analytic = len(enum), len(analytic)
-    n_cfg = 1 << (n_enum - 1)  # first enumerated spin fixed to +1
+    n_cfg = 1 << (n_enum - 1)
     enum_pos = {s: i for i, s in enumerate(enum)}
     analytic_pos = {s: i for i, s in enumerate(analytic)}
 
     cfg = np.arange(n_cfg, dtype=np.int64)
     # spin of enum site i: bit (i-1) of cfg for i >= 1, +1 for i == 0
-    s_enum = np.ones((n_cfg, n_enum), dtype=np.float32)
+    s_enum = np.ones((n_cfg, n_enum), dtype=dtype)
     for i in range(1, n_enum):
-        s_enum[:, i] = 1.0 - 2.0 * ((cfg >> (i - 1)) & 1).astype(np.float32)
+        s_enum[:, i] = 1.0 - 2.0 * ((cfg >> (i - 1)) & 1).astype(dtype)
 
-    W = np.zeros((lattice.n_bonds, n_cfg * n_analytic), dtype=np.float32)
-    bond_apos = np.empty(lattice.n_bonds, dtype=np.int64)
-    bond_epos = np.empty(lattice.n_bonds, dtype=np.int64)
+    W = np.zeros((lattice.n_bonds, n_cfg * n_analytic), dtype=dtype)
+    sign = np.empty((lattice.n_bonds, n_cfg), dtype=dtype)
+    apos = np.full(lattice.n_bonds, -1, dtype=np.int64)
     for b in lattice.bonds:
-        if b.site_a in analytic_pos:
-            a_pos, e_pos = analytic_pos[b.site_a], enum_pos[b.site_b]
+        a, e = (b.site_b, b.site_a) if b.site_b in analytic_pos else (b.site_a, b.site_b)
+        if a in analytic_pos:
+            apos[b.index] = analytic_pos[a]
+            sign[b.index] = s_enum[:, enum_pos[e]]
+            W[b.index, analytic_pos[a] :: n_analytic] = s_enum[:, enum_pos[e]]
         else:
-            a_pos, e_pos = analytic_pos[b.site_b], enum_pos[b.site_a]
-        bond_apos[b.index] = a_pos
-        bond_epos[b.index] = e_pos
-        W[b.index, a_pos::n_analytic] = s_enum[:, e_pos]
-    tables = (W, s_enum, bond_apos, bond_epos, n_cfg, n_analytic)
-    _decim_cache[key] = tables
+            sign[b.index] = s_enum[:, enum_pos[a]] * s_enum[:, enum_pos[e]]
+    tables = (W, sign, apos, n_cfg, n_analytic)
+    _table_cache[key] = tables
     return tables
-
-
-def _batch_decimated(lattice, K_batch, bonds, pairs, need_log_z):
-    W, s_enum, bond_apos, bond_epos, n_cfg, n_analytic = _decimation_tables(lattice)
-    G = K_batch.shape[0]
-    out_log_z = np.empty(G) if need_log_z else None
-    out_bond = {b: np.empty(G) for b in bonds}
-    out_pair = {p: np.empty(G) for p in pairs}
-
-    rows = max(16, _ELEM_BUDGET // (n_cfg * n_analytic))
-    for lo in range(0, G, rows):
-        hi = min(lo + rows, G)
-        H = (K_batch[lo:hi].astype(np.float32) @ W).reshape(hi - lo, n_cfg, n_analytic)
-        aH = np.abs(H)
-        T = (aH + np.log1p(np.exp(-2.0 * aH))).sum(axis=2)  # sum_a ln(2 cosh h_a)
-        m = T.max(axis=1)
-        P = np.exp(np.maximum(T - m[:, None], _F32_EXP_FLOOR))
-        Z = P.sum(axis=1, dtype=np.float64)
-        if need_log_z:
-            out_log_z[lo:hi] = _LN2 + m.astype(np.float64) + np.log(Z)
-        tanh_cache: dict = {}
-
-        def tanh_col(a_pos):
-            if a_pos not in tanh_cache:
-                tanh_cache[a_pos] = np.tanh(H[:, :, a_pos])
-            return tanh_cache[a_pos]
-
-        for b in bonds:
-            v = tanh_col(bond_apos[b]) * s_enum[:, bond_epos[b]][None, :]
-            out_bond[b][lo:hi] = (P * v).sum(axis=1, dtype=np.float64) / Z
-        for b1, b2 in pairs:
-            se = s_enum[:, bond_epos[b1]] * s_enum[:, bond_epos[b2]]
-            if bond_apos[b1] == bond_apos[b2]:
-                # shared analytic endpoint: S_a^2 = 1 drops out of the product
-                num = (P * se[None, :]).sum(axis=1, dtype=np.float64)
-            else:
-                v = tanh_col(bond_apos[b1]) * tanh_col(bond_apos[b2]) * se[None, :]
-                num = (P * v).sum(axis=1, dtype=np.float64)
-            out_pair[(b1, b2)][lo:hi] = num / Z
-    return BatchGibbs(log_z=out_log_z, bond=out_bond, pair=out_pair)
-
-
-def _batch_dense(lattice, K_batch, bonds, pairs, need_log_z, dtype):
-    ea, eb = _endpoints(lattice)
-    G = K_batch.shape[0]
-    n_half = 1 << (lattice.n_sites - 1)
-    out_log_z = np.empty(G) if need_log_z else None
-    out_bond = {b: np.empty(G) for b in bonds}
-    out_pair = {p: np.empty(G) for p in pairs}
-
-    cchunk = min(n_half, _CONFIG_CHUNK)
-    rows = max(16, _ELEM_BUDGET // cchunk)
-    floor = _F32_EXP_FLOOR if dtype == np.float32 else -700.0
-    all_bonds = np.arange(lattice.n_bonds)
-    for lo in range(0, G, rows):
-        hi = min(lo + rows, G)
-        Kc = np.ascontiguousarray(K_batch[lo:hi], dtype=dtype)
-        m = np.full(hi - lo, -np.inf)
-        zs = np.zeros(hi - lo)
-        qs = {b: np.zeros(hi - lo) for b in bonds}
-        ps = {p: np.zeros(hi - lo) for p in pairs}
-        for clo in range(0, n_half, cchunk):
-            chi = min(clo + cchunk, n_half)
-            S = _bond_spin_chunk(lattice, all_bonds, clo, chi).astype(dtype)  # (C, B)
-            U = Kc @ S.T
-            mc = U.max(axis=1).astype(np.float64)
-            newm = np.maximum(m, mc)
-            scale = np.where(np.isfinite(m), np.exp(m - newm), 0.0)
-            zs *= scale
-            for d in (*qs.values(), *ps.values()):
-                d *= scale
-            w = np.exp(np.maximum(U - newm[:, None].astype(dtype), floor))
-            zs += w.sum(axis=1, dtype=np.float64)
-            for b in bonds:
-                qs[b] += (w @ S[:, b]).astype(np.float64)
-            for b1, b2 in pairs:
-                ps[(b1, b2)] += (w @ (S[:, b1] * S[:, b2])).astype(np.float64)
-            m = newm
-        if need_log_z:
-            out_log_z[lo:hi] = _LN2 + m + np.log(zs)
-        for b in bonds:
-            out_bond[b][lo:hi] = qs[b] / zs
-        for p in pairs:
-            out_pair[p][lo:hi] = ps[p] / zs
-    return BatchGibbs(log_z=out_log_z, bond=out_bond, pair=out_pair)
 
 
 def batch_gibbs(
@@ -349,22 +240,61 @@ def batch_gibbs(
     pairs: tuple[tuple[int, int], ...] = (),
     need_log_z: bool = False,
     precise: bool = True,
-    cap: int = ENUMERATION_CAP,
 ) -> BatchGibbs:
     """Fixed-disorder quantities for a (samples, bonds) batch of couplings.
 
-    precise=True runs the float64 dense engine (quadrature grids); otherwise
-    a float32 engine is used, decimated over one sublattice when the lattice
-    is bipartite.  The engine choice depends only on the lattice, never on
-    the environment, so results are reproducible.
+    precise=True computes in float64 (quadrature grids), otherwise in float32
+    (disorder Monte Carlo).  Which sites are summed analytically depends only
+    on the lattice, never on the environment, so results are reproducible.
     """
-    if lattice.n_sites > cap:
-        raise SizeCapExceeded(lattice.n_sites, cap)
+    if lattice.n_sites > ENUMERATION_CAP:
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
     K_batch = np.asarray(K_batch, dtype=np.float64)
     if K_batch.ndim != 2 or K_batch.shape[1] != lattice.n_bonds:
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
-    if precise:
-        return _batch_dense(lattice, K_batch, tuple(bonds), tuple(pairs), need_log_z, np.float64)
-    if bipartite_classes(lattice) is not None and lattice.n_sites >= 10:
-        return _batch_decimated(lattice, K_batch, tuple(bonds), tuple(pairs), need_log_z)
-    return _batch_dense(lattice, K_batch, tuple(bonds), tuple(pairs), need_log_z, np.float32)
+    dtype = np.float64 if precise else np.float32
+    W, sign, apos, n_cfg, n_analytic = _engine_tables(lattice, dtype)
+    inner = apos < 0  # bonds between two enumerated sites
+    G = K_batch.shape[0]
+    out_log_z = np.empty(G) if need_log_z else None
+    out_bond = {b: np.empty(G) for b in bonds}
+    out_pair = {p: np.empty(G) for p in pairs}
+
+    rows = max(16, _ELEM_BUDGET // (n_cfg * max(n_analytic, 1)))
+    for lo in range(0, G, rows):
+        hi = min(lo + rows, G)
+        Kc = K_batch[lo:hi].astype(dtype)
+        H = (Kc @ W).reshape(hi - lo, n_cfg, n_analytic)
+        if n_analytic:
+            aH = np.abs(H)
+            T = (aH + np.log1p(np.exp(-2.0 * aH))).sum(axis=2)  # sum_a ln(2 cosh h_a)
+            if inner.any():  # odd rings: K_b s s' of the bonds between enumerated sites
+                T += Kc[:, inner] @ sign[inner]
+        else:
+            T = Kc @ sign  # every bond joins two enumerated sites
+        m = T.max(axis=1)
+        P = np.exp(np.maximum(T - m[:, None], _EXP_FLOOR))
+        Z = P.sum(axis=1, dtype=np.float64)
+        if need_log_z:
+            out_log_z[lo:hi] = _LN2 + m.astype(np.float64) + np.log(Z)
+        tanh_cache: dict = {}
+
+        def moment(bs):
+            """<prod_b S_b> over the bonds bs, with the spins of A averaged out."""
+            v = sign[list(bs)].prod(axis=0)
+            ends = [a for a in apos[list(bs)] if a >= 0]
+            if len(ends) == 2 and ends[0] == ends[1]:
+                ends = []  # shared analytic end: S_a^2 = 1 drops out of the product
+            if not ends:  # enumerated spins only: a matrix-vector product, summed in float64
+                return (P @ v.astype(np.float64)) / Z
+            for a in ends:
+                if a not in tanh_cache:
+                    tanh_cache[a] = np.tanh(H[:, :, a])
+                v = tanh_cache[a] * v
+            return (P * v).sum(axis=1, dtype=np.float64) / Z
+
+        for b in bonds:
+            out_bond[b][lo:hi] = moment((b,))
+        for p in pairs:
+            out_pair[p][lo:hi] = moment(p)
+    return BatchGibbs(log_z=out_log_z, bond=out_bond, pair=out_pair)

@@ -1,4 +1,5 @@
-"""Hypercubic lattice geometry: bonds, corridors, and box decompositions.
+"""Hypercubic lattice geometry: bonds, corridors, box decompositions, and the
+site colouring that the batch enumeration engine and the Markov chains share.
 
 Sites of a d-dimensional box of side s are indexed row-major over their
 coordinates (axis 0 most significant).  Bonds are ordered lexicographically
@@ -9,9 +10,12 @@ indexing that all coupling and disorder vectors refer to.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+import numpy as np
 
 MAX_SITES = 2**22  # guards the site-index range before any enumeration cap
 
@@ -120,6 +124,59 @@ def build_lattice(dim: int, side: int, boundary: Boundary, *, allow_side2: bool 
             a, b = (site, nbr) if site < nbr else (nbr, site)
             bonds.append(Bond(index=len(bonds), site_a=a, site_b=b, direction=direction))
     return LatticeSpec(dim=dim, side=side, boundary=boundary, n_sites=n_sites, bonds=tuple(bonds))
+
+
+_endpoint_cache: dict = {}
+
+
+def bond_endpoints(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(site_a, site_b) of every bond as int64 arrays in bond order; cached per lattice."""
+    key = lattice.cache_key()
+    if key not in _endpoint_cache:
+        a = np.fromiter((b.site_a for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
+        b = np.fromiter((b.site_b for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
+        _endpoint_cache[key] = (a, b)
+    return _endpoint_cache[key]
+
+
+_colour_cache: dict = {}
+
+
+def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
+    """Sites split into independent sets by a greedy DSatur colouring.
+
+    The next site coloured is the one whose neighbors already show the most
+    distinct colours (ties: more neighbors, then lower index); it takes the
+    smallest colour its neighbors lack.  DSatur is exact on bipartite graphs,
+    so free boxes and even tori get two classes.  Cached per lattice.
+    """
+    key = lattice.cache_key()
+    if key in _colour_cache:
+        return _colour_cache[key]
+    n = lattice.n_sites
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for b in lattice.bonds:
+        nbrs[b.site_a].add(b.site_b)
+        nbrs[b.site_b].add(b.site_a)
+    colour = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]  # colours among coloured neighbors
+    heap = [(0, -len(nbrs[s]), s) for s in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_sat, _, s = heapq.heappop(heap)
+        if colour[s] >= 0 or -neg_sat != len(seen[s]):
+            continue  # stale entry: coloured already, or saturation has grown
+        c = 0
+        while c in seen[s]:
+            c += 1
+        colour[s] = c
+        for t in nbrs[s]:
+            if colour[t] < 0 and c not in seen[t]:
+                seen[t].add(c)
+                heapq.heappush(heap, (-len(seen[t]), -len(nbrs[t]), t))
+    classes = tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
+    _colour_cache[key] = classes
+    return classes
 
 
 def _box_id(lattice: LatticeSpec, site: int, box_side: int) -> tuple[int, ...]:

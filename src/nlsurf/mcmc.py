@@ -3,11 +3,11 @@
 For lattices beyond the enumeration cap the fixed-disorder expectations are
 estimated by Markov chains.  One kernel advances a batch of independent
 chains held as a (chains x replicas, sites) spin array.  Sites are split into
-the classes of a greedy (DSatur) colouring, cached per lattice: same-colour
-sites do not interact, so updating a whole class at once is a product of
-single-flip Metropolis kernels.  Free boxes and even tori get their two
-sublattices; the odd 3x3 torus gets 3 classes, where a per-site scan took 9
-update groups.
+the classes of a greedy (DSatur) colouring, `lattice.colour_classes`:
+same-colour sites do not interact, so updating a whole class at once is a
+product of single-flip Metropolis kernels.  Free boxes and even tori get
+their two sublattices; the odd 3x3 torus gets 3 classes, where a per-site
+scan took 9 update groups.
 
 Each site update reads one uniform u and flips iff u < 1/2 min(1, e^D), with
 D the log weight change of the flip.  This is a proposal with probability 1/2
@@ -31,7 +31,6 @@ realizations are independent.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 import warnings
@@ -40,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .exact import CouplingField, _endpoints
-from .lattice import Corridor, LatticeSpec
+from .exact import CouplingField
+from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import NishimoriParams
 from .quenched import DisorderMC, Estimate
 
@@ -115,46 +114,6 @@ def _neighbor_tables(lattice: LatticeSpec):
     return site, bond
 
 
-_colour_cache: dict = {}
-
-
-def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
-    """Sites split into independent sets by a greedy DSatur colouring.
-
-    The next site coloured is the one whose neighbors already show the most
-    distinct colours (ties: more neighbors, then lower index); it takes the
-    smallest colour its neighbors lack.  DSatur is exact on bipartite graphs,
-    so free boxes and even tori get two classes.  Cached per lattice.
-    """
-    key = lattice.cache_key()
-    if key in _colour_cache:
-        return _colour_cache[key]
-    n = lattice.n_sites
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for b in lattice.bonds:
-        nbrs[b.site_a].add(b.site_b)
-        nbrs[b.site_b].add(b.site_a)
-    colour = [-1] * n
-    seen: list[set[int]] = [set() for _ in range(n)]  # colours among coloured neighbors
-    heap = [(0, -len(nbrs[s]), s) for s in range(n)]
-    heapq.heapify(heap)
-    while heap:
-        neg_sat, _, s = heapq.heappop(heap)
-        if colour[s] >= 0 or -neg_sat != len(seen[s]):
-            continue  # stale entry: coloured already, or saturation has grown
-        c = 0
-        while c in seen[s]:
-            c += 1
-        colour[s] = c
-        for t in nbrs[s]:
-            if colour[t] < 0 and c not in seen[t]:
-                seen[t].add(c)
-                heapq.heappush(heap, (-len(seen[t]), -len(nbrs[t]), t))
-    classes = tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
-    _colour_cache[key] = classes
-    return classes
-
-
 def _tau_int(v: np.ndarray) -> float:
     """Integrated autocorrelation time with a self-consistent window."""
     n = len(v)
@@ -212,7 +171,7 @@ def _run_chains(
         idx = np.array(cls, dtype=np.int64)
         updates.append((a, a + len(cls), pos[nbr_site[idx].T], krows[:, nbr_bond[idx].T]))
         a += len(cls)
-    ea, eb = _endpoints(lattice)
+    ea, eb = bond_endpoints(lattice)
     ta, tb = pos[ea[list(track)]], pos[eb[list(track)]]
     ea_pos, eb_pos = pos[ea], pos[eb]
     k_energy = np.repeat(kvecs, R, axis=0)

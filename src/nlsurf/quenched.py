@@ -132,10 +132,12 @@ def disorder_cores(
     eps, w = hermegauss(nodes)
     wnorm = w / math.sqrt(2.0 * math.pi)
     scaled: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    grids = []  # (nodes, weights) of each active bond
     for b in act:
         s = gh_scale(float(x_ref[b])) if x_ref is not None else 1.0
         if s not in scaled:
             scaled[s] = (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)) if s != 1.0 else (eps, wnorm)
+        grids.append(scaled[s])
     total = nodes**n_active
     strides = [nodes ** (n_active - 1 - p) for p in range(n_active)]
     for lo in range(0, total, _QUAD_CHUNK):
@@ -143,9 +145,7 @@ def disorder_cores(
         gidx = np.arange(lo, hi, dtype=np.int64)
         core = np.zeros((hi - lo, n_bonds))
         weights = np.ones(hi - lo)
-        for pos, b in enumerate(act):
-            s = gh_scale(float(x_ref[b])) if x_ref is not None else 1.0
-            nd, wt = scaled[s]
+        for pos, (b, (nd, wt)) in enumerate(zip(act, grids)):
             digit = (gidx // strides[pos]) % nodes
             core[:, b] = nd[digit]
             weights *= wt[digit]

@@ -307,7 +307,6 @@ def run_standard_suite(
 
 def suite_report(reports: list[VerificationReport]) -> dict:
     return {
-        "schema": "nlsurf.verify.v1",
         "n_checks": len(reports),
         "n_failed": sum(not r.passed for r in reports),
         "passed": all(r.passed for r in reports),

@@ -177,7 +177,9 @@ def test_invalid_queries():
         gibbs_report(lat, CouplingField(np.zeros(3)))
 
 
-@pytest.mark.parametrize("dim,side,bc", [(2, 4, Boundary.FREE), (2, 3, Boundary.PERIODIC), (2, 4, Boundary.PERIODIC)])
+@pytest.mark.parametrize(
+    "dim,side,bc", [(2, 4, Boundary.FREE), (2, 3, Boundary.PERIODIC), (2, 4, Boundary.PERIODIC), (1, 11, Boundary.PERIODIC)]
+)
 def test_batch_engines_consistent(dim, side, bc):
     rng = np.random.default_rng(31)
     lat = build_lattice(dim, side, bc)
