@@ -253,36 +253,18 @@ def _term_command(args, command: str, compute) -> int:
 
 
 def _cmd_adjacency(args) -> int:
+    if args.routes == "both":
+        return _term_command(args, "adjacency", lambda m: adjacency_term(args.dim, args.L, args.x, m, t_nodes=args.t_nodes))
+    method = _method_from_args(args)
+    payload = {"geometry": {"dim": args.dim, "L": args.L}, "x": args.x, "method": _method_dict(method)}
     if args.routes == "direct":
-        method = _method_from_args(args)
         est = adjacency_direct(args.dim, args.L, args.x, method)
-        _write_run(
-            args,
-            "adjacency",
-            {
-                "geometry": {"dim": args.dim, "L": args.L},
-                "x": args.x,
-                "method": _method_dict(method),
-                "routes": {"direct": _estimate_dict(est)},
-            },
-        )
-        return EXIT_OK
-    if args.routes == "integral":
-        method = _method_from_args(args)
+    else:
         est = adjacency_integral(args.dim, args.L, args.x, method, t_nodes=args.t_nodes)
-        _write_run(
-            args,
-            "adjacency",
-            {
-                "geometry": {"dim": args.dim, "L": args.L},
-                "x": args.x,
-                "method": _method_dict(method),
-                "t_nodes": args.t_nodes,
-                "routes": {"integral": _estimate_dict(est)},
-            },
-        )
-        return EXIT_OK
-    return _term_command(args, "adjacency", lambda m: adjacency_term(args.dim, args.L, args.x, m, t_nodes=args.t_nodes))
+        payload["t_nodes"] = args.t_nodes
+    payload["routes"] = {args.routes: _estimate_dict(est)}
+    _write_run(args, "adjacency", payload)
+    return EXIT_OK
 
 
 def _cmd_torus_diff(args) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from . import rng
 from .exact import CouplingField
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import NishimoriParams
-from .quenched import DisorderMC, Estimate
+from .quenched import DisorderMC, Estimate, Moments
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
-CHAIN_ENGINE = "metropolis-batched-2"  # recorded with results; changes whenever chain bytes do
+CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
 BLOCK_SWEEPS = 32  # sweeps of uniforms drawn per stream call
 CHAIN_BATCH = 256  # chains advanced together; bounds memory, not results
 
@@ -282,23 +282,21 @@ def estimate_correlations_batch(
     col = {b: i for i, b in enumerate(track)}
     corr_cols = [col[b] for b in corr_idx]
     n_meas = config.n_measurements
-    n_sites, n_bonds = lattice.n_sites, lattice.n_bonds
     out = []
     for lo in range(0, len(seeds), CHAIN_BATCH):
         batch = seeds[lo : lo + CHAIN_BATCH]
         series, _, flips, proposals, exchanges, tries = _run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
-        for c, seed in enumerate(batch):
-            method = replace(config, seed=seed)
+        for c in range(len(batch)):
             estimates: dict = {}
             taus = []
             for b in query:
                 mean, se, tau, _ = blocked_estimate(series[c, :, col[b]])
-                estimates[b] = Estimate(value=mean, std_error=se, method=method, n_bonds=n_bonds, n_sites=n_sites)
+                estimates[b] = Estimate(value=mean, std_error=se)
                 taus.append(tau)
             main_tau, main_ess = 0.5, float(n_meas)
             if corr_cols:
                 mean, se, main_tau, main_ess = blocked_estimate(series[c][:, corr_cols].mean(axis=1))
-                estimates["corridor_mean"] = Estimate(value=mean, std_error=se, method=method, n_bonds=n_bonds, n_sites=n_sites)
+                estimates["corridor_mean"] = Estimate(value=mean, std_error=se)
             elif taus:
                 main_tau = max(taus)
                 main_ess = min(float(n_meas), n_meas / (2.0 * main_tau))
@@ -348,8 +346,10 @@ def two_level_inner(
     x = x_at[i] on stream seeds[s * len(x_at) + i].  All chains run as one
     batch.  Returns the (samples, variants) chain means of the corridor
     average or of <S_bond>, and the chain telemetry for the manifest (count,
-    site-sweeps, time, mean acceptance, worst ESS, warning count).  Warns
-    PoorMixingWarning when the worst ESS falls below MIN_INNER_ESS.
+    site-sweeps, time, mean acceptance, worst ESS, warning count).  Callers
+    reduce the columns over realizations with quenched.Moments, like every
+    other disorder average.  Warns PoorMixingWarning when the worst ESS falls
+    below MIN_INNER_ESS.
     """
     if (corridor is None) == (bond is None):
         raise ValueError("specify exactly one of corridor or bond")
@@ -406,11 +406,6 @@ def quenched_estimate_mcmc(
     disorder = DisorderMC(samples=outer_samples, seed=config.seed)
     seeds = [rng.derive_seed(config.seed, s) for s in range(outer_samples)]
     values, _ = two_level_inner(lattice, [params.x], disorder, seeds, corridor=corridor, bond=bond, config=config)
-    vals = values[:, 0]
-    return Estimate(
-        value=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(outer_samples)),
-        method=disorder,
-        n_bonds=lattice.n_bonds,
-        n_sites=lattice.n_sites,
-    )
+    moments = Moments()
+    moments.add([values[:, 0]], None)
+    return moments.estimates()[0]

@@ -60,9 +60,6 @@ AveragingMethod = Quadrature | DisorderMC
 class Estimate:
     value: float
     std_error: float
-    method: AveragingMethod
-    n_bonds: int
-    n_sites: int
 
 
 def combined_std_error(a: Estimate, b: Estimate) -> float:
@@ -192,7 +189,7 @@ class Moments:
         if weights is not None:
             self.wsum += float(weights.sum())
 
-    def estimates(self, method: AveragingMethod, lattice: LatticeSpec) -> list[Estimate]:
+    def estimates(self) -> list[Estimate]:
         """One Estimate per row, in row order."""
         out = []
         for shift, total, sq in zip(self.shifts, self.sums, self.sqsums):
@@ -202,7 +199,7 @@ class Moments:
                 mean_c = total / self.count
                 var = max(sq - self.count * mean_c * mean_c, 0.0) / max(self.count - 1, 1)
                 value, se = shift + mean_c, math.sqrt(var / self.count)
-            out.append(Estimate(value=value, std_error=se, method=method, n_bonds=lattice.n_bonds, n_sites=lattice.n_sites))
+            out.append(Estimate(value=value, std_error=se))
         return out
 
 
@@ -254,7 +251,7 @@ def quenched_joint(
             bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
             chunk_vals.append(VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, j={b: j[:, b] for b in j_bonds}))
         moments.add([functionals[name](chunk_vals) for name in names], weights)
-    return dict(zip(names, moments.estimates(method, lattice)))
+    return dict(zip(names, moments.estimates()))
 
 
 def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod) -> Estimate:

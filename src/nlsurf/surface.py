@@ -10,13 +10,17 @@ is never evaluated.
 
 Direct and integral routes share the disorder cores (common random numbers),
 and the Monte Carlo error of the t-integral is computed from the per-sample
-quadrature combination, never from independently-averaged nodes.
+quadrature combination, never from independently-averaged nodes.  The inner
+engine is exact enumeration within the cap, or one Markov chain per
+(realization, t-node) beyond it (adjacency term only); either way the rows
+reduce through one quenched.Moments, and one builder turns the t-integral
+into the term |C| x^2/2 (1 + ...) and its value per unit surface.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,7 +45,6 @@ DEFAULT_T_NODES = 16
 
 
 class SurfaceTermKind(Enum):
-    ADJACENCY_TC = "adjacency_tc"
     ADJACENCY_TL = "adjacency_tl"
     PERIODIC_MINUS_FREE = "periodic_minus_free"
     SURFACE_PRESSURE_FREE = "surface_pressure_free"
@@ -84,6 +87,7 @@ class _TermData:
     curve: tuple[IntegrandPoint, ...]
     curve_integral: Estimate | None
     center_curve: tuple[IntegrandPoint, ...] | None
+    chain_telemetry: dict | None = None
 
 
 def _corridor_x(lattice: LatticeSpec, corridor: Corridor, x: float, t: float) -> np.ndarray:
@@ -101,12 +105,16 @@ def _interpolation_term(
     need_direct: bool = True,
     need_integral: bool = True,
     center_bond: int | None = None,
+    mcmc: McmcConfig | None = None,
 ) -> _TermData:
     """Endpoint difference and t-curve of one corridor interpolation.
 
     Per disorder chunk the accumulator gets the rows [direct], the corridor
     mean at each t-node, their t-quadrature combination per sample, and
-    [the center bond at each t-node].
+    [the center bond at each t-node].  With an McmcConfig (two-level
+    estimator, DisorderMC only) the corridor means come from one Markov chain
+    per (realization, t-node) on stream derive_seed(mcmc.seed, s, i) and go
+    in as one chunk; that path has no direct route and no center bond.
     """
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
@@ -119,39 +127,72 @@ def _interpolation_term(
     query = corr_idx if center_bond is None or center_bond in corr_idx else corr_idx + (center_bond,)
 
     moments = Moments()
-    for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
-        rows = []
-        if need_direct:
-            lz1 = batch_gibbs(lattice, x_one[None, :] * (x_one[None, :] + core), need_log_z=True, precise=precise).log_z
-            lz0 = batch_gibbs(lattice, x_zero[None, :] * (x_zero[None, :] + core), need_log_z=True, precise=precise).log_z
-            rows.append(lz1 - lz0)
-        if need_integral:
-            node_rows, center_rows = [], []
-            f_chunk = np.zeros(len(core))
-            for xt, w in zip(x_at, tw):
-                bg = batch_gibbs(lattice, xt[None, :] * (xt[None, :] + core), bonds=query, precise=precise)
-                sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
-                f_chunk += w * sc
-                node_rows.append(sc)
-                if center_bond is not None:
-                    center_rows.append(bg.bond[center_bond])
-            rows += node_rows + [f_chunk] + center_rows
-        moments.add(rows, weights)
+    telemetry = None
+    if mcmc is not None:
+        seeds = [rng.derive_seed(mcmc.seed, s, i) for s in range(method.samples) for i in range(t_nodes)]
+        node_vals, telemetry = two_level_inner(lattice, x_at, method, seeds, corridor=corridor, config=mcmc)
+        moments.add(list(node_vals.T) + [node_vals @ tw], None)
+    else:
+        for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
+            rows = []
+            if need_direct:
+                lz1 = batch_gibbs(lattice, x_one[None, :] * (x_one[None, :] + core), need_log_z=True, precise=precise).log_z
+                lz0 = batch_gibbs(lattice, x_zero[None, :] * (x_zero[None, :] + core), need_log_z=True, precise=precise).log_z
+                rows.append(lz1 - lz0)
+            if need_integral:
+                node_rows, center_rows = [], []
+                f_chunk = np.zeros(len(core))
+                for xt, w in zip(x_at, tw):
+                    bg = batch_gibbs(lattice, xt[None, :] * (xt[None, :] + core), bonds=query, precise=precise)
+                    sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
+                    f_chunk += w * sc
+                    node_rows.append(sc)
+                    if center_bond is not None:
+                        center_rows.append(bg.bond[center_bond])
+                rows += node_rows + [f_chunk] + center_rows
+            moments.add(rows, weights)
 
-    est = moments.estimates(method, lattice)
+    est = moments.estimates()
     direct = est.pop(0) if need_direct else None
-    if not need_integral:
-        return _TermData(direct=direct, curve=(), curve_integral=None, center_curve=None)
     n = len(tn)
-    curve = tuple(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error) for t, e in zip(tn, est[:n]))
-    center_curve = None
-    if center_bond is not None:
-        center_curve = tuple(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error) for t, e in zip(tn, est[n + 1 :]))
-    return _TermData(direct=direct, curve=curve, curve_integral=est[n], center_curve=center_curve)
+    return _TermData(
+        direct=direct,
+        curve=_curve(tn, est[:n]),
+        curve_integral=est[n] if need_integral else None,
+        center_curve=_curve(tn, est[n + 1 :]) if center_bond is not None else None,
+        chain_telemetry=telemetry,
+    )
+
+
+def _curve(tn: np.ndarray, estimates: list[Estimate]) -> tuple[IntegrandPoint, ...]:
+    return tuple(IntegrandPoint(t=float(t), value=e.value, std_error=e.std_error) for t, e in zip(tn, estimates))
 
 
 def _scaled(e: Estimate, factor: float, offset: float = 0.0) -> Estimate:
-    return replace(e, value=offset + factor * e.value, std_error=abs(factor) * e.std_error)
+    return Estimate(value=offset + factor * e.value, std_error=abs(factor) * e.std_error)
+
+
+def _term_result(
+    kind: SurfaceTermKind, term: _TermData, geometry: Geometry, x: float, t_nodes: int, tables: dict, scale: float = 1.0
+) -> SurfaceTermResult:
+    """Integral route scale |C| x^2/2 (1 + t-integral), direct route times
+    scale, and the integral per unit surface L^(d-1)."""
+    pref = scale * geometry.corridor_size * x * x / 2.0
+    integral = _scaled(term.curve_integral, pref, offset=pref)
+    direct = term.direct
+    if direct is not None and scale != 1.0:
+        direct = _scaled(direct, scale)
+    return SurfaceTermResult(
+        kind=kind,
+        direct=direct,
+        integral=integral,
+        per_unit_surface=_scaled(integral, 1.0 / geometry.L ** (geometry.dim - 1)),
+        geometry=geometry,
+        x=x,
+        t_nodes=t_nodes,
+        integrand_tables=tables,
+        chain_telemetry=term.chain_telemetry,
+    )
 
 
 def _center_corridor_bond(lattice: LatticeSpec, corridor: Corridor) -> int:
@@ -192,35 +233,39 @@ def adjacency_integral(
     """|C| x^2/2 (1 + integral of the quenched corridor average over t)."""
     lattice, corridor = _adjacency_setup(d, L)
     term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False)
-    pref = corridor.cardinality * x * x / 2.0
-    return _scaled(term.curve_integral, pref, offset=pref)
+    geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
+    return _term_result(SurfaceTermKind.ADJACENCY_TL, term, geometry, x, t_nodes, {}).integral
 
 
 def adjacency_term(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
+    d: int,
+    L: int,
+    x: float,
+    method: AveragingMethod,
+    t_nodes: int = DEFAULT_T_NODES,
+    mcmc: McmcConfig | None = None,
 ) -> SurfaceTermResult:
     """Both routes for the adjacency term, plus the center-bond integrand.
 
     The corridor average and the center-bond correlation are reported as
     separate tables: at accessible sizes no bond is far from the outer
-    boundary, so the two are kept distinct rather than conflated.
+    boundary, so the two are kept distinct rather than conflated.  Beyond the
+    enumeration cap a DisorderMC method plus an McmcConfig run the two-level
+    estimator instead: the integral route and the corridor table only, with
+    the chain telemetry on the result for the manifest.
     """
     lattice, corridor = _adjacency_setup(d, L)
-    center = _center_corridor_bond(lattice, corridor)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, center_bond=center)
-    pref = corridor.cardinality * x * x / 2.0
-    integral = _scaled(term.curve_integral, pref, offset=pref)
-    per_unit = _scaled(integral, 1.0 / L ** (d - 1))
-    return SurfaceTermResult(
-        kind=SurfaceTermKind.ADJACENCY_TL,
-        direct=term.direct,
-        integral=integral,
-        per_unit_surface=per_unit,
-        geometry=Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality),
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables={"corridor": term.curve, "center_bond": term.center_curve},
-    )
+    geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
+    if lattice.n_sites <= ENUMERATION_CAP:
+        center = _center_corridor_bond(lattice, corridor)
+        term = _interpolation_term(lattice, corridor, x, method, t_nodes, center_bond=center)
+        tables = {"corridor": term.curve, "center_bond": term.center_curve}
+    else:
+        if not isinstance(method, DisorderMC) or mcmc is None:
+            raise SizeCapExceededForSweep(L, lattice.n_sites, ENUMERATION_CAP)
+        term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False, mcmc=mcmc)
+        tables = {"corridor": term.curve}
+    return _term_result(SurfaceTermKind.ADJACENCY_TL, term, geometry, x, t_nodes, tables)
 
 
 def periodic_minus_free(
@@ -230,19 +275,8 @@ def periodic_minus_free(
     lattice = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
     corridor = torus_cut(lattice)
     term = _interpolation_term(lattice, corridor, x, method, t_nodes)
-    pref = corridor.cardinality * x * x / 2.0
-    integral = _scaled(term.curve_integral, pref, offset=pref)
-    per_unit = _scaled(integral, 1.0 / L ** (d - 1))
-    return SurfaceTermResult(
-        kind=SurfaceTermKind.PERIODIC_MINUS_FREE,
-        direct=term.direct,
-        integral=integral,
-        per_unit_surface=per_unit,
-        geometry=Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality),
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables={"torus_cut": term.curve},
-    )
+    geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
+    return _term_result(SurfaceTermKind.PERIODIC_MINUS_FREE, term, geometry, x, t_nodes, {"torus_cut": term.curve})
 
 
 def surface_pressure_free(
@@ -253,26 +287,15 @@ def surface_pressure_free(
     Direct route: k^{-d} [k^d ln Z(free L-box) - ln Z(torus kL)], realized as
     -k^{-d} times the endpoint difference of the tiling interpolation on the
     torus of side kL.  Integral route: -(d/2) x^2 L^{d-1} (1 + t-integral of
-    the quenched tiling-corridor average).  k is reported with the result; no
-    extrapolation in k is performed.
+    the quenched tiling-corridor average), i.e. -k^{-d} |C| x^2/2 (...).  k is
+    reported with the result; no extrapolation in k is performed.
     """
     lattice, decomp = tiling_interfaces(d, L, k)
     corridor = decomp.corridor
     term = _interpolation_term(lattice, corridor, x, method, t_nodes)
-    scale = k ** (-d)
-    direct = _scaled(term.direct, -scale)
-    pref = scale * corridor.cardinality * x * x / 2.0  # = (d/2) x^2 L^(d-1)
-    integral = _scaled(term.curve_integral, -pref, offset=-pref)
-    per_unit = _scaled(integral, 1.0 / L ** (d - 1))
-    return SurfaceTermResult(
-        kind=SurfaceTermKind.SURFACE_PRESSURE_FREE,
-        direct=direct,
-        integral=integral,
-        per_unit_surface=per_unit,
-        geometry=Geometry(dim=d, L=L, k=k, corridor_size=corridor.cardinality),
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables={"tiling": term.curve},
+    geometry = Geometry(dim=d, L=L, k=k, corridor_size=corridor.cardinality)
+    return _term_result(
+        SurfaceTermKind.SURFACE_PRESSURE_FREE, term, geometry, x, t_nodes, {"tiling": term.curve}, scale=-(k ** (-d))
     )
 
 
@@ -294,22 +317,13 @@ def surface_pressure_periodic(
     pref = d * x * x * L ** (d - 1) / 2.0
     ci = cut_term.curve_integral
     ti = tile_term.curve_integral
-    integral = Estimate(
-        value=pref * (ci.value - ti.value),
-        std_error=pref * math.hypot(ci.std_error, ti.std_error),
-        method=method,
-        n_bonds=big.n_bonds,
-        n_sites=big.n_sites,
-    )
+    integral = Estimate(value=pref * (ci.value - ti.value), std_error=pref * math.hypot(ci.std_error, ti.std_error))
     p_small = quenched_pressure(small, uniform_params(small, x), method)
     p_big = quenched_pressure(big, uniform_params(big, x), method)
     scale = k ** (-d)
     direct = Estimate(
         value=p_small.value - scale * p_big.value,
         std_error=math.hypot(p_small.std_error, scale * p_big.std_error),
-        method=method,
-        n_bonds=big.n_bonds,
-        n_sites=big.n_sites,
     )
     per_unit = _scaled(integral, 1.0 / L ** (d - 1))
     return SurfaceTermResult(
@@ -321,60 +335,6 @@ def surface_pressure_periodic(
         x=x,
         t_nodes=t_nodes,
         integrand_tables={"torus_cut": cut_term.curve, "tiling": tile_term.curve},
-    )
-
-
-def _adjacency_term_mcmc(
-    d: int, L: int, x: float, method: DisorderMC, t_nodes: int, mcmc: McmcConfig
-) -> SurfaceTermResult:
-    """Two-level estimator of the adjacency integral beyond the enumeration cap.
-
-    Outer: disorder realizations from the counter-based stream.  Inner: one
-    Markov chain per (realization, t-node) estimating the corridor average,
-    all of them advanced together in this process as one batch.  The
-    t-quadrature is combined per realization, so the reported error is the
-    spread of complete per-realization integrals (inner noise included).
-    Every chain is keyed by derive_seed(mcmc.seed, realization, t-node) and
-    its result does not depend on the rest of the batch.  Chain telemetry
-    (count, site-sweeps, time, acceptance, worst ESS, warnings) rides on the
-    result for the manifest.
-    """
-    lattice, corridor = _adjacency_setup(d, L)
-    tn, tw = legendre_nodes_01(t_nodes)
-    x_at = [_corridor_x(lattice, corridor, x, t) for t in tn]
-    seeds = [rng.derive_seed(mcmc.seed, s, i) for s in range(method.samples) for i in range(t_nodes)]
-    node_vals, telemetry = two_level_inner(lattice, x_at, method, seeds, corridor=corridor, config=mcmc)
-    f_vals = node_vals @ tw
-
-    pref = corridor.cardinality * x * x / 2.0
-    f_mean = float(f_vals.mean())
-    f_se = float(f_vals.std(ddof=1) / math.sqrt(method.samples))
-    integral = Estimate(
-        value=pref * (1.0 + f_mean),
-        std_error=pref * f_se,
-        method=method,
-        n_bonds=lattice.n_bonds,
-        n_sites=lattice.n_sites,
-    )
-    curve = tuple(
-        IntegrandPoint(
-            t=float(tn[i]),
-            value=float(node_vals[:, i].mean()),
-            std_error=float(node_vals[:, i].std(ddof=1) / math.sqrt(method.samples)),
-        )
-        for i in range(t_nodes)
-    )
-    per_unit = _scaled(integral, 1.0 / L ** (d - 1))
-    return SurfaceTermResult(
-        kind=SurfaceTermKind.ADJACENCY_TL,
-        direct=None,
-        integral=integral,
-        per_unit_surface=per_unit,
-        geometry=Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality),
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables={"corridor": curve},
-        chain_telemetry=telemetry,
     )
 
 
@@ -391,32 +351,24 @@ def scaling_sweep(
 ) -> list[SurfaceTermResult]:
     """Adjacency term per unit surface, T_L / L^(d-1), across box sizes.
 
-    Sizes within the enumeration cap run the exact inner engine; larger sizes
-    need a DisorderMC method plus an McmcConfig for the two-level estimator.
-    Finite-L values only; no thermodynamic limit is claimed.  `workers` is
-    accepted for compatibility and starts no processes: the chains of a
-    sweep point run batched in this process, so results never depend on it.
+    Each size runs `adjacency_term`: the exact inner engine within the
+    enumeration cap, the two-level estimator (DisorderMC plus McmcConfig)
+    beyond it.  Finite-L values only; no thermodynamic limit is claimed.
+    `workers` is accepted for compatibility and starts no processes: the
+    chains of a sweep point run batched in this process, so results never
+    depend on it.
     """
     L_list = list(L_list)
     if not L_list:
         raise ValueError("L_list is empty")
     if method is None:
         raise ValueError("an averaging method is required")
-    results = []
-    for L in L_list:
-        n_sites = (2 * L) ** d
-        if n_sites <= ENUMERATION_CAP:
-            results.append(adjacency_term(d, L, x, method, t_nodes=t_nodes))
-        else:
-            if not isinstance(method, DisorderMC) or mcmc is None:
-                raise SizeCapExceededForSweep(L, n_sites, ENUMERATION_CAP)
-            results.append(_adjacency_term_mcmc(d, L, x, method, t_nodes, mcmc))
-    return results
+    return [adjacency_term(d, L, x, method, t_nodes, mcmc) for L in L_list]
 
 
 class SizeCapExceededForSweep(ValueError):
     def __init__(self, L: int, n_sites: int, cap: int):
         super().__init__(
-            f"L={L} gives {n_sites} sites (cap {cap}); pass a DisorderMC method "
-            "and an McmcConfig to use the two-level Markov-chain estimator"
+            f"L={L} gives {n_sites} sites (cap {cap}); pass a DisorderMC method and an McmcConfig "
+            "(CLI: scaling --method mc --mcmc-sweeps N) to use the two-level Markov-chain estimator"
         )

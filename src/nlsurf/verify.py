@@ -72,9 +72,9 @@ def _describe(lattice: LatticeSpec, params: NishimoriParams) -> str:
     return f"{lattice.dim}d side{lattice.side} {lattice.boundary.value} {xdesc}"
 
 
-def _finish(check_id, lattice, params, bonds, lhs, rhs, tol, extra_ok=True, note="") -> VerificationReport:
+def _finish(check_id, lattice, params, bonds, lhs, rhs, method, tol, extra_ok=True, note="") -> VerificationReport:
     disc = abs(lhs.value - rhs.value)
-    if isinstance(lhs.method, Quadrature):
+    if isinstance(method, Quadrature):
         bound = tol
     else:
         bound = 3.0 * combined_std_error(lhs, rhs)
@@ -99,8 +99,8 @@ def verify_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Ave
         bonds=(b,), j_bonds=(b,),
     )
     lhs = res["lhs"]
-    rhs = Estimate(value=float(params.x[b]), std_error=0.0, method=method, n_bonds=lattice.n_bonds, n_sites=lattice.n_sites)
-    return _finish(CheckId.LE, lattice, params, (b,), lhs, rhs, tol)
+    rhs = Estimate(value=float(params.x[b]), std_error=0.0)
+    return _finish(CheckId.LE, lattice, params, (b,), lhs, rhs, method, tol)
 
 
 def verify_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -110,7 +110,7 @@ def verify_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Ave
         {"lhs": lambda v: v[0].bond[b], "rhs": lambda v: v[0].bond[b] ** 2},
         bonds=(b,),
     )
-    return _finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], tol)
+    return _finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)
 
 
 def _bumped(params: NishimoriParams, b: int, delta: float) -> NishimoriParams:
@@ -157,7 +157,7 @@ def verify_g1(
     slack = tol if isinstance(method, Quadrature) else 3.0 * rhs.std_error
     ok = rhs.value >= -slack
     note = "" if ok else f"analytic side negative: {rhs.value:.3e}"
-    return _finish(CheckId.G1, lattice, params, (b,), lhs, rhs, tol, extra_ok=ok, note=note)
+    return _finish(CheckId.G1, lattice, params, (b,), lhs, rhs, method, tol, extra_ok=ok, note=note)
 
 
 def verify_g2(
@@ -189,7 +189,7 @@ def verify_g2(
     )
     lhs, rhs = res["lhs"], res["rhs"]
     ok = rhs.value >= 0.0  # an average of squares
-    return _finish(CheckId.G2, lattice, params, (b, b2), lhs, rhs, tol, extra_ok=ok)
+    return _finish(CheckId.G2, lattice, params, (b, b2), lhs, rhs, method, tol, extra_ok=ok)
 
 
 def verify_idset(
@@ -224,11 +224,11 @@ def verify_idset(
         bonds=(b, b2), pairs=(p,),
     )
     return [
-        _finish(CheckId.IDSET_A, lattice, params, p, res["a_l"], res["a_r"], tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r1"], tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r2"], tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_r1"], res["b_r2"], tol),
-        _finish(CheckId.IDSET_C, lattice, params, p, res["c_l"], res["c_r"], tol),
+        _finish(CheckId.IDSET_A, lattice, params, p, res["a_l"], res["a_r"], method, tol),
+        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r1"], method, tol),
+        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r2"], method, tol),
+        _finish(CheckId.IDSET_B, lattice, params, p, res["b_r1"], res["b_r2"], method, tol),
+        _finish(CheckId.IDSET_C, lattice, params, p, res["c_l"], res["c_r"], method, tol),
     ]
 
 

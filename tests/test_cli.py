@@ -144,7 +144,8 @@ def test_emit_sweep_format():
 
 
 def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
-    argv = ["scaling", "--dim", "2", "--L-list", "4", "--x", "0.5", "--method", "mc", "--samples", "2", "--seed", "3",
+    # L=2 enumerates, L=4 runs chains: one sweep through both inner engines
+    argv = ["scaling", "--dim", "2", "--L-list", "2,4", "--x", "0.5", "--method", "mc", "--samples", "2", "--seed", "3",
             "--t-nodes", "2", "--mcmc-sweeps", "40", "--mcmc-burn-in", "10"]
     with pytest.warns(PoorMixingWarning):
         status, data, _ = _run_json(tmp_path, "s.json", argv)
@@ -158,6 +159,9 @@ def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
     assert tel["chain_s"] > 0 and tel["ns_per_site_sweep"] > 0
     assert 0.0 < tel["mean_acceptance"] <= 1.0
     assert tel["min_ess"] < 32 and tel["poor_mixing_warnings"] == 1
+    exact, chained = data["terms"]
+    assert exact["routes"]["direct"] is not None and exact["integrand_tables"]["center_bond"]
+    assert chained["routes"]["direct"] is None
 
 
 def test_manifest_roundtrip_mc(tmp_path):

@@ -20,8 +20,8 @@ from nlsurf.mcmc import (
     quenched_estimate_mcmc,
 )
 from nlsurf.model import sample_disorder, uniform_params
-from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, legendre_nodes_01, quenched_correlation
-from nlsurf.surface import _adjacency_setup, _adjacency_term_mcmc
+from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01, quenched_correlation
+from nlsurf.surface import _adjacency_setup, adjacency_term
 
 from oracles import brute_gibbs
 
@@ -189,9 +189,9 @@ def test_batch_composition_independence():
         assert alone == batch[c]
 
     # chain (s, i) of the two-level adjacency call, run alone, reproduces its
-    # row: the node means and the worst ESS and mean acceptance are bit-equal
+    # row: the node estimates and the worst ESS and mean acceptance are bit-equal
     method, mcmc = DisorderMC(3, seed=4), McmcConfig(sweeps=120, burn_in=20, seed=11)
-    r = _adjacency_term_mcmc(2, 3, 0.5, method, 2, mcmc)
+    r = adjacency_term(2, 3, 0.5, method, 2, mcmc)
     lattice, corridor = _adjacency_setup(2, 3)
     corr_idx = list(corridor.sorted_indices())
     tn, _ = legendre_nodes_01(2)
@@ -204,8 +204,10 @@ def test_batch_composition_independence():
             cfg = replace(mcmc, seed=nlrng.derive_seed(mcmc.seed, s, i))
             alone.append(estimate_correlations(lattice, xt * (xt + g), corridor=corridor, config=cfg))
     values = np.array([est["corridor_mean"].value for est, _ in alone]).reshape(method.samples, 2)
-    for i, point in enumerate(r.integrand_tables["corridor"]):
-        assert point.value == float(values[:, i].mean())
+    moments = Moments()
+    moments.add(list(values.T), None)
+    for point, node in zip(r.integrand_tables["corridor"], moments.estimates(), strict=True):
+        assert (point.value, point.std_error) == (node.value, node.std_error)
     assert r.chain_telemetry["chains"] == len(alone)
     assert r.chain_telemetry["min_ess"] == min(d.ess for _, d in alone)
     assert r.chain_telemetry["mean_acceptance"] == float(np.mean([d.acceptance[-1] for _, d in alone]))

@@ -137,7 +137,6 @@ def test_mc_determinism():
 def test_moments_shifted_and_weighted():
     # a mean of 1e6 against a spread of 1: unshifted sums of squares would
     # lose the variance to cancellation
-    lat = build_lattice(1, 2, Boundary.FREE)
     gen = np.random.default_rng(5)
     rows = 1e6 + gen.standard_normal((2, 1000))
     w = gen.uniform(0.1, 1.0, 1000)
@@ -146,10 +145,10 @@ def test_moments_shifted_and_weighted():
     for lo, hi in chunks:
         mc.add([rows[0, lo:hi], rows[1, lo:hi]], None)
         quad.add([rows[0, lo:hi]], w[lo:hi])
-    for est, r in zip(mc.estimates(DisorderMC(1000, seed=0), lat), rows, strict=True):
+    for est, r in zip(mc.estimates(), rows, strict=True):
         assert est.value == pytest.approx(r.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(r.std(ddof=1) / math.sqrt(len(r)), rel=1e-12)
-    (est,) = quad.estimates(Quadrature(), lat)
+    (est,) = quad.estimates()
     assert est.value == pytest.approx(np.average(rows[0], weights=w), rel=1e-12)
     assert est.std_error == 0.0
 
