@@ -30,10 +30,9 @@ from .mcmc import CHAIN_ENGINE, McmcConfig
 from .model import uniform_params
 from .quenched import DisorderMC, GridTooLarge, Quadrature, quenched_pressure
 from .surface import (
+    ROUTES,
     SizeCapExceededForSweep,
     SurfaceTermResult,
-    adjacency_direct,
-    adjacency_integral,
     adjacency_term,
     periodic_minus_free,
     scaling_sweep,
@@ -41,7 +40,7 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v2"
+RESULT_SCHEMA = "nlsurf.result.v3"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
@@ -239,46 +238,24 @@ def _cmd_pressure(args) -> int:
     return EXIT_OK
 
 
-def _term_command(args, command: str, compute) -> int:
+_TERMS = {
+    "adjacency": lambda a, m: adjacency_term(a.dim, a.L, a.x, m, a.t_nodes, routes=a.routes),
+    "torus-diff": lambda a, m: periodic_minus_free(a.dim, a.L, a.x, m, a.t_nodes, routes=a.routes),
+    "surface-free": lambda a, m: surface_pressure_free(a.dim, a.L, a.x, a.k, m, a.t_nodes, routes=a.routes),
+    "surface-periodic": lambda a, m: surface_pressure_periodic(a.dim, a.L, a.x, a.k, m, a.t_nodes, routes=a.routes),
+}
+
+
+def _cmd_term(args) -> int:
+    """Every term command: only the requested routes are computed, and a
+    single-route payload keeps exactly that route's key."""
     method = _method_from_args(args)
-    result = compute(method)
-    payload = _term_dict(result)
-    routes = getattr(args, "routes", "both")
-    if routes != "both":
-        keep = {routes, "per_unit_surface"} if routes == "integral" else {routes}
-        payload["routes"] = {k: v for k, v in payload["routes"].items() if k in keep}
+    payload = _term_dict(_TERMS[args.command](args, method))
+    if args.routes != "both":
+        payload["routes"] = {args.routes: payload["routes"][args.routes]}
     payload["method"] = _method_dict(method)
-    _write_run(args, command, payload)
+    _write_run(args, args.command, payload)
     return EXIT_OK
-
-
-def _cmd_adjacency(args) -> int:
-    if args.routes == "both":
-        return _term_command(args, "adjacency", lambda m: adjacency_term(args.dim, args.L, args.x, m, t_nodes=args.t_nodes))
-    method = _method_from_args(args)
-    payload = {"geometry": {"dim": args.dim, "L": args.L}, "x": args.x, "method": _method_dict(method)}
-    if args.routes == "direct":
-        est = adjacency_direct(args.dim, args.L, args.x, method)
-    else:
-        est = adjacency_integral(args.dim, args.L, args.x, method, t_nodes=args.t_nodes)
-        payload["t_nodes"] = args.t_nodes
-    payload["routes"] = {args.routes: _estimate_dict(est)}
-    _write_run(args, "adjacency", payload)
-    return EXIT_OK
-
-
-def _cmd_torus_diff(args) -> int:
-    return _term_command(args, "torus-diff", lambda m: periodic_minus_free(args.dim, args.L, args.x, m, t_nodes=args.t_nodes))
-
-
-def _cmd_surface_free(args) -> int:
-    return _term_command(args, "surface-free", lambda m: surface_pressure_free(args.dim, args.L, args.x, args.k, m, t_nodes=args.t_nodes))
-
-
-def _cmd_surface_periodic(args) -> int:
-    return _term_command(
-        args, "surface-periodic", lambda m: surface_pressure_periodic(args.dim, args.L, args.x, args.k, m, t_nodes=args.t_nodes)
-    )
 
 
 def _cmd_scaling(args) -> int:
@@ -287,9 +264,7 @@ def _cmd_scaling(args) -> int:
     if args.mcmc_sweeps is not None:
         mcmc = McmcConfig(sweeps=args.mcmc_sweeps, burn_in=args.mcmc_burn_in, seed=args.seed, measure_stride=args.mcmc_stride)
     L_list = [int(v) for v in args.L_list.split(",")]
-    results = scaling_sweep(
-        args.dim, args.x, L_list, k=args.k, method=method, t_nodes=args.t_nodes, mcmc=mcmc, workers=args.workers
-    )
+    results = scaling_sweep(args.dim, args.x, L_list, method=method, t_nodes=args.t_nodes, mcmc=mcmc, workers=args.workers)
     payload = {
         "method": _method_dict(method),
         "x": args.x,
@@ -382,25 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_pressure)
 
-    for name, func, with_k in (
-        ("adjacency", _cmd_adjacency, False),
-        ("torus-diff", _cmd_torus_diff, False),
-        ("surface-free", _cmd_surface_free, True),
-        ("surface-periodic", _cmd_surface_periodic, True),
-    ):
+    for name in _TERMS:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} term, direct and integral routes")
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--L", type=int, required=True)
-        if with_k:
+        if name.startswith("surface-"):
             p.add_argument("--k", type=int, default=2, help="magnification (reported, not extrapolated)")
-        p.add_argument("--routes", choices=("direct", "integral", "both"), default="both")
+        p.add_argument("--routes", choices=ROUTES, default="both", help="compute only these routes")
         common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_term)
 
     p = sub.add_parser("scaling", help="per-unit-surface adjacency sweep over L")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--L-list", dest="L_list", type=str, required=True, help="comma-separated box sizes")
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--mcmc-sweeps", dest="mcmc_sweeps", type=int, default=None, help="enable the two-level chain estimator")
     p.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int, default=500)
     p.add_argument("--mcmc-stride", dest="mcmc_stride", type=int, default=2)

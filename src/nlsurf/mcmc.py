@@ -32,6 +32,8 @@ realizations are independent.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from . import rng
 from .exact import CouplingField
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import NishimoriParams
-from .quenched import DisorderMC, Estimate, Moments
+from .quenched import DisorderMC, Estimate, Moments, disorder_cores
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
 CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
@@ -60,7 +62,6 @@ class McmcConfig:
     burn_in: int
     seed: int
     x_ladder: tuple[float, ...] = (1.0,)
-    replicas: int = 1
     measure_stride: int = 2
 
     def __post_init__(self):
@@ -68,14 +69,18 @@ class McmcConfig:
             raise ValueError("need 0 <= burn_in < sweeps")
         if self.measure_stride < 1:
             raise ValueError("measure_stride must be >= 1")
-        if self.replicas != len(self.x_ladder):
-            raise ValueError("replicas must equal the ladder length")
+        if not self.x_ladder:
+            raise ValueError("ladder is empty")
         if any(v <= 0 for v in self.x_ladder):
             raise ValueError("ladder entries must be positive")
         if list(self.x_ladder) != sorted(self.x_ladder):
             raise ValueError("ladder must be sorted ascending")
         if self.n_measurements < 2:
             raise ValueError("config yields fewer than 2 measurements")
+
+    @property
+    def replicas(self) -> int:
+        return len(self.x_ladder)
 
     @property
     def n_measurements(self) -> int:
@@ -92,6 +97,16 @@ class ChainDiagnostics:
 
 
 _nbr_cache: dict = {}
+
+
+def _outside_package_level() -> int:
+    """warnings.warn stacklevel, for the function calling this one, that
+    names the first stack frame outside the nlsurf package."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == package:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _neighbor_tables(lattice: LatticeSpec):
@@ -341,26 +356,25 @@ def two_level_inner(
 ) -> tuple[np.ndarray, dict]:
     """Inner values of a two-level estimator: one chain per (realization, variant).
 
-    Realization s takes its normal core g from the disorder stream keyed by
-    (disorder.seed, bond, s); variant i runs the couplings x (x + g) with
-    x = x_at[i] on stream seeds[s * len(x_at) + i].  All chains run as one
-    batch.  Returns the (samples, variants) chain means of the corridor
-    average or of <S_bond>, and the chain telemetry for the manifest (count,
-    site-sweeps, time, mean acceptance, worst ESS, warning count).  Callers
-    reduce the columns over realizations with quenched.Moments, like every
-    other disorder average.  Warns PoorMixingWarning when the worst ESS falls
-    below MIN_INNER_ESS.
+    Realization s takes its normal core g from quenched.disorder_cores (the
+    disorder stream keyed by (disorder.seed, bond, s)); variant i runs the
+    couplings x (x + g) with x = x_at[i] on stream seeds[s * len(x_at) + i].
+    All chains run as one batch.  Returns the (samples, variants) chain means
+    of the corridor average or of <S_bond>, and the chain telemetry for the
+    manifest (count, site-sweeps, time, mean acceptance, worst ESS, warning
+    count).  Callers reduce the columns over realizations with
+    quenched.Moments, like every other disorder average.  Warns
+    PoorMixingWarning, attributed to the first caller outside this package,
+    when the worst ESS falls below MIN_INNER_ESS.
     """
     if (corridor is None) == (bond is None):
         raise ValueError("specify exactly one of corridor or bond")
-    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
-    kvecs = []
-    for s in range(disorder.samples):
-        g = rng.standard_normals(disorder.seed, bond_idx, s)
-        kvecs.extend(x * (x + g) for x in x_at)
+    g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)])[:, None, :]
+    x = np.asarray(x_at, dtype=np.float64)[None, :, :]
+    kvecs = (x * (x + g)).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
     t0 = time.perf_counter()
     bonds = () if bond is None else (bond,)
-    chains = estimate_correlations_batch(lattice, np.stack(kvecs), seeds, bonds=bonds, corridor=corridor, config=config)
+    chains = estimate_correlations_batch(lattice, kvecs, seeds, bonds=bonds, corridor=corridor, config=config)
     chain_s = time.perf_counter() - t0
     key = "corridor_mean" if bond is None else bond
     values = np.array([est[key].value for est, _ in chains]).reshape(disorder.samples, len(x_at))
@@ -371,7 +385,7 @@ def two_level_inner(
             f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
             "treat this estimate as under-resolved",
             PoorMixingWarning,
-            stacklevel=3,
+            stacklevel=_outside_package_level(),
         )
     site_sweeps = len(chains) * lattice.n_sites * config.sweeps * config.replicas
     telemetry = {

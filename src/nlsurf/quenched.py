@@ -205,12 +205,13 @@ class Moments:
 
 @dataclass
 class VariantChunk:
-    """Fixed-disorder values for one parameter variant over one chunk."""
+    """Fixed-disorder values for one parameter variant over one chunk; j is
+    the (rows, bonds) array of couplings."""
 
     log_z: np.ndarray | None
     bond: dict
     pair: dict
-    j: dict
+    j: np.ndarray
 
 
 def quenched_joint(
@@ -222,7 +223,6 @@ def quenched_joint(
     bonds: tuple[int, ...] = (),
     pairs: tuple[tuple[int, int], ...] = (),
     need_log_z: bool = False,
-    j_bonds: tuple[int, ...] = (),
 ) -> dict[str, Estimate]:
     """Average per-sample functionals of several parameter variants jointly.
 
@@ -249,7 +249,7 @@ def quenched_joint(
             j = v.x[None, :] + core
             K = v.x[None, :] * j
             bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
-            chunk_vals.append(VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, j={b: j[:, b] for b in j_bonds}))
+            chunk_vals.append(VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, j=j))
         moments.add([functionals[name](chunk_vals) for name in names], weights)
     return dict(zip(names, moments.estimates()))
 
@@ -279,16 +279,12 @@ def quenched_correlation(
     """
     bonds: set[int] = set()
     pairs: set[tuple[int, int]] = set()
-    j_bonds: set[int] = set()
     for q in queries:
         kind = q[0]
-        if kind in ("bond", "bond_sq"):
+        if kind in ("bond", "bond_sq", "j_bond"):
             bonds.add(q[1])
         elif kind == "pair":
             pairs.add((q[1], q[2]))
-        elif kind == "j_bond":
-            bonds.add(q[1])
-            j_bonds.add(q[1])
         else:
             raise ValueError(f"unknown query {q!r}")
 
@@ -300,7 +296,7 @@ def quenched_correlation(
             return lambda v: v[0].bond[q[1]] ** 2
         if kind == "pair":
             return lambda v: v[0].pair[(q[1], q[2])]
-        return lambda v: v[0].j[q[1]] * v[0].bond[q[1]]
+        return lambda v: v[0].j[:, q[1]] * v[0].bond[q[1]]
 
     functionals = {repr(q): make(q) for q in queries}
     res = quenched_joint(
@@ -310,7 +306,6 @@ def quenched_correlation(
         functionals,
         bonds=tuple(sorted(bonds)),
         pairs=tuple(sorted(pairs)),
-        j_bonds=tuple(sorted(j_bonds)),
     )
     return {q: res[repr(q)] for q in queries}
 

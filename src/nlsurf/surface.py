@@ -13,13 +13,18 @@ and the Monte Carlo error of the t-integral is computed from the per-sample
 quadrature combination, never from independently-averaged nodes.  The inner
 engine is exact enumeration within the cap, or one Markov chain per
 (realization, t-node) beyond it (adjacency term only); either way the rows
-reduce through one quenched.Moments, and one builder turns the t-integral
-into the term |C| x^2/2 (1 + ...) and its value per unit surface.
+reduce through one quenched.Moments.
+
+One function, `_interpolation_term`, builds every corridor term and runs
+only the routes asked for: each term function takes routes="direct",
+"integral" or "both", and a route not asked for is None on the result and
+costs no enumeration.  The periodic surface pressure adds the integral
+routes of the torus-cut and tiling terms and keeps its own two-pressure
+direct route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,12 +41,14 @@ from .quenched import (
     Estimate,
     Moments,
     Quadrature,
+    combined_std_error,
     disorder_cores,
     legendre_nodes_01,
     quenched_pressure,
 )
 
 DEFAULT_T_NODES = 16
+ROUTES = ("direct", "integral", "both")
 
 
 class SurfaceTermKind(Enum):
@@ -68,26 +75,31 @@ class Geometry:
 
 @dataclass(frozen=True)
 class SurfaceTermResult:
+    """One surface term; a route that was not asked for is None.
+
+    per_unit_surface is the integral route divided by L^(d-1)."""
+
     kind: SurfaceTermKind
     direct: Estimate | None
-    integral: Estimate
-    per_unit_surface: Estimate
+    integral: Estimate | None
     geometry: Geometry
     x: float
     t_nodes: int
     integrand_tables: dict
     chain_telemetry: dict | None = field(default=None, compare=False)  # manifest only, never the result
+    per_unit_surface: Estimate | None = field(init=False)
+
+    def __post_init__(self):
+        g = self.geometry
+        per_unit = None if self.integral is None else _scaled(self.integral, 1.0 / g.L ** (g.dim - 1))
+        object.__setattr__(self, "per_unit_surface", per_unit)
 
 
-@dataclass
-class _TermData:
-    """Raw pieces of one corridor interpolation: endpoints and t-curve."""
-
-    direct: Estimate | None
-    curve: tuple[IntegrandPoint, ...]
-    curve_integral: Estimate | None
-    center_curve: tuple[IntegrandPoint, ...] | None
-    chain_telemetry: dict | None = None
+def _route_flags(routes: str) -> tuple[bool, bool]:
+    """(need_direct, need_integral) for routes "direct", "integral" or "both"."""
+    if routes not in ROUTES:
+        raise ValueError(f"routes must be one of {ROUTES}, got {routes!r}")
+    return routes != "integral", routes != "direct"
 
 
 def _corridor_x(lattice: LatticeSpec, corridor: Corridor, x: float, t: float) -> np.ndarray:
@@ -96,26 +108,34 @@ def _corridor_x(lattice: LatticeSpec, corridor: Corridor, x: float, t: float) ->
 
 
 def _interpolation_term(
+    kind: SurfaceTermKind,
+    geometry: Geometry,
     lattice: LatticeSpec,
     corridor: Corridor,
     x: float,
     method: AveragingMethod,
     t_nodes: int,
+    table: str,
     *,
-    need_direct: bool = True,
-    need_integral: bool = True,
+    scale: float = 1.0,
+    routes: str = "both",
     center_bond: int | None = None,
     mcmc: McmcConfig | None = None,
-) -> _TermData:
-    """Endpoint difference and t-curve of one corridor interpolation.
+) -> SurfaceTermResult:
+    """One corridor interpolation, computing only the routes asked for.
 
-    Per disorder chunk the accumulator gets the rows [direct], the corridor
-    mean at each t-node, their t-quadrature combination per sample, and
-    [the center bond at each t-node].  With an McmcConfig (two-level
-    estimator, DisorderMC only) the corridor means come from one Markov chain
-    per (realization, t-node) on stream derive_seed(mcmc.seed, s, i) and go
-    in as one chunk; that path has no direct route and no center bond.
+    Direct route: scale times the endpoint difference ln Z(t=1) - ln Z(t=0).
+    Integral route: scale |C| x^2/2 (1 + t-integral of the corridor mean),
+    with the corridor mean at each t-node as table `table` and, given a
+    center bond, that bond's mean as table "center_bond".  Per disorder chunk
+    the accumulator gets the rows [direct], the corridor mean at each t-node,
+    their t-quadrature combination per sample, and [the center bond at each
+    t-node].  With an McmcConfig (two-level estimator, DisorderMC only) the
+    corridor means come from one Markov chain per (realization, t-node) on
+    stream derive_seed(mcmc.seed, s, i) and go in as one chunk; that path has
+    no direct route and no center bond.
     """
+    need_direct, need_integral = _route_flags(routes)
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
         raise ValueError("corridor is empty")
@@ -124,7 +144,6 @@ def _interpolation_term(
     tn, tw = legendre_nodes_01(t_nodes) if need_integral else (np.empty(0), np.empty(0))
     x_at = [_corridor_x(lattice, corridor, x, t) for t in tn]
     precise = isinstance(method, Quadrature)
-    query = corr_idx if center_bond is None or center_bond in corr_idx else corr_idx + (center_bond,)
 
     moments = Moments()
     telemetry = None
@@ -143,7 +162,7 @@ def _interpolation_term(
                 node_rows, center_rows = [], []
                 f_chunk = np.zeros(len(core))
                 for xt, w in zip(x_at, tw):
-                    bg = batch_gibbs(lattice, xt[None, :] * (xt[None, :] + core), bonds=query, precise=precise)
+                    bg = batch_gibbs(lattice, xt[None, :] * (xt[None, :] + core), bonds=corr_idx, precise=precise)
                     sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
                     f_chunk += w * sc
                     node_rows.append(sc)
@@ -153,15 +172,16 @@ def _interpolation_term(
             moments.add(rows, weights)
 
     est = moments.estimates()
-    direct = est.pop(0) if need_direct else None
-    n = len(tn)
-    return _TermData(
-        direct=direct,
-        curve=_curve(tn, est[:n]),
-        curve_integral=est[n] if need_integral else None,
-        center_curve=_curve(tn, est[n + 1 :]) if center_bond is not None else None,
-        chain_telemetry=telemetry,
-    )
+    direct = _scaled(est.pop(0), scale) if need_direct else None
+    integral, tables = None, {}
+    if need_integral:
+        n = len(tn)
+        pref = scale * geometry.corridor_size * x * x / 2.0
+        integral = _scaled(est[n], pref, offset=pref)
+        tables[table] = _curve(tn, est[:n])
+        if center_bond is not None:
+            tables["center_bond"] = _curve(tn, est[n + 1 :])
+    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables, chain_telemetry=telemetry)
 
 
 def _curve(tn: np.ndarray, estimates: list[Estimate]) -> tuple[IntegrandPoint, ...]:
@@ -170,29 +190,6 @@ def _curve(tn: np.ndarray, estimates: list[Estimate]) -> tuple[IntegrandPoint, .
 
 def _scaled(e: Estimate, factor: float, offset: float = 0.0) -> Estimate:
     return Estimate(value=offset + factor * e.value, std_error=abs(factor) * e.std_error)
-
-
-def _term_result(
-    kind: SurfaceTermKind, term: _TermData, geometry: Geometry, x: float, t_nodes: int, tables: dict, scale: float = 1.0
-) -> SurfaceTermResult:
-    """Integral route scale |C| x^2/2 (1 + t-integral), direct route times
-    scale, and the integral per unit surface L^(d-1)."""
-    pref = scale * geometry.corridor_size * x * x / 2.0
-    integral = _scaled(term.curve_integral, pref, offset=pref)
-    direct = term.direct
-    if direct is not None and scale != 1.0:
-        direct = _scaled(direct, scale)
-    return SurfaceTermResult(
-        kind=kind,
-        direct=direct,
-        integral=integral,
-        per_unit_surface=_scaled(integral, 1.0 / geometry.L ** (geometry.dim - 1)),
-        geometry=geometry,
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables=tables,
-        chain_telemetry=term.chain_telemetry,
-    )
 
 
 def _center_corridor_bond(lattice: LatticeSpec, corridor: Corridor) -> int:
@@ -216,25 +213,15 @@ def _adjacency_setup(d: int, L: int):
 
 
 def adjacency_direct(d: int, L: int, x: float, method: AveragingMethod) -> Estimate:
-    """Pressure of the free 2L-box minus the sum over its 2^d free L-boxes.
-
-    Computed as the endpoint difference of the interpolation on one lattice:
-    zeroing the corridor couplings factorizes the box exactly, and the shared
-    disorder core makes the difference variance-reduced.
-    """
-    lattice, corridor = _adjacency_setup(d, L)
-    term = _interpolation_term(lattice, corridor, x, method, 2, need_integral=False)
-    return term.direct
+    """Pressure of the free 2L-box minus the sum over its 2^d free L-boxes."""
+    return adjacency_term(d, L, x, method, routes="direct").direct
 
 
 def adjacency_integral(
     d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
 ) -> Estimate:
     """|C| x^2/2 (1 + integral of the quenched corridor average over t)."""
-    lattice, corridor = _adjacency_setup(d, L)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False)
-    geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
-    return _term_result(SurfaceTermKind.ADJACENCY_TL, term, geometry, x, t_nodes, {}).integral
+    return adjacency_term(d, L, x, method, t_nodes, routes="integral").integral
 
 
 def adjacency_term(
@@ -244,43 +231,46 @@ def adjacency_term(
     method: AveragingMethod,
     t_nodes: int = DEFAULT_T_NODES,
     mcmc: McmcConfig | None = None,
+    *,
+    routes: str = "both",
 ) -> SurfaceTermResult:
-    """Both routes for the adjacency term, plus the center-bond integrand.
+    """The adjacency term, plus the center-bond integrand.
 
-    The corridor average and the center-bond correlation are reported as
-    separate tables: at accessible sizes no bond is far from the outer
-    boundary, so the two are kept distinct rather than conflated.  Beyond the
-    enumeration cap a DisorderMC method plus an McmcConfig run the two-level
-    estimator instead: the integral route and the corridor table only, with
-    the chain telemetry on the result for the manifest.
+    Direct route: the endpoint difference of the interpolation on the free
+    2L-box; zeroing the corridor couplings factorizes the box exactly into
+    its 2^d free L-boxes, and the shared disorder core makes the difference
+    variance-reduced.  The corridor average and the center-bond correlation
+    are reported as separate tables: at accessible sizes no bond is far from
+    the outer boundary, so the two are kept distinct rather than conflated.
+    Beyond the enumeration cap a DisorderMC method plus an McmcConfig run the
+    two-level estimator instead: the integral route and the corridor table
+    only, with the chain telemetry on the result for the manifest.
     """
     lattice, corridor = _adjacency_setup(d, L)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
+    term = (SurfaceTermKind.ADJACENCY_TL, geometry, lattice, corridor, x, method, t_nodes, "corridor")
     if lattice.n_sites <= ENUMERATION_CAP:
-        center = _center_corridor_bond(lattice, corridor)
-        term = _interpolation_term(lattice, corridor, x, method, t_nodes, center_bond=center)
-        tables = {"corridor": term.curve, "center_bond": term.center_curve}
-    else:
-        if not isinstance(method, DisorderMC) or mcmc is None:
-            raise SizeCapExceededForSweep(L, lattice.n_sites, ENUMERATION_CAP)
-        term = _interpolation_term(lattice, corridor, x, method, t_nodes, need_direct=False, mcmc=mcmc)
-        tables = {"corridor": term.curve}
-    return _term_result(SurfaceTermKind.ADJACENCY_TL, term, geometry, x, t_nodes, tables)
+        return _interpolation_term(*term, routes=routes, center_bond=_center_corridor_bond(lattice, corridor))
+    if not isinstance(method, DisorderMC) or mcmc is None:
+        raise SizeCapExceededForSweep(L, lattice.n_sites, ENUMERATION_CAP)
+    if routes == "direct":
+        raise ValueError(f"L={L} is beyond the enumeration cap, where Markov chains give the integral route only")
+    return _interpolation_term(*term, routes="integral", mcmc=mcmc)
 
 
 def periodic_minus_free(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
+    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, *, routes: str = "both"
 ) -> SurfaceTermResult:
     """Torus pressure minus free-box pressure via the standard cut of the torus."""
     lattice = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
     corridor = torus_cut(lattice)
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
-    return _term_result(SurfaceTermKind.PERIODIC_MINUS_FREE, term, geometry, x, t_nodes, {"torus_cut": term.curve})
+    kind = SurfaceTermKind.PERIODIC_MINUS_FREE
+    return _interpolation_term(kind, geometry, lattice, corridor, x, method, t_nodes, "torus_cut", routes=routes)
 
 
 def surface_pressure_free(
-    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
+    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, *, routes: str = "both"
 ) -> SurfaceTermResult:
     """Finite-k surface pressure for free boundaries (nonpositive by structure).
 
@@ -292,57 +282,47 @@ def surface_pressure_free(
     """
     lattice, decomp = tiling_interfaces(d, L, k)
     corridor = decomp.corridor
-    term = _interpolation_term(lattice, corridor, x, method, t_nodes)
     geometry = Geometry(dim=d, L=L, k=k, corridor_size=corridor.cardinality)
-    return _term_result(
-        SurfaceTermKind.SURFACE_PRESSURE_FREE, term, geometry, x, t_nodes, {"tiling": term.curve}, scale=-(k ** (-d))
+    kind = SurfaceTermKind.SURFACE_PRESSURE_FREE
+    return _interpolation_term(
+        kind, geometry, lattice, corridor, x, method, t_nodes, "tiling", scale=-(k ** (-d)), routes=routes
     )
 
 
 def surface_pressure_periodic(
-    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
+    d: int, L: int, x: float, k: int, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES, *, routes: str = "both"
 ) -> SurfaceTermResult:
     """Finite-k surface pressure for periodic boundaries.
 
-    Integral route: (d/2) x^2 L^{d-1} (cut integral on the L-torus minus
-    tiling integral on the kL-torus).  Direct route: P(torus L) minus
+    Integral route: T_sp = T_pf + T_sf, the integral routes of
+    periodic_minus_free and surface_pressure_free added, i.e. (d/2) x^2
+    L^{d-1} (cut integral on the L-torus minus tiling integral on the
+    kL-torus); its tables are theirs.  Direct route: P(torus L) minus
     k^{-d} P(torus kL), from two independent quenched pressures.
     """
-    small = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
-    cut = torus_cut(small)
-    cut_term = _interpolation_term(small, cut, x, method, t_nodes, need_direct=False)
+    need_direct, need_integral = _route_flags(routes)
     big, decomp = tiling_interfaces(d, L, k)
-    tile_term = _interpolation_term(big, decomp.corridor, x, method, t_nodes, need_direct=False)
-
-    pref = d * x * x * L ** (d - 1) / 2.0
-    ci = cut_term.curve_integral
-    ti = tile_term.curve_integral
-    integral = Estimate(value=pref * (ci.value - ti.value), std_error=pref * math.hypot(ci.std_error, ti.std_error))
-    p_small = quenched_pressure(small, uniform_params(small, x), method)
-    p_big = quenched_pressure(big, uniform_params(big, x), method)
-    scale = k ** (-d)
-    direct = Estimate(
-        value=p_small.value - scale * p_big.value,
-        std_error=math.hypot(p_small.std_error, scale * p_big.std_error),
-    )
-    per_unit = _scaled(integral, 1.0 / L ** (d - 1))
-    return SurfaceTermResult(
-        kind=SurfaceTermKind.SURFACE_PRESSURE_PERIODIC,
-        direct=direct,
-        integral=integral,
-        per_unit_surface=per_unit,
-        geometry=Geometry(dim=d, L=L, k=k, corridor_size=decomp.corridor.cardinality),
-        x=x,
-        t_nodes=t_nodes,
-        integrand_tables={"torus_cut": cut_term.curve, "tiling": tile_term.curve},
-    )
+    direct = integral = None
+    tables: dict = {}
+    if need_integral:
+        pmf = periodic_minus_free(d, L, x, method, t_nodes, routes="integral")
+        spf = surface_pressure_free(d, L, x, k, method, t_nodes, routes="integral")
+        integral = Estimate(pmf.integral.value + spf.integral.value, combined_std_error(pmf.integral, spf.integral))
+        tables = {**pmf.integrand_tables, **spf.integrand_tables}
+    if need_direct:
+        small = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
+        p_small = quenched_pressure(small, uniform_params(small, x), method)
+        p_big = _scaled(quenched_pressure(big, uniform_params(big, x), method), k ** (-d))
+        direct = Estimate(p_small.value - p_big.value, combined_std_error(p_small, p_big))
+    geometry = Geometry(dim=d, L=L, k=k, corridor_size=decomp.corridor.cardinality)
+    kind = SurfaceTermKind.SURFACE_PRESSURE_PERIODIC
+    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables)
 
 
 def scaling_sweep(
     d: int,
     x: float,
     L_list,
-    k: int = 2,
     method: AveragingMethod | None = None,
     *,
     t_nodes: int = DEFAULT_T_NODES,

@@ -95,8 +95,8 @@ def verify_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Ave
     """[<j_b S_b>] equals x_b."""
     res = quenched_joint(
         lattice, [params], method,
-        {"lhs": lambda v: v[0].j[b] * v[0].bond[b]},
-        bonds=(b,), j_bonds=(b,),
+        {"lhs": lambda v: v[0].j[:, b] * v[0].bond[b]},
+        bonds=(b,),
     )
     lhs = res["lhs"]
     rhs = Estimate(value=float(params.x[b]), std_error=0.0)

@@ -30,9 +30,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McmcConfig(sweeps=10, burn_in=10, seed=1)
     with pytest.raises(ValueError):
-        McmcConfig(sweeps=100, burn_in=0, seed=1, x_ladder=(0.5, 1.0), replicas=1)
+        McmcConfig(sweeps=100, burn_in=0, seed=1, x_ladder=())
     with pytest.raises(ValueError):
-        McmcConfig(sweeps=100, burn_in=0, seed=1, x_ladder=(1.0, 0.5), replicas=2)
+        McmcConfig(sweeps=100, burn_in=0, seed=1, x_ladder=(1.0, 0.5))
     with pytest.raises(ValueError):
         McmcConfig(sweeps=4, burn_in=3, seed=1, measure_stride=5)  # one measurement
 
@@ -100,7 +100,7 @@ def test_replica_exchange_preserves_marginals():
     K = rng.normal(0.5, 0.5, lat.n_bonds)
     single = McmcConfig(sweeps=40_000, burn_in=2_000, seed=31, measure_stride=2)
     ladder = McmcConfig(
-        sweeps=40_000, burn_in=2_000, seed=77, measure_stride=2, x_ladder=(0.4, 0.7, 1.0), replicas=3
+        sweeps=40_000, burn_in=2_000, seed=77, measure_stride=2, x_ladder=(0.4, 0.7, 1.0)
     )
     a, _ = estimate_correlations(lat, K, bonds=(0,), config=single)
     b, diag = estimate_correlations(lat, K, bonds=(0,), config=ladder)
@@ -179,7 +179,7 @@ def test_batch_composition_independence():
     # a chain's estimates and diagnostics are a function of its seed and
     # couplings only, whatever other chains share its batch
     lat = build_lattice(2, 3, Boundary.PERIODIC)
-    ladder = McmcConfig(sweeps=300, burn_in=50, seed=0, x_ladder=(0.5, 1.0), replicas=2, measure_stride=1)
+    ladder = McmcConfig(sweeps=300, burn_in=50, seed=0, x_ladder=(0.5, 1.0), measure_stride=1)
     kv = np.random.default_rng(3).normal(0.3, 0.5, (5, lat.n_bonds))
     seeds = [nlrng.derive_seed(9, c) for c in range(5)]
     batch = estimate_correlations_batch(lat, kv, seeds, bonds=(0, 7), config=ladder)
@@ -211,3 +211,17 @@ def test_batch_composition_independence():
     assert r.chain_telemetry["chains"] == len(alone)
     assert r.chain_telemetry["min_ess"] == min(d.ess for _, d in alone)
     assert r.chain_telemetry["mean_acceptance"] == float(np.mean([d.acceptance[-1] for _, d in alone]))
+
+
+def test_poor_mixing_warning_names_the_caller():
+    from nlsurf.mcmc import PoorMixingWarning
+    from nlsurf.surface import scaling_sweep
+
+    cfg = McmcConfig(sweeps=20, burn_in=4, seed=1, measure_stride=2)
+    lat = build_lattice(1, 4, Boundary.FREE)
+    with pytest.warns(PoorMixingWarning) as record:
+        quenched_estimate_mcmc(lat, uniform_params(lat, 0.8), corridor=decompose_box(lat).corridor, outer_samples=2, config=cfg)
+    assert record[0].filename == __file__
+    with pytest.warns(PoorMixingWarning) as record:
+        scaling_sweep(2, 0.5, [4], method=DisorderMC(2, seed=3), t_nodes=2, mcmc=cfg)
+    assert record[0].filename == __file__

@@ -130,3 +130,56 @@ def test_scaling_sweep_mcmc_route_smoke():
     assert r.per_unit_surface.value == pytest.approx(r.integral.value / 4.0, abs=1e-12)
     rs2 = scaling_sweep(2, 0.5, [4], method=DisorderMC(4, seed=11), t_nodes=3, mcmc=cfg)
     assert rs2[0].integral.value == r.integral.value
+
+
+TERMS = {
+    "adjacency": lambda routes: adjacency_term(1, 2, 0.8, Quadrature(8), 4, routes=routes),
+    "torus-diff": lambda routes: periodic_minus_free(1, 4, 0.7, Quadrature(8), 4, routes=routes),
+    "surface-free": lambda routes: surface_pressure_free(1, 2, 0.8, 2, Quadrature(8), 4, routes=routes),
+    "surface-periodic": lambda routes: surface_pressure_periodic(1, 2, 0.8, 2, Quadrature(8), 4, routes=routes),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+def test_routes_compute_only_what_is_asked(name, monkeypatch):
+    import nlsurf.quenched
+    import nlsurf.surface
+    from nlsurf.exact import batch_gibbs
+
+    calls, pressures = [], []
+
+    def counting_gibbs(lattice, K, *, bonds=(), need_log_z=False, **kwargs):
+        calls.append((tuple(bonds), need_log_z))
+        return batch_gibbs(lattice, K, bonds=bonds, need_log_z=need_log_z, **kwargs)
+
+    def counting_pressure(*args):
+        pressures.append(args)
+        return nlsurf.quenched.quenched_pressure(*args)
+
+    monkeypatch.setattr(nlsurf.surface, "batch_gibbs", counting_gibbs)
+    monkeypatch.setattr(nlsurf.quenched, "batch_gibbs", counting_gibbs)
+    monkeypatch.setattr(nlsurf.surface, "quenched_pressure", counting_pressure)
+    both = TERMS[name]("both")
+    del calls[:], pressures[:]
+
+    direct = TERMS[name]("direct")
+    assert calls and not any(bonds for bonds, _ in calls)
+    assert direct.integral is None and direct.per_unit_surface is None and direct.integrand_tables == {}
+    assert direct.direct == both.direct
+
+    del calls[:], pressures[:]
+    integral = TERMS[name]("integral")
+    assert calls and not any(log_z for _, log_z in calls) and not pressures
+    assert integral.direct is None and integral.integrand_tables == both.integrand_tables
+    if name == "surface-periodic":  # a sum of two terms, rounded in a different order
+        assert integral.integral.value == pytest.approx(both.integral.value, rel=1e-15)
+    else:
+        assert integral.integral == both.integral and integral.per_unit_surface == both.per_unit_surface
+
+
+def test_routes_rejected():
+    with pytest.raises(ValueError):
+        adjacency_term(1, 2, 0.8, Q20, 4, routes="neither")
+    cfg = McmcConfig(sweeps=40, burn_in=10, seed=1)
+    with pytest.raises(ValueError, match="integral route only"):
+        adjacency_term(2, 4, 0.5, DisorderMC(2, seed=1), 2, cfg, routes="direct")
