@@ -152,27 +152,23 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
     result["manifest_id"] = manifest_id
     text = json.dumps(result, sort_keys=True, indent=2) + "\n"
 
+    # --format csv (scaling only) writes the CSV in place of the JSON; with
+    # --format json the CSV goes next to an --out file
+    as_csv = getattr(args, "format", "json") == "csv"
+    primary = csv_text if as_csv else text
     outputs: dict[str, str] = {}
-    out = getattr(args, "out", None)
-    paths = []
-    if out is not None:
+    out = args.out
+    if out is None:
+        sys.stdout.write(primary)
+    else:
         out = Path(out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        if getattr(args, "format", "json") == "csv" and csv_text is not None:
-            out.write_text(csv_text)
-        else:
-            out.write_text(text)
-        paths.append(out)
-        csv_path = None
-        if csv_text is not None and getattr(args, "format", "json") == "json":
-            csv_path = out.with_suffix(".csv")
-            csv_path.write_text(csv_text)
-            paths.append(csv_path)
-    else:
-        sys.stdout.write(text)
-
-    for p in paths:
-        outputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+        files = {out: primary}
+        if csv_text is not None and not as_csv:
+            files[out.with_suffix(".csv")] = csv_text
+        for path, content in files.items():
+            path.write_text(content)
+            outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = RunManifest(
         manifest_id=manifest_id,
         argv=list(args.original_argv),
@@ -337,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out(p):
         p.add_argument("--out", type=str, default=None, help="result file (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument(
             "--workers", type=int, default=1, help="accepted for compatibility; starts no processes, results never depend on it"
         )
@@ -373,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcmc-sweeps", dest="mcmc_sweeps", type=int, default=None, help="enable the two-level chain estimator")
     p.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int, default=500)
     p.add_argument("--mcmc-stride", dest="mcmc_stride", type=int, default=2)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: the plot-ready table alone")
     common(p)
     p.set_defaults(func=_cmd_scaling)
 

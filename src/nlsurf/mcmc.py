@@ -1,9 +1,9 @@
-"""Metropolis single-flip sampling with replica exchange along a ladder in x.
+"""Metropolis single-flip sampling of fixed-disorder expectations.
 
 For lattices beyond the enumeration cap the fixed-disorder expectations are
 estimated by Markov chains.  One kernel advances a batch of independent
-chains held as a (chains x replicas, sites) spin array.  Sites are split into
-the classes of a greedy (DSatur) colouring, `lattice.colour_classes`:
+chains held as a (chains, sites) spin array.  Sites are split into the
+classes of a greedy (DSatur) colouring, `lattice.colour_classes`:
 same-colour sites do not interact, so updating a whole class at once is a
 product of single-flip Metropolis kernels.  Free boxes and even tori get
 their two sublattices; the odd 3x3 torus gets 3 classes, where a per-site
@@ -14,15 +14,12 @@ D the log weight change of the flip.  This is a proposal with probability 1/2
 followed by the Metropolis test, folded into one draw: u < 1/2 is the
 proposal, so acceptance diagnostics count flips per draw below 1/2.  Without
 the thinning a deterministic scan at zero coupling would flip every spin in
-lockstep and never decorrelate.  The ladder re-weights the coupling field by
-x_r / x_target, and the exchange move swaps configurations between
-neighboring rungs.
+lockstep and never decorrelate.
 
 Every chain draws from its own Philox stream, `rng.spawn_generator(seed)`, in
 blocks of BLOCK_SWEEPS sweeps with a fixed layout per sweep: one uniform per
-(replica, site), then one per neighboring-rung exchange.  A chain's result is
-therefore a function of its seed and couplings alone, whatever other chains
-share its batch.
+site.  A chain's result is therefore a function of its seed and couplings
+alone, whatever other chains share its batch.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
@@ -61,7 +58,6 @@ class McmcConfig:
     sweeps: int
     burn_in: int
     seed: int
-    x_ladder: tuple[float, ...] = (1.0,)
     measure_stride: int = 2
 
     def __post_init__(self):
@@ -69,18 +65,8 @@ class McmcConfig:
             raise ValueError("need 0 <= burn_in < sweeps")
         if self.measure_stride < 1:
             raise ValueError("measure_stride must be >= 1")
-        if not self.x_ladder:
-            raise ValueError("ladder is empty")
-        if any(v <= 0 for v in self.x_ladder):
-            raise ValueError("ladder entries must be positive")
-        if list(self.x_ladder) != sorted(self.x_ladder):
-            raise ValueError("ladder must be sorted ascending")
         if self.n_measurements < 2:
             raise ValueError("config yields fewer than 2 measurements")
-
-    @property
-    def replicas(self) -> int:
-        return len(self.x_ladder)
 
     @property
     def n_measurements(self) -> int:
@@ -89,8 +75,7 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    acceptance: tuple[float, ...]
-    exchange: tuple[float, ...]
+    acceptance: float
     autocorr_time: float
     ess: float
     n_measurements: int
@@ -165,56 +150,46 @@ def _run_chains(
     track: tuple[int, ...],
     record_states: bool = False,
 ):
-    """Advance one replica ladder per row of kvecs, chain c on stream seeds[c].
+    """Advance one chain per row of kvecs, chain c on stream seeds[c].
 
     Spins are stored with the colour classes contiguous, so each class update
     works on a slice.  Returns (bond series (C, measurements, len(track)),
-    encoded target states (C, measurements) or None, flips (C, R), proposals
-    (C, R), exchanges (C, R - 1), exchange tries).
+    encoded states (C, measurements) or None, flips (C,), proposals (C,)).
     """
-    C, R, n = len(seeds), config.replicas, lattice.n_sites
-    lam = np.asarray(config.x_ladder) / config.x_ladder[-1]
+    C, n = len(seeds), lattice.n_sites
     nbr_site, nbr_bond = _neighbor_tables(lattice)
     classes = colour_classes(lattice)
     perm = np.array([s for cls in classes for s in cls], dtype=np.int64)
     pos = np.argsort(perm)  # site -> column
     kpad = np.concatenate([kvecs, np.zeros((C, 1))], axis=1)
-    krows = (lam[None, :, None] * kpad[:, None, :]).reshape(C * R, -1)
-    updates = []  # (first column, end column, neighbor columns (deg, m), couplings (C R, deg, m))
+    updates = []  # (first column, end column, neighbor columns (deg, m), couplings (C, deg, m))
     a = 0
     for cls in classes:
         idx = np.array(cls, dtype=np.int64)
-        updates.append((a, a + len(cls), pos[nbr_site[idx].T], krows[:, nbr_bond[idx].T]))
+        updates.append((a, a + len(cls), pos[nbr_site[idx].T], kpad[:, nbr_bond[idx].T]))
         a += len(cls)
     ea, eb = bond_endpoints(lattice)
     ta, tb = pos[ea[list(track)]], pos[eb[list(track)]]
-    ea_pos, eb_pos = pos[ea], pos[eb]
-    k_energy = np.repeat(kvecs, R, axis=0)
 
     gens = [rng.spawn_generator(seed) for seed in seeds]
-    S = np.stack([g.integers(0, 2, size=(R, n)) for g in gens]).reshape(C * R, n)[:, perm] * 2.0 - 1.0
-    top = S[R - 1 :: R]  # measurement replicas; a view, since S is only updated in place
+    S = np.stack([g.integers(0, 2, size=n) for g in gens])[:, perm] * 2.0 - 1.0
 
     n_meas = config.n_measurements
     series = np.empty((C, n_meas, len(track)))
     states = np.empty((C, n_meas), dtype=np.int64) if record_states else None
     pow2 = np.left_shift(1, perm) if record_states else None  # site bits of a state code
-    flips = np.zeros((C * R, n), dtype=np.int64)
-    proposals = np.zeros(C * R, dtype=np.int64)
-    exchanges = np.zeros((C, R - 1), dtype=np.int64)
-    width = R * n + R - 1
+    flips = np.zeros((C, n), dtype=np.int64)
+    proposals = np.zeros(C, dtype=np.int64)
     mi = 0
     for start in range(0, config.sweeps, BLOCK_SWEEPS):
         nb = min(BLOCK_SWEEPS, config.sweeps - start)
-        u = np.stack([g.random((nb, width)) for g in gens], axis=1)  # (sweep, chain, draw)
-        us = u[:, :, : R * n].reshape(nb, C * R, n)[:, :, perm]
-        proposed = us < 0.5
+        u = np.stack([g.random((nb, n)) for g in gens], axis=1)[:, :, perm]  # (sweep, chain, column)
+        proposed = u < 0.5
         proposals += proposed.sum(axis=(0, 2))
         # u < 1/2 min(1, e^D) with D = -2 s h  <=>  u < 1/2 and s h < -log(2u)/2
         with np.errstate(divide="ignore"):
-            threshold = np.where(proposed, -0.5 * np.log(2.0 * us), -np.inf)
-            log_ex = np.log(u[:, :, R * n :])
-        snap = np.empty((nb, C, n))  # measured target-replica states of this block
+            threshold = np.where(proposed, -0.5 * np.log(2.0 * u), -np.inf)
+        snap = np.empty((nb, C, n))  # measured states of this block
         k = 0
         for j in range(nb):
             thr = threshold[j]
@@ -223,47 +198,16 @@ def _run_chains(
                 flip = s * (kc * S[:, nbr]).sum(axis=1) < thr[:, lo:hi]
                 np.negative(s, out=s, where=flip)
                 flips[:, lo:hi] += flip
-            if R > 1:
-                energy = ((S[:, ea_pos] * S[:, eb_pos]) * k_energy).sum(axis=1).reshape(C, R)
-                for r in range(R - 1):
-                    log_ratio = (lam[r] - lam[r + 1]) * (energy[:, r + 1] - energy[:, r])
-                    hit = np.flatnonzero(log_ex[j, :, r] < log_ratio)
-                    rows = hit * R + r
-                    S[np.concatenate([rows, rows + 1])] = S[np.concatenate([rows + 1, rows])]
-                    energy[hit, r], energy[hit, r + 1] = energy[hit, r + 1], energy[hit, r]
-                    exchanges[hit, r] += 1
             sweep = start + j
             if sweep >= config.burn_in and (sweep - config.burn_in) % config.measure_stride == 0:
-                snap[k] = top
+                snap[k] = S
                 k += 1
         taken = snap[:k]
         series[:, mi : mi + k] = (taken[:, :, ta] * taken[:, :, tb]).transpose(1, 0, 2)
         if record_states:
             states[:, mi : mi + k] = ((taken < 0) * pow2).sum(axis=2).T
         mi += k
-    return (
-        series,
-        states,
-        flips.sum(axis=1).reshape(C, R),
-        proposals.reshape(C, R),
-        exchanges,
-        config.sweeps if R > 1 else 0,
-    )
-
-
-def _run_chain(
-    lattice: LatticeSpec,
-    kvec: np.ndarray,
-    config: McmcConfig,
-    track: tuple[int, ...],
-    record_states: bool = False,
-):
-    """One chain of the batched kernel on stream config.seed; returns (bond
-    series, encoded target states, flips, proposals, exchanges, exchange tries)."""
-    series, states, flips, proposals, exchanges, tries = _run_chains(
-        lattice, np.asarray(kvec, dtype=np.float64)[None, :], [config.seed], config, track, record_states
-    )
-    return series[0], None if states is None else states[0], flips[0], proposals[0], exchanges[0], tries
+    return series, states, flips.sum(axis=1), proposals
 
 
 def estimate_correlations_batch(
@@ -300,7 +244,7 @@ def estimate_correlations_batch(
     out = []
     for lo in range(0, len(seeds), CHAIN_BATCH):
         batch = seeds[lo : lo + CHAIN_BATCH]
-        series, _, flips, proposals, exchanges, tries = _run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
+        series, _, flips, proposals = _run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
         for c in range(len(batch)):
             estimates: dict = {}
             taus = []
@@ -316,8 +260,7 @@ def estimate_correlations_batch(
                 main_tau = max(taus)
                 main_ess = min(float(n_meas), n_meas / (2.0 * main_tau))
             diags = ChainDiagnostics(
-                acceptance=tuple(flips[c] / np.maximum(proposals[c], 1)),
-                exchange=tuple(exchanges[c] / tries) if tries else (),
+                acceptance=float(flips[c] / max(proposals[c], 1)),
                 autocorr_time=main_tau,
                 ess=main_ess,
                 n_measurements=n_meas,
@@ -336,9 +279,8 @@ def estimate_correlations(
 ) -> tuple[dict, ChainDiagnostics]:
     """Chain estimates of <S_b> (and the corridor average) at fixed disorder.
 
-    Returns ({bond index or "corridor_mean": Estimate}, diagnostics).  The
-    measurement replica is the top of the ladder, whose couplings are exactly
-    K; deterministic given config.seed.
+    Returns ({bond index or "corridor_mean": Estimate}, diagnostics);
+    deterministic given config.seed.
     """
     kvec = K.K if isinstance(K, CouplingField) else np.asarray(K, dtype=np.float64)
     return estimate_correlations_batch(lattice, kvec[None, :], [config.seed], bonds=bonds, corridor=corridor, config=config)[0]
@@ -387,13 +329,13 @@ def two_level_inner(
             PoorMixingWarning,
             stacklevel=_outside_package_level(),
         )
-    site_sweeps = len(chains) * lattice.n_sites * config.sweeps * config.replicas
+    site_sweeps = len(chains) * lattice.n_sites * config.sweeps
     telemetry = {
         "chains": len(chains),
         "site_sweeps": site_sweeps,
         "chain_s": chain_s,
         "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
-        "mean_acceptance": float(np.mean([diag.acceptance[-1] for _, diag in chains])),
+        "mean_acceptance": float(np.mean([diag.acceptance for _, diag in chains])),
         "min_ess": min_ess,
         "poor_mixing_warnings": int(poor),
     }

@@ -251,10 +251,17 @@ def adjacency_term(
     term = (SurfaceTermKind.ADJACENCY_TL, geometry, lattice, corridor, x, method, t_nodes, "corridor")
     if lattice.n_sites <= ENUMERATION_CAP:
         return _interpolation_term(*term, routes=routes, center_bond=_center_corridor_bond(lattice, corridor))
-    if not isinstance(method, DisorderMC) or mcmc is None:
-        raise SizeCapExceededForSweep(L, lattice.n_sites, ENUMERATION_CAP)
     if routes == "direct":
-        raise ValueError(f"L={L} is beyond the enumeration cap, where Markov chains give the integral route only")
+        raise SizeCapExceededForSweep(
+            L, lattice.n_sites, "the direct route needs exact enumeration; Markov chains give the integral route only"
+        )
+    if not isinstance(method, DisorderMC) or mcmc is None:
+        raise SizeCapExceededForSweep(
+            L,
+            lattice.n_sites,
+            "pass a DisorderMC method and an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) "
+            "to use the two-level Markov-chain estimator",
+        )
     return _interpolation_term(*term, routes="integral", mcmc=mcmc)
 
 
@@ -347,8 +354,5 @@ def scaling_sweep(
 
 
 class SizeCapExceededForSweep(ValueError):
-    def __init__(self, L: int, n_sites: int, cap: int):
-        super().__init__(
-            f"L={L} gives {n_sites} sites (cap {cap}); pass a DisorderMC method and an McmcConfig "
-            "(CLI: scaling --method mc --mcmc-sweeps N) to use the two-level Markov-chain estimator"
-        )
+    def __init__(self, L: int, n_sites: int, remedy: str):
+        super().__init__(f"L={L} gives {n_sites} sites (enumeration cap {ENUMERATION_CAP}); {remedy}")

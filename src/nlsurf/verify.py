@@ -119,12 +119,14 @@ def _bumped(params: NishimoriParams, b: int, delta: float) -> NishimoriParams:
     return NishimoriParams(x=x)
 
 
-def _fd_variants(params: NishimoriParams, b: int, h: float):
-    """Central difference when x_b - h stays nonnegative, else one-sided O(h^2).
+def _fd_variants(params: NishimoriParams, b: int):
+    """Central difference with step h = FD_STEP when x_b - h stays
+    nonnegative, else one-sided O(h^2).
 
     Returns (variants, coefficients) so that sum(coef * value(variant)) is the
     derivative estimate; variants[0] is always the unperturbed point.
     """
+    h = FD_STEP
     if params.x[b] - h >= 0.0:
         variants = [params, _bumped(params, b, +h), _bumped(params, b, -h)]
         coef = np.array([0.0, 0.5 / h, -0.5 / h])
@@ -139,11 +141,10 @@ def verify_g1(
     params: NishimoriParams,
     b: int,
     method: AveragingMethod,
-    h: float = FD_STEP,
     tol: float = DERIVATIVE_TOL,
 ) -> VerificationReport:
     """dP/dx_b (finite difference) equals x_b [<S_b + 1>], which is >= 0."""
-    variants, coef = _fd_variants(params, b, h)
+    variants, coef = _fd_variants(params, b)
     xb = float(params.x[b])
     res = quenched_joint(
         lattice, variants, method,
@@ -166,13 +167,12 @@ def verify_g2(
     b: int,
     b2: int,
     method: AveragingMethod,
-    h: float = FD_STEP,
     tol: float = DERIVATIVE_TOL,
 ) -> VerificationReport:
     """d[<S_b>]/dx_b2 equals 2 x_b2 [(<S_b S_b2> - <S_b><S_b2>)^2] >= 0."""
     if b == b2:
         raise ValueError("g2 needs two distinct bonds")
-    variants, coef = _fd_variants(params, b2, h)
+    variants, coef = _fd_variants(params, b2)
     xb2 = float(params.x[b2])
 
     def rhs_fn(v):
@@ -264,8 +264,6 @@ def run_standard_suite(
     method: AveragingMethod | None = None,
     *,
     tol: float = DEFAULT_TOL,
-    derivative_tol: float = DERIVATIVE_TOL,
-    h: float = FD_STEP,
     checks: tuple[CheckId, ...] | None = None,
 ) -> list[VerificationReport]:
     """All identity and inequality checks over the standard small-instance suite.
@@ -296,10 +294,10 @@ def run_standard_suite(
                 if CheckId.MQ in wanted:
                     reports.append(verify_mq(lattice, params, b, mth(lattice, x), tol))
                 if CheckId.G1 in wanted:
-                    reports.append(verify_g1(lattice, params, b, mth(lattice, x, True), h, derivative_tol))
+                    reports.append(verify_g1(lattice, params, b, mth(lattice, x, True)))
             for b, b2 in pairs:
                 if CheckId.G2 in wanted:
-                    reports.append(verify_g2(lattice, params, b, b2, mth(lattice, x, True), h, derivative_tol))
+                    reports.append(verify_g2(lattice, params, b, b2, mth(lattice, x, True)))
                 if wanted & {CheckId.IDSET_A, CheckId.IDSET_B, CheckId.IDSET_C}:
                     reports.extend(verify_idset(lattice, params, b, b2, mth(lattice, x), tol))
     return reports

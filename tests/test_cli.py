@@ -96,21 +96,28 @@ def test_verify_cli_quadrature_suite(tmp_path):
     assert data["passed"] is True and data["n_failed"] == 0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run(["pressure", "--dim", "2", "--side", "4", "--bc", "free", "--x", "0.5", "--method", "quadrature"]) == EXIT_INFEASIBLE
     assert run(["pressure", "--dim", "3", "--side", "3", "--bc", "periodic", "--x", "0.5", "--method", "mc", "--samples", "10"]) == EXIT_INFEASIBLE
     # scaling beyond the cap without a chain config is an infeasible size too
     assert run(["scaling", "--dim", "2", "--L-list", "4", "--x", "0.5", "--method", "mc", "--samples", "10"]) == EXIT_INFEASIBLE
     assert run(["pressure", "--dim", "2", "--side", "3", "--bc", "free", "--x", "0.5", "--bogus"]) == EXIT_USAGE
     assert run(["no-such-command"]) == EXIT_USAGE
+    # --format belongs to scaling, the one command with a CSV table
+    assert run(["adjacency", "--dim", "1", "--L", "2", "--x", "0.8", "--format", "csv"]) == EXIT_USAGE
+    # beyond the cap the direct route is infeasible whatever the chain settings
+    capsys.readouterr()
+    assert run(["adjacency", "--dim", "2", "--L", "4", "--x", "0.5", "--routes", "direct"]) == EXIT_INFEASIBLE
+    assert "--mcmc-sweeps" not in capsys.readouterr().err
 
 
-def test_scaling_csv(tmp_path):
+def test_scaling_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
-    status = run(
-        ["scaling", "--dim", "1", "--L-list", "2,4", "--x", "0", "--method", "quadrature", "--t-nodes", "4", "--format", "csv", "--out", str(out)]
-    )
-    assert status == EXIT_OK
+    argv = ["scaling", "--dim", "1", "--L-list", "2,4", "--x", "0", "--method", "quadrature", "--t-nodes", "4", "--format", "csv"]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()  # without --out the CSV goes to stdout
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "L,term,value,stderr,per_unit_surface,per_unit_stderr"
     assert len(lines) == 3
