@@ -49,8 +49,8 @@ class SizeCapExceeded(ValueError):
         self.n_sites = n_sites
         self.cap = cap
         super().__init__(
-            f"{n_sites} sites exceed the enumeration cap of {cap}; "
-            "use the Markov-chain estimator (nlsurf.mcmc) for larger systems"
+            f"{n_sites} sites exceed the enumeration cap of {cap}; exact enumeration needs {cap} sites or fewer, "
+            "and only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
         )
 
 

@@ -6,6 +6,10 @@ counter-based stream, quadrature walks a tensor grid of Hermite nodes with
 product weights.  The coupling mean x_b is added on top per parameter variant,
 so several nearby parameter sets (interpolation nodes, finite-difference
 bumps) share the same core - common random numbers by construction.
+
+`quenched_joint_many` runs many such joint averages at once: jobs whose cores
+coincide share one pass over them, and each distinct variant is enumerated
+once per chunk.  `quenched_joint` is its one-job case.
 """
 
 from __future__ import annotations
@@ -205,13 +209,125 @@ class Moments:
 
 @dataclass
 class VariantChunk:
-    """Fixed-disorder values for one parameter variant over one chunk; j is
-    the (rows, bonds) array of couplings."""
+    """Fixed-disorder values for one parameter variant over one chunk.
+
+    The couplings j = x + core, a (rows, bonds) array, are formed on access,
+    so a pass holds one core per chunk rather than one coupling array per
+    variant.
+    """
 
     log_z: np.ndarray | None
     bond: dict
     pair: dict
-    j: np.ndarray
+    x: np.ndarray
+    core: np.ndarray
+
+    @property
+    def j(self) -> np.ndarray:
+        return self.x[None, :] + self.core
+
+
+@dataclass(frozen=True)
+class JointJob:
+    """The arguments of one `quenched_joint` call, for `quenched_joint_many`."""
+
+    lattice: LatticeSpec
+    variants: Sequence[NishimoriParams]
+    method: AveragingMethod
+    functionals: Mapping[str, Callable[[list[VariantChunk]], np.ndarray]]
+    bonds: tuple[int, ...] = ()
+    pairs: tuple[tuple[int, int], ...] = ()
+    need_log_z: bool = False
+
+
+def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(key, active, x_ref) of a job: jobs with equal keys get equal cores.
+
+    Monte Carlo cores depend on the lattice and the method (its seed) only.
+    Quadrature cores also depend on which bonds are active and on each
+    active bond's node scale, not on x itself.
+    """
+    lattice = job.lattice
+    if lattice.n_sites > ENUMERATION_CAP:
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
+    for v in job.variants:
+        if v.n_bonds != lattice.n_bonds:
+            raise ValueError("variant bond count does not match the lattice")
+    active = np.zeros(lattice.n_bonds, dtype=bool)
+    x_ref = np.zeros(lattice.n_bonds)
+    for v in job.variants:
+        active |= v.x > 0
+        x_ref = np.maximum(x_ref, v.x)
+    key: tuple = (lattice.cache_key(), job.method)
+    if isinstance(job.method, Quadrature):
+        key += (active.tobytes(), tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active)))
+    return key, active, x_ref
+
+
+def quenched_joint_many(jobs: Sequence[JointJob]) -> list[dict[str, Estimate]]:
+    """Run several `quenched_joint` calls with one disorder pass per grid.
+
+    Jobs whose disorder cores coincide (see `_grid`) share one
+    `disorder_cores` stream, and a parameter variant common to several of
+    them (equal x bytes) is enumerated once per chunk, for the union of the
+    bonds, pairs and log Z its jobs ask for.  Each job keeps its own Moments,
+    and a batch_gibbs row does not depend on what else is requested, so every
+    result equals the job's lone `quenched_joint` result bit for bit.
+    """
+    groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    for i, job in enumerate(jobs):
+        key, active, x_ref = _grid(job)
+        groups.setdefault(key, ([], active, x_ref))[0].append(i)
+    results: list[dict[str, Estimate]] = [{} for _ in jobs]
+    for members, active, x_ref in groups.values():
+        for i, res in zip(members, _joint_pass([jobs[i] for i in members], active, x_ref)):
+            results[i] = res
+    return results
+
+
+def _joint_pass(jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray) -> list[dict[str, Estimate]]:
+    """One disorder pass for jobs that share their grid.
+
+    Within a chunk the jobs run sorted by their variants, so jobs that share
+    variants run back to back, and a variant's chunk is released once the
+    last job using it has read it.  The order cannot change a result: each
+    job's Moments sees its own rows in chunk order.
+    """
+    lattice, method = jobs[0].lattice, jobs[0].method
+    precise = isinstance(method, Quadrature)
+    # each variant once, by x bytes: (x, bonds, pairs, need_log_z), the union of its jobs' requests
+    requests: dict[bytes, tuple] = {}
+    uses = [[v.x.tobytes() for v in job.variants] for job in jobs]
+    for job, used in zip(jobs, uses):
+        for v, vk in zip(job.variants, used):
+            _, bs, ps, lz = requests.get(vk, (v.x, (), (), False))
+            requests[vk] = (v.x, tuple(sorted({*bs, *job.bonds})), tuple(sorted({*ps, *job.pairs})), lz or job.need_log_z)
+    users = {vk: sum(vk in used for used in uses) for vk in requests}
+    order = sorted(range(len(jobs)), key=lambda k: uses[k])
+    moments = [Moments() for _ in jobs]
+
+    for core, weights in disorder_cores(lattice, method, active, x_ref):
+        left = dict(users)
+        chunk: dict[bytes, VariantChunk] = {}
+        for k in order:
+            for vk in uses[k]:
+                if vk not in chunk:
+                    chunk[vk] = _variant_chunk(lattice, core, *requests[vk], precise)
+            vals = [chunk[vk] for vk in uses[k]]
+            moments[k].add([f(vals) for f in jobs[k].functionals.values()], weights)
+            for vk in set(uses[k]):
+                left[vk] -= 1
+                if not left[vk]:
+                    del chunk[vk]
+    return [dict(zip(job.functionals, mom.estimates())) for job, mom in zip(jobs, moments)]
+
+
+def _variant_chunk(
+    lattice: LatticeSpec, core: np.ndarray, x: np.ndarray, bonds: tuple, pairs: tuple, need_log_z: bool, precise: bool
+) -> VariantChunk:
+    K = x[None, :] * (x[None, :] + core)
+    bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
+    return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, x=x, core=core)
 
 
 def quenched_joint(
@@ -227,31 +343,10 @@ def quenched_joint(
     """Average per-sample functionals of several parameter variants jointly.
 
     All variants are evaluated on the same disorder cores, and all requested
-    functionals are accumulated in a single pass of one Moments accumulator.
+    functionals are accumulated in a single pass.  The one-job case of
+    `quenched_joint_many`.
     """
-    if lattice.n_sites > ENUMERATION_CAP:
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
-    for v in variants:
-        if v.n_bonds != lattice.n_bonds:
-            raise ValueError("variant bond count does not match the lattice")
-    active = np.zeros(lattice.n_bonds, dtype=bool)
-    x_ref = np.zeros(lattice.n_bonds)
-    for v in variants:
-        active |= v.x > 0
-        x_ref = np.maximum(x_ref, v.x)
-    precise = isinstance(method, Quadrature)
-
-    names = list(functionals)
-    moments = Moments()
-    for core, weights in disorder_cores(lattice, method, active, x_ref):
-        chunk_vals: list[VariantChunk] = []
-        for v in variants:
-            j = v.x[None, :] + core
-            K = v.x[None, :] * j
-            bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
-            chunk_vals.append(VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, j=j))
-        moments.add([functionals[name](chunk_vals) for name in names], weights)
-    return dict(zip(names, moments.estimates()))
+    return quenched_joint_many([JointJob(lattice, variants, method, functionals, bonds, pairs, need_log_z)])[0]
 
 
 def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod) -> Estimate:

@@ -1,9 +1,11 @@
 """Executable checks of the gauge identities and correlation inequalities.
 
-Each check evaluates its left and right sides on shared disorder (one pass,
-common random numbers) and reports the discrepancy against a tolerance:
-an absolute one under deterministic quadrature, three combined standard
-errors under disorder Monte Carlo.
+Each check evaluates its left and right sides on shared disorder (common
+random numbers) and reports the discrepancy against a tolerance: an absolute
+one under deterministic quadrature, three combined standard errors under
+disorder Monte Carlo.  A check is a `JointJob` plus a finisher; checks run
+together make one disorder pass per grid (`quenched.quenched_joint_many`),
+and each gets the bytes its one-check `verify_*` call gives.
 
 Derivatives with respect to x_b are total: the bump moves the Gaussian mean
 and the coupling strength together, i.e. it stays inside the one-parameter
@@ -15,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .lattice import Boundary, LatticeSpec, build_lattice
 from .model import NishimoriParams, uniform_params
-from .quenched import AveragingMethod, DisorderMC, Estimate, Quadrature, combined_std_error, quenched_joint
+from .quenched import AveragingMethod, DisorderMC, Estimate, JointJob, Quadrature, combined_std_error, quenched_joint_many
 
 DEFAULT_TOL = 1e-7
 DERIVATIVE_TOL = 1e-5
@@ -91,26 +94,45 @@ def _finish(check_id, lattice, params, bonds, lhs, rhs, method, tol, extra_ok=Tr
     )
 
 
+# A check is a (JointJob, finisher) pair: the job says what to average over
+# disorder, the finisher turns the job's estimates into reports.
+_Check = tuple[JointJob, Callable[[dict[str, Estimate]], list[VerificationReport]]]
+
+
+def _run(checks: list[_Check]) -> list[VerificationReport]:
+    """Evaluate the checks' jobs together, one disorder pass per grid, and
+    finish the reports in check order."""
+    results = quenched_joint_many([job for job, _ in checks])
+    return [r for (_, finish), res in zip(checks, results) for r in finish(res)]
+
+
+def _le(lattice, params, b, method, tol) -> _Check:
+    job = JointJob(lattice, [params], method, {"lhs": lambda v: v[0].j[:, b] * v[0].bond[b]}, bonds=(b,))
+
+    def finish(res):
+        rhs = Estimate(value=float(params.x[b]), std_error=0.0)
+        return [_finish(CheckId.LE, lattice, params, (b,), res["lhs"], rhs, method, tol)]
+
+    return job, finish
+
+
 def verify_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
     """[<j_b S_b>] equals x_b."""
-    res = quenched_joint(
-        lattice, [params], method,
-        {"lhs": lambda v: v[0].j[:, b] * v[0].bond[b]},
-        bonds=(b,),
-    )
-    lhs = res["lhs"]
-    rhs = Estimate(value=float(params.x[b]), std_error=0.0)
-    return _finish(CheckId.LE, lattice, params, (b,), lhs, rhs, method, tol)
+    return _run([_le(lattice, params, b, method, tol)])[0]
 
 
-def verify_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """[<S_b>] equals [<S_b>^2]."""
-    res = quenched_joint(
+def _mq(lattice, params, b, method, tol) -> _Check:
+    job = JointJob(
         lattice, [params], method,
         {"lhs": lambda v: v[0].bond[b], "rhs": lambda v: v[0].bond[b] ** 2},
         bonds=(b,),
     )
-    return _finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)
+    return job, lambda res: [_finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)]
+
+
+def verify_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """[<S_b>] equals [<S_b>^2]."""
+    return _run([_mq(lattice, params, b, method, tol)])[0]
 
 
 def _bumped(params: NishimoriParams, b: int, delta: float) -> NishimoriParams:
@@ -136,6 +158,28 @@ def _fd_variants(params: NishimoriParams, b: int):
     return variants, coef
 
 
+def _g1(lattice, params, b, method, tol) -> _Check:
+    variants, coef = _fd_variants(params, b)
+    xb = float(params.x[b])
+    job = JointJob(
+        lattice, variants, method,
+        {
+            "lhs": lambda v: sum(c * vc.log_z for c, vc in zip(coef, v)),
+            "rhs": lambda v: xb * (1.0 + v[0].bond[b]),
+        },
+        bonds=(b,), need_log_z=True,
+    )
+
+    def finish(res):
+        lhs, rhs = res["lhs"], res["rhs"]
+        slack = tol if isinstance(method, Quadrature) else 3.0 * rhs.std_error
+        ok = rhs.value >= -slack
+        note = "" if ok else f"analytic side negative: {rhs.value:.3e}"
+        return [_finish(CheckId.G1, lattice, params, (b,), lhs, rhs, method, tol, extra_ok=ok, note=note)]
+
+    return job, finish
+
+
 def verify_g1(
     lattice: LatticeSpec,
     params: NishimoriParams,
@@ -144,21 +188,34 @@ def verify_g1(
     tol: float = DERIVATIVE_TOL,
 ) -> VerificationReport:
     """dP/dx_b (finite difference) equals x_b [<S_b + 1>], which is >= 0."""
-    variants, coef = _fd_variants(params, b)
-    xb = float(params.x[b])
-    res = quenched_joint(
+    return _run([_g1(lattice, params, b, method, tol)])[0]
+
+
+def _g2(lattice, params, b, b2, method, tol) -> _Check:
+    if b == b2:
+        raise ValueError("g2 needs two distinct bonds")
+    variants, coef = _fd_variants(params, b2)
+    xb2 = float(params.x[b2])
+
+    def rhs_fn(v):
+        conn = v[0].pair[(b, b2)] - v[0].bond[b] * v[0].bond[b2]
+        return 2.0 * xb2 * conn**2
+
+    job = JointJob(
         lattice, variants, method,
         {
-            "lhs": lambda v: sum(c * vc.log_z for c, vc in zip(coef, v)),
-            "rhs": lambda v: xb * (1.0 + v[0].bond[b]),
+            "lhs": lambda v: sum(c * vc.bond[b] for c, vc in zip(coef, v)),
+            "rhs": rhs_fn,
         },
-        bonds=(b,), need_log_z=True,
+        bonds=(b, b2), pairs=((b, b2),),
     )
-    lhs, rhs = res["lhs"], res["rhs"]
-    slack = tol if isinstance(method, Quadrature) else 3.0 * rhs.std_error
-    ok = rhs.value >= -slack
-    note = "" if ok else f"analytic side negative: {rhs.value:.3e}"
-    return _finish(CheckId.G1, lattice, params, (b,), lhs, rhs, method, tol, extra_ok=ok, note=note)
+
+    def finish(res):
+        lhs, rhs = res["lhs"], res["rhs"]
+        ok = rhs.value >= 0.0  # an average of squares
+        return [_finish(CheckId.G2, lattice, params, (b, b2), lhs, rhs, method, tol, extra_ok=ok)]
+
+    return job, finish
 
 
 def verify_g2(
@@ -170,26 +227,37 @@ def verify_g2(
     tol: float = DERIVATIVE_TOL,
 ) -> VerificationReport:
     """d[<S_b>]/dx_b2 equals 2 x_b2 [(<S_b S_b2> - <S_b><S_b2>)^2] >= 0."""
+    return _run([_g2(lattice, params, b, b2, method, tol)])[0]
+
+
+def _idset(lattice, params, b, b2, method, tol) -> _Check:
     if b == b2:
-        raise ValueError("g2 needs two distinct bonds")
-    variants, coef = _fd_variants(params, b2)
-    xb2 = float(params.x[b2])
-
-    def rhs_fn(v):
-        conn = v[0].pair[(b, b2)] - v[0].bond[b] * v[0].bond[b2]
-        return 2.0 * xb2 * conn**2
-
-    res = quenched_joint(
-        lattice, variants, method,
+        raise ValueError("idset needs two distinct bonds")
+    p = (b, b2)
+    job = JointJob(
+        lattice, [params], method,
         {
-            "lhs": lambda v: sum(c * vc.bond[b] for c, vc in zip(coef, v)),
-            "rhs": rhs_fn,
+            "a_l": lambda v: v[0].pair[p],
+            "a_r": lambda v: v[0].pair[p] ** 2,
+            "b_l": lambda v: v[0].bond[b] * v[0].bond[b2],
+            "b_r1": lambda v: v[0].pair[p] * v[0].bond[b2],
+            "b_r2": lambda v: v[0].bond[b] * v[0].bond[b2] * v[0].pair[p],
+            "c_l": lambda v: v[0].bond[b] * v[0].bond[b2] ** 2,
+            "c_r": lambda v: v[0].bond[b] ** 2 * v[0].bond[b2] ** 2,
         },
-        bonds=(b, b2), pairs=((b, b2),),
+        bonds=(b, b2), pairs=(p,),
     )
-    lhs, rhs = res["lhs"], res["rhs"]
-    ok = rhs.value >= 0.0  # an average of squares
-    return _finish(CheckId.G2, lattice, params, (b, b2), lhs, rhs, method, tol, extra_ok=ok)
+
+    def finish(res):
+        return [
+            _finish(CheckId.IDSET_A, lattice, params, p, res["a_l"], res["a_r"], method, tol),
+            _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r1"], method, tol),
+            _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r2"], method, tol),
+            _finish(CheckId.IDSET_B, lattice, params, p, res["b_r1"], res["b_r2"], method, tol),
+            _finish(CheckId.IDSET_C, lattice, params, p, res["c_l"], res["c_r"], method, tol),
+        ]
+
+    return job, finish
 
 
 def verify_idset(
@@ -207,29 +275,7 @@ def verify_idset(
              (all three pairwise equalities of the chain are reported)
     IDSET_C: [<S_b><S_b2>^2] = [<S_b>^2<S_b2>^2]
     """
-    if b == b2:
-        raise ValueError("idset needs two distinct bonds")
-    p = (b, b2)
-    res = quenched_joint(
-        lattice, [params], method,
-        {
-            "a_l": lambda v: v[0].pair[p],
-            "a_r": lambda v: v[0].pair[p] ** 2,
-            "b_l": lambda v: v[0].bond[b] * v[0].bond[b2],
-            "b_r1": lambda v: v[0].pair[p] * v[0].bond[b2],
-            "b_r2": lambda v: v[0].bond[b] * v[0].bond[b2] * v[0].pair[p],
-            "c_l": lambda v: v[0].bond[b] * v[0].bond[b2] ** 2,
-            "c_r": lambda v: v[0].bond[b] ** 2 * v[0].bond[b2] ** 2,
-        },
-        bonds=(b, b2), pairs=(p,),
-    )
-    return [
-        _finish(CheckId.IDSET_A, lattice, params, p, res["a_l"], res["a_r"], method, tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r1"], method, tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_l"], res["b_r2"], method, tol),
-        _finish(CheckId.IDSET_B, lattice, params, p, res["b_r1"], res["b_r2"], method, tol),
-        _finish(CheckId.IDSET_C, lattice, params, p, res["c_l"], res["c_r"], method, tol),
-    ]
+    return _run([_idset(lattice, params, b, b2, method, tol)])
 
 
 STANDARD_X_VALUES = (0.3, 0.7, 1.2)
@@ -271,9 +317,13 @@ def run_standard_suite(
     With method=None each check gets an instance-sized quadrature.  Under
     DisorderMC the per-check seed is derived from the method seed and the
     check position, so the whole suite is reproducible from one seed.
+
+    All checks go to one `quenched_joint_many` call: with method=None the 81
+    checks share 14 quadrature grids, one disorder pass each, while under
+    DisorderMC every check has its own seed and so its own pass.
     """
     wanted = set(checks) if checks is not None else set(CheckId)
-    reports: list[VerificationReport] = []
+    pending: list[_Check] = []
     counter = 0
 
     def mth(lattice: LatticeSpec, x: float, derivative: bool = False):
@@ -290,17 +340,17 @@ def run_standard_suite(
             params = uniform_params(lattice, x)
             for b in bonds:
                 if CheckId.LE in wanted:
-                    reports.append(verify_le(lattice, params, b, mth(lattice, x), tol))
+                    pending.append(_le(lattice, params, b, mth(lattice, x), tol))
                 if CheckId.MQ in wanted:
-                    reports.append(verify_mq(lattice, params, b, mth(lattice, x), tol))
+                    pending.append(_mq(lattice, params, b, mth(lattice, x), tol))
                 if CheckId.G1 in wanted:
-                    reports.append(verify_g1(lattice, params, b, mth(lattice, x, True)))
+                    pending.append(_g1(lattice, params, b, mth(lattice, x, True), DERIVATIVE_TOL))
             for b, b2 in pairs:
                 if CheckId.G2 in wanted:
-                    reports.append(verify_g2(lattice, params, b, b2, mth(lattice, x, True)))
+                    pending.append(_g2(lattice, params, b, b2, mth(lattice, x, True), DERIVATIVE_TOL))
                 if wanted & {CheckId.IDSET_A, CheckId.IDSET_B, CheckId.IDSET_C}:
-                    reports.extend(verify_idset(lattice, params, b, b2, mth(lattice, x), tol))
-    return reports
+                    pending.append(_idset(lattice, params, b, b2, mth(lattice, x), tol))
+    return _run(pending)
 
 
 def suite_report(reports: list[VerificationReport]) -> dict:

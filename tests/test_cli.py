@@ -111,6 +111,18 @@ def test_exit_codes(tmp_path, capsys):
     assert "--mcmc-sweeps" not in capsys.readouterr().err
 
 
+def test_size_cap_advice_names_a_reachable_path(capsys):
+    # commands without a chain path must not point at the Markov-chain module
+    for argv in (
+        "pressure --dim 2 --side 5 --bc free --x 0.5 --method mc --samples 2",
+        "torus-diff --dim 2 --L 5 --x 0.5 --method mc --samples 2 --t-nodes 2",
+    ):
+        capsys.readouterr()
+        assert run(argv.split()) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "nlsurf.mcmc" not in err and "exact enumeration" in err and "--mcmc-sweeps" in err
+
+
 def test_scaling_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     argv = ["scaling", "--dim", "1", "--L-list", "2,4", "--x", "0", "--method", "quadrature", "--t-nodes", "4", "--format", "csv"]

@@ -7,7 +7,9 @@ import pytest
 
 from nlsurf.exact import corridor_average, effective_couplings
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
+from nlsurf import quenched
 from nlsurf.model import (
+    NishimoriParams,
     interpolated_params,
     interpolation_schedule,
     sample_disorder,
@@ -16,10 +18,13 @@ from nlsurf.model import (
 from nlsurf.quenched import (
     DisorderMC,
     GridTooLarge,
+    JointJob,
     Moments,
     Quadrature,
     combined_std_error,
     quenched_correlation,
+    quenched_joint,
+    quenched_joint_many,
     quenched_pressure,
     t_integrand,
 )
@@ -210,3 +215,79 @@ def test_crn_smoothness_in_t():
         a = t_integrand(lat, sched, float(t), real)
         b = t_integrand(lat, sched, float(t) + 1e-4, real)
         assert abs(b - a) <= 1e-2
+
+
+def _count_passes(monkeypatch, first_chunk_only=False):
+    """Record every disorder_cores call; optionally cut each pass to one chunk."""
+    calls = []
+    real = quenched.disorder_cores
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        for n, item in enumerate(real(*args, **kwargs)):
+            if first_chunk_only and n:
+                return
+            yield item
+
+    monkeypatch.setattr(quenched, "disorder_cores", counting)
+    return calls
+
+
+def _jobs(lat, xs, method=Quadrature(6)):
+    """Two jobs with different requests: the first asks for bond moments of
+    variant xs[0], the second for log Z and a pair of variants xs[1], xs[2]."""
+    p = [NishimoriParams(x=np.asarray(x, dtype=float)) for x in xs]
+    return [
+        JointJob(lat, [p[0]], method, {"s": lambda v: v[0].bond[0], "js": lambda v: v[0].j[:, 0] * v[0].bond[0]}, bonds=(0,)),
+        JointJob(
+            lat, [p[1], p[2]], method,
+            {"dz": lambda v: v[0].log_z - v[1].log_z, "pp": lambda v: v[1].pair[(0, 2)] * v[0].bond[2]},
+            bonds=(2,), pairs=((0, 2),), need_log_z=True,
+        ),
+    ]
+
+
+X3, X12 = [0.3] * 4, [1.2] * 4
+
+
+@pytest.mark.parametrize(
+    "xs, passes",
+    [
+        ([X12, [1.2001] + X12[1:], X12], 2),  # the bump moves bond 0's node scale
+        ([X3, [0.3001] + X3[1:], X3], 1),  # node scale 1 either way: one grid, X3 enumerated once
+        ([X3, X3[:3] + [0.0], X3[:3] + [0.0]], 2),  # a zero-x bond is inactive: another grid
+    ],
+)
+def test_joint_many_one_pass_per_grid(monkeypatch, xs, passes):
+    lat = build_lattice(2, 2, Boundary.FREE)
+    jobs = _jobs(lat, xs)
+    lone = [
+        quenched_joint(j.lattice, j.variants, j.method, j.functionals, bonds=j.bonds, pairs=j.pairs, need_log_z=j.need_log_z)
+        for j in jobs
+    ]
+    calls = _count_passes(monkeypatch)
+    assert quenched_joint_many(jobs) == lone  # Estimate fields compared with ==, bit for bit
+    assert len(calls) == passes
+
+
+def test_joint_many_mc_groups_by_seed(monkeypatch):
+    lat = build_lattice(2, 2, Boundary.FREE)
+    xs = [X3, [0.3001] + X3[1:], X3]
+    jobs = _jobs(lat, xs, DisorderMC(300, seed=4)) + _jobs(lat, xs, DisorderMC(300, seed=5))
+    lone = [
+        quenched_joint(j.lattice, j.variants, j.method, j.functionals, bonds=j.bonds, pairs=j.pairs, need_log_z=j.need_log_z)
+        for j in jobs
+    ]
+    calls = _count_passes(monkeypatch)
+    assert quenched_joint_many(jobs) == lone
+    assert len(calls) == 2
+
+
+def test_standard_suite_passes(monkeypatch):
+    # 81 one-check jobs share 14 grids; cutting each pass to its first chunk
+    # keeps the count and makes the test cheap
+    from nlsurf.verify import run_standard_suite
+
+    calls = _count_passes(monkeypatch, first_chunk_only=True)
+    assert len(run_standard_suite()) == 117
+    assert len(calls) == 14

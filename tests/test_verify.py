@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from nlsurf import rng
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.model import NishimoriParams, uniform_params
 from nlsurf.quenched import DisorderMC, Quadrature, quenched_correlation
 from nlsurf.verify import (
+    STANDARD_X_VALUES,
     CheckId,
     run_standard_suite,
+    standard_instances,
     suite_report,
     verify_g1,
     verify_g2,
@@ -117,3 +120,40 @@ def test_mc_mode_derivative_checks():
     reports = run_standard_suite(DisorderMC(4000, seed=77), checks=(CheckId.G1, CheckId.G2))
     failed = sum(not r.passed for r in reports)
     assert failed <= max(1, int(0.05 * len(reports)))
+
+
+def _one_check_suite(method_at):
+    """The standard suite as one-check calls; method_at(k) is check k's method."""
+    reports, k = [], 0
+    for _, lattice, bonds, pairs in standard_instances():
+        for x in STANDARD_X_VALUES:
+            params = uniform_params(lattice, x)
+            for b in bonds:
+                for check in (verify_le, verify_mq, verify_g1):
+                    k += 1
+                    reports.append(check(lattice, params, b, method_at(k)))
+            for b, b2 in pairs:
+                k += 1
+                reports.append(verify_g2(lattice, params, b, b2, method_at(k)))
+                k += 1
+                reports.extend(verify_idset(lattice, params, b, b2, method_at(k)))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "method, method_at",
+    [
+        (Quadrature(6), lambda k: Quadrature(6)),
+        (DisorderMC(300, seed=5), lambda k: DisorderMC(300, seed=rng.derive_seed(5, k))),
+    ],
+)
+def test_fused_suite_matches_one_check_calls(method, method_at):
+    fused = run_standard_suite(method)
+    lone = _one_check_suite(method_at)
+    assert len(fused) == len(lone) == 117
+    for f, o in zip(fused, lone):
+        assert (f.check_id, f.bonds, f.instance) == (o.check_id, o.bonds, o.instance)
+        # exact equality: the fused pass must reproduce every bit
+        assert f.lhs.value == o.lhs.value and f.rhs.value == o.rhs.value
+        assert f.lhs.std_error == o.lhs.std_error and f.rhs.std_error == o.rhs.std_error
+        assert f.discrepancy == o.discrepancy
