@@ -16,6 +16,10 @@ Two paths share the bond-spin conventions:
   the class without site 0) on lattices of 10 or more sites: one sublattice
   on bipartite lattices, one of three classes on odd rings, whose bonds
   between enumerated sites add K_b s s' to each configuration's energy.
+  Site a only ever sees the few sign patterns of its neighbours, so ln 2cosh
+  and tanh run once per pattern (64 fields on the 4x4 box, not 8 x 128);
+  the energies are one product with the pattern indicator, and a bond with
+  an analytic end is reduced over the pattern marginals of its own site.
   Below 10 sites A is empty and every site is enumerated, which keeps
   float32 connected correlations of tiny lattices at 0 where they vanish.
 
@@ -100,14 +104,7 @@ def gibbs_report(
 ) -> GibbsReport:
     """log Z and requested correlations from one sweep over all configurations."""
     _check_lattice_K(lattice, K)
-    for b in bonds:
-        if not 0 <= b < lattice.n_bonds:
-            raise ValueError(f"bond index {b} out of range")
-    for b1, b2 in pairs:
-        if b1 == b2:
-            raise ValueError("pair correlation needs two distinct bonds")
-        if not (0 <= b1 < lattice.n_bonds and 0 <= b2 < lattice.n_bonds):
-            raise ValueError(f"pair ({b1}, {b2}) out of range")
+    _check_queries(lattice, bonds, pairs)
 
     ea, eb = bond_endpoints(lattice)
     kvec = K.K
@@ -192,20 +189,25 @@ def _analytic_sites(lattice: LatticeSpec) -> tuple[int, ...]:
 
 
 def _engine_tables(lattice: LatticeSpec, dtype):
-    """Spin tables of the batch engine, cached per lattice and dtype.
+    """Spin and pattern tables of the batch engine, cached per lattice and dtype.
 
     The enumerated sites take the configurations of `n_cfg` bits, the first
-    of them fixed up.  W (bonds, n_cfg x |A|) maps couplings to the local
-    field h_a of every analytic site in every configuration.  sign (bonds,
-    n_cfg) is the product of a bond's enumerated end spins, and apos the
-    position in A of its analytic end, -1 if both ends are enumerated.
+    of them fixed up.  sign (bonds, n_cfg) is the product of a bond's
+    enumerated end spins, and apos the position in A of its analytic end, -1
+    if both ends are enumerated.  Each analytic site a owns one block of
+    patterns, the distinct rows of its neighbours' enumerated spins, at
+    columns start[a]:start[a + 1].  S_pat (bonds, P) holds each bond's
+    enumerated end spin in every pattern of its analytic end, so K @ S_pat is
+    the local field of every pattern; M (P, n_cfg) is the 0/1 indicator of
+    the pattern each site shows in each configuration, and col (|A|, n_cfg)
+    the column of that pattern.
     """
     key = (lattice.cache_key(), dtype)
     if key in _table_cache:
         return _table_cache[key]
     analytic = _analytic_sites(lattice)
     enum = tuple(s for s in range(lattice.n_sites) if s not in analytic)
-    n_enum, n_analytic = len(enum), len(analytic)
+    n_enum = len(enum)
     n_cfg = 1 << (n_enum - 1)
     enum_pos = {s: i for i, s in enumerate(enum)}
     analytic_pos = {s: i for i, s in enumerate(analytic)}
@@ -216,20 +218,44 @@ def _engine_tables(lattice: LatticeSpec, dtype):
     for i in range(1, n_enum):
         s_enum[:, i] = 1.0 - 2.0 * ((cfg >> (i - 1)) & 1).astype(dtype)
 
-    W = np.zeros((lattice.n_bonds, n_cfg * n_analytic), dtype=dtype)
     sign = np.empty((lattice.n_bonds, n_cfg), dtype=dtype)
     apos = np.full(lattice.n_bonds, -1, dtype=np.int64)
+    own: list[list[int]] = [[] for _ in analytic]  # the bonds of each analytic site
     for b in lattice.bonds:
         a, e = (b.site_b, b.site_a) if b.site_b in analytic_pos else (b.site_a, b.site_b)
         if a in analytic_pos:
             apos[b.index] = analytic_pos[a]
             sign[b.index] = s_enum[:, enum_pos[e]]
-            W[b.index, analytic_pos[a] :: n_analytic] = s_enum[:, enum_pos[e]]
+            own[analytic_pos[a]].append(b.index)
         else:
             sign[b.index] = s_enum[:, enum_pos[a]] * s_enum[:, enum_pos[e]]
-    tables = (W, sign, apos, n_cfg, n_analytic)
+
+    start = [0]
+    blocks, col = [], np.empty((len(analytic), n_cfg), dtype=np.int64)
+    for i, bs in enumerate(own):
+        patterns, which = np.unique(sign[bs].T, axis=0, return_inverse=True)
+        blocks.append((bs, patterns.T))
+        col[i] = start[-1] + which.reshape(-1)
+        start.append(start[-1] + len(patterns))
+    S_pat = np.zeros((lattice.n_bonds, start[-1]), dtype=dtype)
+    for (bs, block), lo, hi in zip(blocks, start, start[1:]):
+        S_pat[bs, lo:hi] = block
+    M = np.zeros((start[-1], n_cfg), dtype=dtype)
+    M[col, cfg] = 1.0
+    tables = (sign, apos, S_pat, M, col, start)
     _table_cache[key] = tables
     return tables
+
+
+def _check_queries(lattice: LatticeSpec, bonds, pairs):
+    for b in bonds:
+        if not 0 <= b < lattice.n_bonds:
+            raise ValueError(f"bond index {b} out of range")
+    for b1, b2 in pairs:
+        if b1 == b2:
+            raise ValueError("pair correlation needs two distinct bonds")
+        if not (0 <= b1 < lattice.n_bonds and 0 <= b2 < lattice.n_bonds):
+            raise ValueError(f"pair ({b1}, {b2}) out of range")
 
 
 def batch_gibbs(
@@ -246,30 +272,40 @@ def batch_gibbs(
     precise=True computes in float64 (quadrature grids), otherwise in float32
     (disorder Monte Carlo).  Which sites are summed analytically depends only
     on the lattice, never on the environment, so results are reproducible.
+
+    With analytic sites, ln 2cosh and tanh are evaluated once per pattern
+    field Hp = K @ S_pat, and the configuration energies are one product
+    ln 2cosh(Hp) @ M.  A bond with an analytic end a is reduced over a's own
+    pattern slice of the pattern marginals Q = P @ M.T, so a row of any
+    result does not depend on what else is requested.
     """
     if lattice.n_sites > ENUMERATION_CAP:
         raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
     K_batch = np.asarray(K_batch, dtype=np.float64)
     if K_batch.ndim != 2 or K_batch.shape[1] != lattice.n_bonds:
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
+    _check_queries(lattice, bonds, pairs)
     dtype = np.float64 if precise else np.float32
-    W, sign, apos, n_cfg, n_analytic = _engine_tables(lattice, dtype)
+    sign, apos, S_pat, M, col, start = _engine_tables(lattice, dtype)
+    n_pat, n_cfg = M.shape
     inner = apos < 0  # bonds between two enumerated sites
+    need_q = any(apos[b] >= 0 for b in bonds)
     G = K_batch.shape[0]
     out_log_z = np.empty(G) if need_log_z else None
     out_bond = {b: np.empty(G) for b in bonds}
     out_pair = {p: np.empty(G) for p in pairs}
 
-    rows = max(16, _ELEM_BUDGET // (n_cfg * max(n_analytic, 1)))
+    rows = max(16, _ELEM_BUDGET // max(n_cfg, n_pat))
     for lo in range(0, G, rows):
         hi = min(lo + rows, G)
         Kc = K_batch[lo:hi].astype(dtype)
-        H = (Kc @ W).reshape(hi - lo, n_cfg, n_analytic)
-        if n_analytic:
-            aH = np.abs(H)
-            T = (aH + np.log1p(np.exp(-2.0 * aH))).sum(axis=2)  # sum_a ln(2 cosh h_a)
+        if n_pat:
+            Hp = Kc @ S_pat
+            aH = np.abs(Hp)
+            T = (aH + np.log1p(np.exp(-2.0 * aH))) @ M  # sum_a ln(2 cosh h_a)
             if inner.any():  # odd rings: K_b s s' of the bonds between enumerated sites
                 T += Kc[:, inner] @ sign[inner]
+            tH = np.tanh(Hp) if bonds or pairs else None
         else:
             T = Kc @ sign  # every bond joins two enumerated sites
         m = T.max(axis=1)
@@ -277,7 +313,7 @@ def batch_gibbs(
         Z = P.sum(axis=1, dtype=np.float64)
         if need_log_z:
             out_log_z[lo:hi] = _LN2 + m.astype(np.float64) + np.log(Z)
-        tanh_cache: dict = {}
+        Q = P @ M.T if need_q else None
 
         def moment(bs):
             """<prod_b S_b> over the bonds bs, with the spins of A averaged out."""
@@ -288,13 +324,16 @@ def batch_gibbs(
             if not ends:  # enumerated spins only: a matrix-vector product, summed in float64
                 return (P @ v.astype(np.float64)) / Z
             for a in ends:
-                if a not in tanh_cache:
-                    tanh_cache[a] = np.tanh(H[:, :, a])
-                v = tanh_cache[a] * v
+                v = tH[:, col[a]] * v
             return (P * v).sum(axis=1, dtype=np.float64) / Z
 
         for b in bonds:
-            out_bond[b][lo:hi] = moment((b,))
+            a = apos[b]
+            if a < 0:
+                out_bond[b][lo:hi] = moment((b,))
+            else:  # sum_p Q_p s_e(p) tanh Hp_p over a's own patterns
+                sl = slice(start[a], start[a + 1])
+                out_bond[b][lo:hi] = (Q[:, sl] * tH[:, sl] * S_pat[b, sl]).sum(axis=1, dtype=np.float64) / Z
         for p in pairs:
             out_pair[p][lo:hi] = moment(p)
     return BatchGibbs(log_z=out_log_z, bond=out_bond, pair=out_pair)

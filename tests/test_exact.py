@@ -1,5 +1,6 @@
 """Exact engine against independent enumeration oracles and closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsurf.cli import RESULT_SCHEMA
 from nlsurf.exact import (
     CouplingField,
     SizeCapExceeded,
+    _engine_tables,
     batch_gibbs,
     bond_correlation,
     corridor_average,
@@ -20,6 +23,7 @@ from nlsurf.exact import (
 )
 from nlsurf.lattice import Boundary, build_lattice, decompose_box, torus_cut
 from nlsurf.model import sample_disorder, uniform_params
+from nlsurf.rng import standard_normals
 
 from oracles import FROZEN, brute_gibbs, graycode_gibbs
 
@@ -178,7 +182,8 @@ def test_invalid_queries():
 
 
 @pytest.mark.parametrize(
-    "dim,side,bc", [(2, 4, Boundary.FREE), (2, 3, Boundary.PERIODIC), (2, 4, Boundary.PERIODIC), (1, 11, Boundary.PERIODIC)]
+    "dim,side,bc",
+    [(2, 4, Boundary.FREE), (2, 3, Boundary.PERIODIC), (2, 4, Boundary.PERIODIC), (1, 11, Boundary.PERIODIC), (1, 12, Boundary.FREE)],
 )
 def test_batch_engines_consistent(dim, side, bc):
     rng = np.random.default_rng(31)
@@ -194,6 +199,46 @@ def test_batch_engines_consistent(dim, side, bc):
             assert np.allclose(got.bond[b], [r.correlations[b] for r in ref], atol=tol)
         for p in pairs:
             assert np.allclose(got.pair[p], [r.correlations[p] for r in ref], atol=tol)
+
+
+@pytest.mark.parametrize("dim,side,bc", [(2, 4, Boundary.FREE), (2, 4, Boundary.PERIODIC), (1, 11, Boundary.PERIODIC)])
+@pytest.mark.parametrize("precise", [True, False])
+def test_batch_row_does_not_depend_on_request(dim, side, bc, precise):
+    # quenched_joint_many enumerates a shared variant once for the union of its
+    # jobs' requests, so each result must be the bytes of a lone request
+    lat = build_lattice(dim, side, bc)
+    KB = np.random.default_rng(41).normal(0.5, 0.9, size=(64, lat.n_bonds))
+    every = tuple(range(lat.n_bonds))
+    pairs = ((0, 1), (0, lat.n_bonds - 1))
+    full = batch_gibbs(lat, KB, bonds=every, pairs=pairs, need_log_z=True, precise=precise)
+    for b in every:
+        assert batch_gibbs(lat, KB, bonds=(b,), precise=precise).bond[b].tobytes() == full.bond[b].tobytes()
+    for p in pairs:
+        assert batch_gibbs(lat, KB, pairs=(p,), precise=precise).pair[p].tobytes() == full.pair[p].tobytes()
+    assert batch_gibbs(lat, KB, need_log_z=True, precise=precise).log_z.tobytes() == full.log_z.tobytes()
+
+
+def test_pattern_count_4x4_box():
+    # 8 analytic sites: two corners of degree 2, four edge sites of degree 3 and
+    # two interior sites of degree 4 give 72 sign patterns, but the two edge
+    # sites next to site 0 (fixed up) show only half of theirs: 64 distinct
+    lat = build_lattice(2, 4, Boundary.FREE)
+    sign, apos, S_pat, M, col, start = _engine_tables(lat, np.float64)
+    assert M.shape == (64, 128) and S_pat.shape == (lat.n_bonds, 64)
+    assert np.all(M.sum(axis=0) == 8) and np.all(M.sum(axis=1) >= 1)
+
+
+def test_float32_engine_bytes_pinned_to_schema():
+    # a seeded disorder-MC batch on the 4x4 box: log Z and the 8 corridor bonds
+    # in float32; when this digest moves on purpose, RESULT_SCHEMA moves with it
+    lat = build_lattice(2, 4, Boundary.FREE)
+    corridor = decompose_box(lat).corridor.sorted_indices()
+    core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
+    bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=corridor, need_log_z=True, precise=False)
+    digest = hashlib.sha256(bg.log_z.tobytes())
+    for b in corridor:
+        digest.update(bg.bond[b].tobytes())
+    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v4", "a5d82bedf017b356")
 
 
 def test_effective_couplings():

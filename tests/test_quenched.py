@@ -97,6 +97,18 @@ def test_pair_query():
     assert res[("pair", 0, 1)].value == pytest.approx(b * b, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "query,message",
+    [(("bond", -1), "out of range"), (("bond", 4), "out of range"), (("j_bond", 4), "out of range"), (("pair", 1, 1), "distinct")],
+)
+@pytest.mark.parametrize("method", [Quadrature(6), DisorderMC(64, seed=1)])
+def test_correlation_rejects_bad_bond_queries(query, message, method):
+    # the same errors as the reference engine, not bond 3's value for bond -1
+    lat = build_lattice(2, 2, Boundary.FREE)
+    with pytest.raises(ValueError, match=message):
+        quenched_correlation(lat, uniform_params(lat, 0.8), [query], method)
+
+
 def test_quadrature_convergence_profile():
     # Stated contract: refining 10 -> 20 -> 40 nodes moves the single-bond
     # pressure by < 1e-10; that holds at x = 0.3.  At larger x the pole
