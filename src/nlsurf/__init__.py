@@ -29,16 +29,13 @@ from .mcmc import (
     McmcConfig,
     PoorMixingWarning,
     estimate_correlations,
-    quenched_estimate_mcmc,
 )
 from .model import (
     DisorderRealization,
     GaussianBondModel,
-    InterpolationSchedule,
     NishimoriParams,
     OffNishimoriError,
     interpolated_params,
-    interpolation_schedule,
     nl_from_physical,
     sample_disorder,
     shift_disorder,
@@ -53,7 +50,6 @@ from .quenched import (
     combined_std_error,
     quenched_correlation,
     quenched_pressure,
-    t_integrand,
 )
 from .surface import (
     SurfaceTermKind,

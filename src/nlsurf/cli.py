@@ -208,8 +208,8 @@ def _cmd_lattice_info(args) -> int:
     if lat.boundary is Boundary.PERIODIC:
         info["torus_cut"] = torus_cut(lat).cardinality
     if args.tiles is not None:
-        if args.side % args.tiles != 0:
-            raise ValueError(f"side {args.side} is not a multiple of tile side {args.tiles}")
+        if args.tiles < 1 or args.side % args.tiles != 0:
+            raise ValueError(f"tile side must be a positive divisor of side {args.side}, got {args.tiles}")
         _, dec = tiling_interfaces(args.dim, args.tiles, args.side // args.tiles)
         info["tiling_corridor"] = dec.corridor.cardinality
     _write_run(args, "lattice-info", info)
@@ -293,7 +293,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        text = Path(args.manifest).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read manifest {args.manifest}: {exc.strerror or exc}") from exc
+    manifest = json.loads(text)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("argv"), list) and isinstance(manifest.get("outputs"), dict)):
+        raise ValueError(f"{args.manifest} is not a run manifest: it needs an argv list and an outputs table")
     argv = list(manifest["argv"])
     if "--out" in argv:
         i = argv.index("--out")

@@ -5,8 +5,8 @@ Two paths share the bond-spin conventions:
 * `gibbs_report` and the single-quantity wrappers (`log_partition`,
   `bond_correlation`, `pair_correlation`, `corridor_average`) loop over the
   configurations of one coupling field in float64 with a streaming-max
-  log-sum-exp.  This is the reference engine the tests compare against, and
-  it serves public single-field callers such as `quenched.t_integrand`;
+  log-sum-exp.  This is the public single-field API and the reference
+  engine the tests compare against;
 * `batch_gibbs` is the one batch engine, vectorized over a batch of coupling
   fields: float64 for quadrature grids (precise=True), float32 for disorder
   Monte Carlo.  It enumerates every site outside an independent set A and

@@ -6,8 +6,7 @@ chains held as a (chains, sites) spin array.  Sites are split into the
 classes of a greedy (DSatur) colouring, `lattice.colour_classes`:
 same-colour sites do not interact, so updating a whole class at once is a
 product of single-flip Metropolis kernels.  Free boxes and even tori get
-their two sublattices; the odd 3x3 torus gets 3 classes, where a per-site
-scan took 9 update groups.
+their two sublattices; odd tori such as the 3x3 get 3 classes.
 
 Each site update reads one uniform u and flips iff u < 1/2 min(1, e^D), with
 D the log weight change of the flip.  This is a proposal with probability 1/2
@@ -38,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .exact import CouplingField
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
-from .model import NishimoriParams
-from .quenched import DisorderMC, Estimate, Moments, disorder_cores
+from .quenched import DisorderMC, Estimate, disorder_cores
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
 CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
@@ -67,6 +64,8 @@ class McmcConfig:
             raise ValueError("measure_stride must be >= 1")
         if self.n_measurements < 2:
             raise ValueError("config yields fewer than 2 measurements")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
 
     @property
     def n_measurements(self) -> int:
@@ -271,7 +270,7 @@ def estimate_correlations_batch(
 
 def estimate_correlations(
     lattice: LatticeSpec,
-    K: CouplingField | np.ndarray,
+    K: np.ndarray,
     *,
     bonds: tuple[int, ...] = (),
     corridor: Corridor | None = None,
@@ -282,7 +281,7 @@ def estimate_correlations(
     Returns ({bond index or "corridor_mean": Estimate}, diagnostics);
     deterministic given config.seed.
     """
-    kvec = K.K if isinstance(K, CouplingField) else np.asarray(K, dtype=np.float64)
+    kvec = np.asarray(K, dtype=np.float64)
     return estimate_correlations_batch(lattice, kvec[None, :], [config.seed], bonds=bonds, corridor=corridor, config=config)[0]
 
 
@@ -290,36 +289,32 @@ def two_level_inner(
     lattice: LatticeSpec,
     x_at,
     disorder: DisorderMC,
-    seeds,
     *,
-    corridor: Corridor | None = None,
-    bond: int | None = None,
+    corridor: Corridor,
     config: McmcConfig,
 ) -> tuple[np.ndarray, dict]:
-    """Inner values of a two-level estimator: one chain per (realization, variant).
+    """Inner values of the two-level estimator: one chain per (realization, variant).
 
     Realization s takes its normal core g from quenched.disorder_cores (the
     disorder stream keyed by (disorder.seed, bond, s)); variant i runs the
-    couplings x (x + g) with x = x_at[i] on stream seeds[s * len(x_at) + i].
-    All chains run as one batch.  Returns the (samples, variants) chain means
-    of the corridor average or of <S_bond>, and the chain telemetry for the
-    manifest (count, site-sweeps, time, mean acceptance, worst ESS, warning
-    count).  Callers reduce the columns over realizations with
+    couplings x (x + g) with x = x_at[i] on stream
+    rng.derive_seed(config.seed, s, i).  All chains run as one batch.
+    Returns the (samples, variants) chain means of the corridor average, and
+    the chain telemetry for the manifest (count, site-sweeps, time, mean
+    acceptance, worst ESS, warning count).  The caller,
+    surface._interpolation_term, reduces the columns over realizations with
     quenched.Moments, like every other disorder average.  Warns
     PoorMixingWarning, attributed to the first caller outside this package,
     when the worst ESS falls below MIN_INNER_ESS.
     """
-    if (corridor is None) == (bond is None):
-        raise ValueError("specify exactly one of corridor or bond")
     g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)])[:, None, :]
     x = np.asarray(x_at, dtype=np.float64)[None, :, :]
     kvecs = (x * (x + g)).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
+    seeds = [rng.derive_seed(config.seed, s, i) for s in range(disorder.samples) for i in range(len(x_at))]
     t0 = time.perf_counter()
-    bonds = () if bond is None else (bond,)
-    chains = estimate_correlations_batch(lattice, kvecs, seeds, bonds=bonds, corridor=corridor, config=config)
+    chains = estimate_correlations_batch(lattice, kvecs, seeds, corridor=corridor, config=config)
     chain_s = time.perf_counter() - t0
-    key = "corridor_mean" if bond is None else bond
-    values = np.array([est[key].value for est, _ in chains]).reshape(disorder.samples, len(x_at))
+    values = np.array([est["corridor_mean"].value for est, _ in chains]).reshape(disorder.samples, len(x_at))
     min_ess = min(diag.ess for _, diag in chains)
     poor = min_ess < MIN_INNER_ESS
     if poor:
@@ -341,27 +336,3 @@ def two_level_inner(
     }
     return values, telemetry
 
-
-def quenched_estimate_mcmc(
-    lattice: LatticeSpec,
-    params: NishimoriParams,
-    *,
-    corridor: Corridor | None = None,
-    bond: int | None = None,
-    outer_samples: int,
-    config: McmcConfig,
-) -> Estimate:
-    """Two-level estimator: disorder MC outside, one Markov chain inside.
-
-    Disorder and chains share config.seed: realization s draws its core from
-    the disorder stream under that seed, and its chain runs on
-    derive_seed(config.seed, s).  The reported error is the spread of the
-    per-realization chain estimates, which already carries the mean inner
-    error on top of the disorder variance.
-    """
-    disorder = DisorderMC(samples=outer_samples, seed=config.seed)
-    seeds = [rng.derive_seed(config.seed, s) for s in range(outer_samples)]
-    values, _ = two_level_inner(lattice, [params.x], disorder, seeds, corridor=corridor, bond=bond, config=config)
-    moments = Moments()
-    moments.add([values[:, 0]], None)
-    return moments.estimates()[0]

@@ -141,31 +141,16 @@ def shift_disorder(real: DisorderRealization, new_params: NishimoriParams) -> Di
     return DisorderRealization(j=new_params.x + real.g, g=real.g, seed=real.seed, sample_index=real.sample_index)
 
 
-@dataclass(frozen=True)
-class InterpolationSchedule:
+def interpolated_params(lattice: LatticeSpec, corridor: Corridor, base_x: float, t: float = 1.0) -> NishimoriParams:
     """x_b(t) = base_x * sqrt(t) on the corridor and base_x elsewhere."""
-
-    base_x: float
-    corridor: Corridor
-    n_bonds: int
-    t: float = 1.0
-
-    def __post_init__(self):
-        if self.base_x < 0:
-            raise ValueError(f"base_x must be nonnegative, got {self.base_x}")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
-        for b in self.corridor.bond_indices:
-            if not 0 <= b < self.n_bonds:
-                raise ValueError(f"corridor bond {b} outside the {self.n_bonds}-bond lattice")
-
-
-def interpolation_schedule(lattice: LatticeSpec, corridor: Corridor, base_x: float, t: float = 1.0) -> InterpolationSchedule:
-    return InterpolationSchedule(base_x=float(base_x), corridor=corridor, n_bonds=lattice.n_bonds, t=float(t))
-
-
-def interpolated_params(sched: InterpolationSchedule) -> NishimoriParams:
-    x = np.full(sched.n_bonds, sched.base_x)
-    idx = list(sched.corridor.bond_indices)
-    x[idx] = sched.base_x * math.sqrt(sched.t)
+    if base_x < 0:
+        raise ValueError(f"base_x must be nonnegative, got {base_x}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    idx = list(corridor.bond_indices)
+    for b in idx:
+        if not 0 <= b < lattice.n_bonds:
+            raise ValueError(f"corridor bond {b} outside the {lattice.n_bonds}-bond lattice")
+    x = np.full(lattice.n_bonds, float(base_x))
+    x[idx] = float(base_x) * math.sqrt(t)
     return NishimoriParams(x=x)

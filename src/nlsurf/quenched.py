@@ -23,9 +23,9 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import rng
-from .exact import ENUMERATION_CAP, SizeCapExceeded, batch_gibbs, corridor_average, effective_couplings
+from .exact import ENUMERATION_CAP, SizeCapExceeded, batch_gibbs
 from .lattice import LatticeSpec
-from .model import DisorderRealization, InterpolationSchedule, NishimoriParams, interpolated_params, shift_disorder
+from .model import NishimoriParams
 
 QUADRATURE_GRID_CAP = 10**7
 _MC_CHUNK = 4096
@@ -404,21 +404,3 @@ def quenched_correlation(
     )
     return {q: res[repr(q)] for q in queries}
 
-
-def t_integrand(
-    lattice: LatticeSpec,
-    sched: InterpolationSchedule,
-    t: float,
-    disorder: DisorderRealization,
-) -> float:
-    """Corridor bond-spin average <S_C> at fixed disorder and interpolation time t.
-
-    The stored normal core of the realization is kept and only the means move
-    to x_b(t), so for fixed disorder this is a smooth function of t.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    sched_t = InterpolationSchedule(base_x=sched.base_x, corridor=sched.corridor, n_bonds=sched.n_bonds, t=t)
-    params_t = interpolated_params(sched_t)
-    shifted = shift_disorder(disorder, params_t)
-    return corridor_average(lattice, effective_couplings(params_t, shifted), sched.corridor)

@@ -30,11 +30,10 @@ from enum import Enum
 
 import numpy as np
 
-from . import rng
 from .exact import ENUMERATION_CAP, batch_gibbs
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import McmcConfig, two_level_inner
-from .model import interpolated_params, interpolation_schedule, uniform_params
+from .model import interpolated_params, uniform_params
 from .quenched import (
     AveragingMethod,
     DisorderMC,
@@ -102,11 +101,6 @@ def _route_flags(routes: str) -> tuple[bool, bool]:
     return routes != "integral", routes != "direct"
 
 
-def _corridor_x(lattice: LatticeSpec, corridor: Corridor, x: float, t: float) -> np.ndarray:
-    """x_b(t): x sqrt(t) on the corridor and x elsewhere (the model's schedule)."""
-    return interpolated_params(interpolation_schedule(lattice, corridor, x, t)).x
-
-
 def _interpolation_term(
     kind: SurfaceTermKind,
     geometry: Geometry,
@@ -139,17 +133,16 @@ def _interpolation_term(
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
         raise ValueError("corridor is empty")
-    x_one = _corridor_x(lattice, corridor, x, 1.0)
-    x_zero = _corridor_x(lattice, corridor, x, 0.0)
+    x_one = interpolated_params(lattice, corridor, x).x
+    x_zero = interpolated_params(lattice, corridor, x, 0.0).x
     tn, tw = legendre_nodes_01(t_nodes) if need_integral else (np.empty(0), np.empty(0))
-    x_at = [_corridor_x(lattice, corridor, x, t) for t in tn]
+    x_at = [interpolated_params(lattice, corridor, x, t).x for t in tn]
     precise = isinstance(method, Quadrature)
 
     moments = Moments()
     telemetry = None
     if mcmc is not None:
-        seeds = [rng.derive_seed(mcmc.seed, s, i) for s in range(method.samples) for i in range(t_nodes)]
-        node_vals, telemetry = two_level_inner(lattice, x_at, method, seeds, corridor=corridor, config=mcmc)
+        node_vals, telemetry = two_level_inner(lattice, x_at, method, corridor=corridor, config=mcmc)
         moments.add(list(node_vals.T) + [node_vals @ tw], None)
     else:
         for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):

@@ -109,6 +109,15 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run(["adjacency", "--dim", "2", "--L", "4", "--x", "0.5", "--routes", "direct"]) == EXIT_INFEASIBLE
     assert "--mcmc-sweeps" not in capsys.readouterr().err
+    # outside input is a usage error with an error line, not a traceback
+    (tmp_path / "no-argv.json").write_text('{"outputs": {}}')
+    for argv in (
+        ["lattice-info", "--dim", "1", "--side", "4", "--bc", "free", "--tiles", "0"],
+        ["rerun", "--manifest", str(tmp_path / "missing.json")],
+        ["rerun", "--manifest", str(tmp_path / "no-argv.json")],
+    ):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_size_cap_advice_names_a_reachable_path(capsys):

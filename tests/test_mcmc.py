@@ -9,7 +9,7 @@ import pytest
 
 from nlsurf import rng as nlrng
 from nlsurf.exact import CouplingField, gibbs_report
-from nlsurf.lattice import Boundary, build_lattice, decompose_box
+from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.mcmc import (
     CHAIN_ENGINE,
     ChainDiagnostics,
@@ -19,11 +19,9 @@ from nlsurf.mcmc import (
     colour_classes,
     estimate_correlations,
     estimate_correlations_batch,
-    quenched_estimate_mcmc,
 )
-from nlsurf.model import sample_disorder, uniform_params
-from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01, quenched_correlation
-from nlsurf.surface import _adjacency_setup, adjacency_term
+from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01
+from nlsurf.surface import Geometry, SurfaceTermKind, _adjacency_setup, _interpolation_term, adjacency_term
 
 from oracles import brute_gibbs
 
@@ -33,6 +31,9 @@ def test_config_validation():
         McmcConfig(sweeps=10, burn_in=10, seed=1)
     with pytest.raises(ValueError):
         McmcConfig(sweeps=4, burn_in=3, seed=1, measure_stride=5)  # one measurement
+    for seed in (-1, 2**64):  # chain streams take unsigned 64-bit seeds
+        with pytest.raises(ValueError):
+            McmcConfig(sweeps=10, burn_in=2, seed=seed)
 
 
 def test_zero_couplings():
@@ -47,7 +48,7 @@ def test_zero_couplings():
 
 @pytest.mark.parametrize("dim,side,bc", [(2, 3, Boundary.PERIODIC), (2, 2, Boundary.FREE), (1, 6, Boundary.FREE)])
 def test_matches_exact_engine(dim, side, bc):
-    # covers both update schedules: sequential scan (odd torus) and checkerboard
+    # covers both colourings: 3 classes (odd torus) and 2 sublattices
     lat = build_lattice(dim, side, bc)
     rng = np.random.default_rng(dim * 100 + side)
     K = rng.normal(0.25, 0.5, lat.n_bonds)
@@ -93,27 +94,39 @@ def test_stationary_distribution_2x2():
         assert abs(counts[s] - n * probs[s]) <= 3.0 * sigma + 1.0
 
 
-def test_quenched_estimate_vs_exact_inner():
-    lat = build_lattice(2, 2, Boundary.FREE)
-    params = uniform_params(lat, 0.6)
+def _corridor_term(d, L, x, method, t_nodes, mcmc=None):
+    """The integral route of the adjacency corridor; with mcmc, by the two-level estimator."""
+    lattice, corridor = _adjacency_setup(d, L)
+    geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
+    kind = SurfaceTermKind.ADJACENCY_TL
+    return _interpolation_term(kind, geometry, lattice, corridor, x, method, t_nodes, "corridor", routes="integral", mcmc=mcmc)
+
+
+def _check_two_level(d, with_quadrature):
+    # one chain per (realization, t-node) against the exact inner engine on
+    # the same disorder samples and, optionally, against quadrature: every
+    # t-node and the t-integral within 3 combined std errors; a rerun is bit-equal
+    method = DisorderMC(48, seed=9)
     cfg = McmcConfig(sweeps=8_000, burn_in=1_000, seed=9, measure_stride=2)
-    two_level = quenched_estimate_mcmc(lat, params, bond=0, outer_samples=48, config=cfg)
-    exact_route = quenched_correlation(lat, params, [("bond", 0)], Quadrature(24))[("bond", 0)]
-    assert abs(two_level.value - exact_route.value) <= 3.0 * combined_std_error(two_level, exact_route)
-    again = quenched_estimate_mcmc(lat, params, bond=0, outer_samples=48, config=cfg)
-    assert again.value == two_level.value
+    two_level = _corridor_term(d, 2, 0.8, method, 2, cfg)
+    refs = [_corridor_term(d, 2, 0.8, method, 2)]
+    if with_quadrature:
+        refs.append(_corridor_term(d, 2, 0.8, Quadrature(24), 2))
+    for ref in refs:
+        nodes = zip(two_level.integrand_tables["corridor"], ref.integrand_tables["corridor"], strict=True)
+        for a, b in [*nodes, (two_level.integral, ref.integral)]:
+            assert abs(a.value - b.value) <= 3.0 * combined_std_error(a, b)
+    assert _corridor_term(d, 2, 0.8, method, 2, cfg) == two_level
+
+
+def test_quenched_estimate_vs_exact_inner():
+    # the 4x4 box: two-level against exact enumeration on the same disorder
+    _check_two_level(2, with_quadrature=False)
 
 
 def test_quenched_estimate_corridor_route():
-    lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
-    params = uniform_params(lat, 0.8)
-    cfg = McmcConfig(sweeps=6_000, burn_in=500, seed=21, measure_stride=2)
-    est = quenched_estimate_mcmc(lat, params, corridor=dec.corridor, outer_samples=40, config=cfg)
-    oracle = quenched_correlation(lat, params, [("bond", 1)], Quadrature(32))[("bond", 1)]
-    assert abs(est.value - oracle.value) <= 3.0 * combined_std_error(est, oracle)
-    with pytest.raises(ValueError):
-        quenched_estimate_mcmc(lat, params, outer_samples=4, config=cfg)
+    # the 4-site chain: two-level against enumeration and against quadrature
+    _check_two_level(1, with_quadrature=True)
 
 
 def test_diagnostics_types():
@@ -127,13 +140,11 @@ def test_diagnostics_types():
 
 def test_starved_chain_is_flagged():
     from nlsurf.mcmc import PoorMixingWarning
-    from nlsurf.lattice import decompose_box
 
-    lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
     cfg = McmcConfig(sweeps=20, burn_in=4, seed=1, measure_stride=2)
     with pytest.warns(PoorMixingWarning):
-        quenched_estimate_mcmc(lat, uniform_params(lat, 0.8), corridor=dec.corridor, outer_samples=2, config=cfg)
+        r = _corridor_term(1, 2, 0.8, DisorderMC(2, seed=1), 2, cfg)
+    assert r.chain_telemetry["poor_mixing_warnings"] == 1
 
 
 @pytest.mark.parametrize(
@@ -202,9 +213,8 @@ def test_poor_mixing_warning_names_the_caller():
     from nlsurf.surface import scaling_sweep
 
     cfg = McmcConfig(sweeps=20, burn_in=4, seed=1, measure_stride=2)
-    lat = build_lattice(1, 4, Boundary.FREE)
     with pytest.warns(PoorMixingWarning) as record:
-        quenched_estimate_mcmc(lat, uniform_params(lat, 0.8), corridor=decompose_box(lat).corridor, outer_samples=2, config=cfg)
+        _corridor_term(1, 2, 0.8, DisorderMC(2, seed=1), 2, cfg)
     assert record[0].filename == __file__
     with pytest.warns(PoorMixingWarning) as record:
         scaling_sweep(2, 0.5, [4], method=DisorderMC(2, seed=3), t_nodes=2, mcmc=cfg)

@@ -14,7 +14,6 @@ from nlsurf.model import (
     NishimoriParams,
     OffNishimoriError,
     interpolated_params,
-    interpolation_schedule,
     nl_from_physical,
     sample_disorder,
     shift_disorder,
@@ -50,34 +49,35 @@ def test_params_validation():
         NishimoriParams(x=np.array([np.inf]))
 
 
-def _chain_schedule(base_x=0.8):
+def _chain_corridor():
     lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
-    return lat, interpolation_schedule(lat, dec.corridor, base_x)
+    return lat, decompose_box(lat).corridor
 
 
 def test_interpolated_params_endpoints():
-    lat, sched = _chain_schedule()
-    full = interpolated_params(sched)  # t defaults to 1
+    lat, corridor = _chain_corridor()
+    full = interpolated_params(lat, corridor, 0.8)  # t defaults to 1
     assert np.allclose(full.x, 0.8)
-    s0 = interpolation_schedule(lat, sched.corridor, 0.8, t=0.0)
-    x0 = interpolated_params(s0).x
+    x0 = interpolated_params(lat, corridor, 0.8, t=0.0).x
     assert x0[1] == 0.0 and x0[0] == 0.8 and x0[2] == 0.8
-    sq = interpolation_schedule(lat, sched.corridor, 0.8, t=0.25)
-    assert interpolated_params(sq).x[1] == pytest.approx(0.4, abs=1e-15)
+    assert interpolated_params(lat, corridor, 0.8, t=0.25).x[1] == pytest.approx(0.4, abs=1e-15)
     with pytest.raises(ValueError):
-        interpolation_schedule(lat, sched.corridor, 0.8, t=1.5)
+        interpolated_params(lat, corridor, 0.8, t=1.5)
     with pytest.raises(ValueError):
-        interpolation_schedule(lat, sched.corridor, 0.8, t=-0.1)
+        interpolated_params(lat, corridor, 0.8, t=-0.1)
+    with pytest.raises(ValueError):
+        interpolated_params(lat, corridor, -0.1)
+    with pytest.raises(ValueError):  # a corridor of a larger lattice
+        interpolated_params(build_lattice(1, 2, Boundary.FREE), corridor, 0.8)
 
 
 @settings(deadline=None, max_examples=60)
 @given(t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
 def test_schedule_monotone_on_corridor(t1, t2):
-    lat, sched = _chain_schedule()
+    lat, corridor = _chain_corridor()
     lo, hi = sorted((t1, t2))
-    xa = interpolated_params(interpolation_schedule(lat, sched.corridor, 0.8, t=lo)).x
-    xb = interpolated_params(interpolation_schedule(lat, sched.corridor, 0.8, t=hi)).x
+    xa = interpolated_params(lat, corridor, 0.8, t=lo).x
+    xb = interpolated_params(lat, corridor, 0.8, t=hi).x
     assert xa[1] <= xb[1] + 1e-15          # nondecreasing on the corridor
     assert xa[0] == xb[0] == 0.8           # constant off it
 
@@ -116,7 +116,7 @@ def test_shift_disorder():
     same = shift_disorder(real, p)
     assert np.array_equal(same.j, real.j)
 
-    p0 = interpolated_params(interpolation_schedule(lat, dec.corridor, 0.8, t=0.0))
+    p0 = interpolated_params(lat, dec.corridor, 0.8, t=0.0)
     shifted = shift_disorder(real, p0)
     assert shifted.j[1] == real.g[1]  # corridor mean removed
     back = shift_disorder(shifted, p)

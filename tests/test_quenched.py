@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from nlsurf.exact import corridor_average, effective_couplings
+from nlsurf.exact import CouplingField, corridor_average, effective_couplings
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
 from nlsurf import quenched
 from nlsurf.model import (
     NishimoriParams,
     interpolated_params,
-    interpolation_schedule,
     sample_disorder,
+    shift_disorder,
     uniform_params,
 )
 from nlsurf.quenched import (
@@ -26,7 +26,6 @@ from nlsurf.quenched import (
     quenched_joint,
     quenched_joint_many,
     quenched_pressure,
-    t_integrand,
 )
 
 from oracles import FROZEN
@@ -176,56 +175,47 @@ def test_grid_cap():
         quenched_pressure(lat, uniform_params(lat, 0.5), Quadrature(20))
 
 
-def _chain_schedule(x=0.8):
+def _corridor_integrand(lat, corridor, x, t, g):
+    """<S_C> at fixed normal core g and interpolation time t: couplings x_t (x_t + g)."""
+    x_t = interpolated_params(lat, corridor, x, t).x
+    return corridor_average(lat, CouplingField(x_t * (x_t + g)), corridor)
+
+
+def _chain_core(seed):
     lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
-    return lat, interpolation_schedule(lat, dec.corridor, x)
+    return lat, decompose_box(lat).corridor, sample_disorder(uniform_params(lat, 0.8), seed)
 
 
-def test_t_integrand_zero_cases():
-    lat, sched = _chain_schedule(0.8)
-    real = sample_disorder(interpolated_params(sched), 13)
+def test_corridor_integrand_zero_cases():
+    lat, corridor, real = _chain_core(13)
     # t = 0 decouples the sub-chains; each factor is a zero-field single box
-    assert t_integrand(lat, sched, 0.0, real) == pytest.approx(0.0, abs=1e-14)
+    assert _corridor_integrand(lat, corridor, 0.8, 0.0, real.g) == pytest.approx(0.0, abs=1e-14)
     lat2d = build_lattice(2, 4, Boundary.FREE)
-    dec2d = decompose_box(lat2d)
-    sched2d = interpolation_schedule(lat2d, dec2d.corridor, 0.8)
-    real2d = sample_disorder(interpolated_params(sched2d), 14)
-    assert t_integrand(lat2d, sched2d, 0.0, real2d) == pytest.approx(0.0, abs=1e-12)
+    corridor2d = decompose_box(lat2d).corridor
+    real2d = sample_disorder(uniform_params(lat2d, 0.8), 14)
+    assert _corridor_integrand(lat2d, corridor2d, 0.8, 0.0, real2d.g) == pytest.approx(0.0, abs=1e-12)
 
-    lat0, sched0 = _chain_schedule(0.0)
-    real0 = sample_disorder(interpolated_params(sched0), 2)
+    lat0, corridor0, real0 = _chain_core(2)
     for t in (0.0, 0.3, 1.0):
-        assert t_integrand(lat0, sched0, t, real0) == pytest.approx(0.0, abs=1e-14)
+        assert _corridor_integrand(lat0, corridor0, 0.0, t, real0.g) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_t_integrand_matches_direct_rebuild():
-    lat, sched = _chain_schedule(0.8)
-    real = sample_disorder(interpolated_params(sched), 21)
+def test_corridor_integrand_matches_shifted_realization():
+    # the core form is the realization's means moved to x_b(t), bit for bit
+    lat, corridor, real = _chain_core(21)
     t = 0.5
-    got = t_integrand(lat, sched, t, real)
-    sched_t = interpolation_schedule(lat, sched.corridor, 0.8, t=t)
-    params_t = interpolated_params(sched_t)
-    from nlsurf.model import shift_disorder
-
-    direct = corridor_average(lat, effective_couplings(params_t, shift_disorder(real, params_t)), sched.corridor)
+    got = _corridor_integrand(lat, corridor, 0.8, t, real.g)
+    params_t = interpolated_params(lat, corridor, 0.8, t)
+    direct = corridor_average(lat, effective_couplings(params_t, shift_disorder(real, params_t)), corridor)
     assert got == direct
-
-
-def test_t_integrand_range_check():
-    lat, sched = _chain_schedule()
-    real = sample_disorder(interpolated_params(sched), 1)
-    with pytest.raises(ValueError):
-        t_integrand(lat, sched, 1.2, real)
 
 
 def test_crn_smoothness_in_t():
     # for fixed g the integrand moves slowly in t: |f(t + 1e-4) - f(t)| <= 1e-2
-    lat, sched = _chain_schedule(1.0)
-    real = sample_disorder(interpolated_params(sched), 33)
+    lat, corridor, real = _chain_core(33)
     for t in np.linspace(1e-4, 1.0 - 1e-4, 23):
-        a = t_integrand(lat, sched, float(t), real)
-        b = t_integrand(lat, sched, float(t) + 1e-4, real)
+        a = _corridor_integrand(lat, corridor, 1.0, float(t), real.g)
+        b = _corridor_integrand(lat, corridor, 1.0, float(t) + 1e-4, real.g)
         assert abs(b - a) <= 1e-2
 
 
