@@ -6,11 +6,6 @@ from .exact import (
     CouplingField,
     GibbsReport,
     SizeCapExceeded,
-    bond_correlation,
-    corridor_average,
-    effective_couplings,
-    log_partition,
-    pair_correlation,
 )
 from .lattice import (
     Bond,
@@ -31,14 +26,11 @@ from .mcmc import (
     estimate_correlations,
 )
 from .model import (
-    DisorderRealization,
     GaussianBondModel,
     NishimoriParams,
     OffNishimoriError,
     interpolated_params,
     nl_from_physical,
-    sample_disorder,
-    shift_disorder,
     uniform_params,
 )
 from .quenched import (
@@ -48,14 +40,11 @@ from .quenched import (
     GridTooLarge,
     Quadrature,
     combined_std_error,
-    quenched_correlation,
     quenched_pressure,
 )
 from .surface import (
     SurfaceTermKind,
     SurfaceTermResult,
-    adjacency_direct,
-    adjacency_integral,
     adjacency_term,
     periodic_minus_free,
     scaling_sweep,

@@ -31,7 +31,6 @@ from .model import uniform_params
 from .quenched import DisorderMC, GridTooLarge, Quadrature, quenched_pressure
 from .surface import (
     ROUTES,
-    SizeCapExceededForSweep,
     SurfaceTermResult,
     adjacency_term,
     periodic_minus_free,
@@ -292,15 +291,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
+_RERUNNABLE = ("lattice-info", "pressure", *_TERMS, "scaling", "verify")  # every command but rerun itself
+
+
 def _cmd_rerun(args) -> int:
     try:
         text = Path(args.manifest).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read manifest {args.manifest}: {exc.strerror or exc}") from exc
     manifest = json.loads(text)
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("argv"), list) and isinstance(manifest.get("outputs"), dict)):
-        raise ValueError(f"{args.manifest} is not a run manifest: it needs an argv list and an outputs table")
-    argv = list(manifest["argv"])
+    argv, digests = (manifest.get("argv"), manifest.get("outputs")) if isinstance(manifest, dict) else (None, None)
+    if not (isinstance(argv, list) and isinstance(digests, dict) and all(isinstance(d, str) for d in digests.values())):
+        raise ValueError(f"{args.manifest} is not a run manifest: it needs an argv list and an outputs table of digests")
+    if not (argv and all(isinstance(a, str) for a in argv) and argv[0] in _RERUNNABLE):
+        raise ValueError(
+            f"{args.manifest} has no rerunnable argv: it must be a list of strings that starts with one of {', '.join(_RERUNNABLE)}"
+        )
     if "--out" in argv:
         i = argv.index("--out")
         del argv[i : i + 2]
@@ -313,7 +319,7 @@ def _cmd_rerun(args) -> int:
         return status
     new_manifest = json.loads(Path(out).with_name(Path(out).stem + ".manifest.json").read_text())
     # filenames may differ between runs; the content digests must not
-    same = sorted(new_manifest["outputs"].values()) == sorted(manifest["outputs"].values())
+    same = sorted(new_manifest["outputs"].values()) == sorted(digests.values())
     sys.stdout.write(json.dumps({"reproduced": bool(same), "outputs": new_manifest["outputs"]}, indent=2) + "\n")
     return EXIT_OK if same else EXIT_VERIFY_FAILED
 
@@ -407,7 +413,7 @@ def run(argv: list[str] | None = None) -> int:
     args.start_time = time.time()
     try:
         return args.func(args)
-    except (SizeCapExceeded, GridTooLarge, SizeCapExceededForSweep) as exc:
+    except (SizeCapExceeded, GridTooLarge) as exc:
         sys.stderr.write(f"infeasible size: {exc}\n")
         return EXIT_INFEASIBLE
     except ValueError as exc:

@@ -2,11 +2,10 @@
 
 Two paths share the bond-spin conventions:
 
-* `gibbs_report` and the single-quantity wrappers (`log_partition`,
-  `bond_correlation`, `pair_correlation`, `corridor_average`) loop over the
-  configurations of one coupling field in float64 with a streaming-max
-  log-sum-exp.  This is the public single-field API and the reference
-  engine the tests compare against;
+* `gibbs_report` loops over the configurations of one coupling field in
+  float64 with a streaming-max log-sum-exp, returning log Z and any
+  requested bond and pair correlations.  This is the public single-field
+  API and the reference engine the tests compare against;
 * `batch_gibbs` is the one batch engine, vectorized over a batch of coupling
   fields: float64 for quadrature grids (precise=True), float32 for disorder
   Monte Carlo.  It enumerates every site outside an independent set A and
@@ -35,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
-from .model import DisorderRealization, NishimoriParams
+from .lattice import LatticeSpec, bond_endpoints, colour_classes
 
 ENUMERATION_CAP = 24
 _LN2 = math.log(2.0)
@@ -44,17 +42,17 @@ _EXP_FLOOR = -80.0  # keeps float32 exp() out of the subnormal range; e^-80 is f
 _CONFIG_CHUNK = 1 << 15
 _ELEM_BUDGET = 1 << 24  # max scratch elements per inner block
 _ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
+_BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
 
 
 class SizeCapExceeded(ValueError):
-    """Lattice too large for exact enumeration."""
+    """Lattice too large for exact enumeration; remedy says what can go beyond it."""
 
-    def __init__(self, n_sites: int, cap: int):
+    def __init__(self, n_sites: int, cap: int, remedy: str = _BEYOND_CAP):
         self.n_sites = n_sites
         self.cap = cap
         super().__init__(
-            f"{n_sites} sites exceed the enumeration cap of {cap}; exact enumeration needs {cap} sites or fewer, "
-            "and only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
+            f"{n_sites} sites exceed the enumeration cap of {cap}; exact enumeration needs {cap} sites or fewer, and {remedy}"
         )
 
 
@@ -74,12 +72,6 @@ class CouplingField:
     @property
     def n_bonds(self) -> int:
         return len(self.K)
-
-
-def effective_couplings(params: NishimoriParams, disorder: DisorderRealization) -> CouplingField:
-    if params.n_bonds != disorder.n_bonds:
-        raise ValueError("params and disorder disagree on bond count")
-    return CouplingField(K=params.x * disorder.j)
 
 
 @dataclass(frozen=True)
@@ -143,26 +135,6 @@ def gibbs_report(
     for qi, p in enumerate(pairs, start=len(bonds)):
         correlations[p] = qsum[qi] / zsum
     return GibbsReport(log_z=_LN2 + m + math.log(zsum), correlations=correlations)
-
-
-def log_partition(lattice: LatticeSpec, K: CouplingField) -> float:
-    return gibbs_report(lattice, K).log_z
-
-
-def bond_correlation(lattice: LatticeSpec, K: CouplingField, b: int) -> float:
-    return gibbs_report(lattice, K, bonds=(b,)).correlations[b]
-
-
-def pair_correlation(lattice: LatticeSpec, K: CouplingField, b1: int, b2: int) -> float:
-    return gibbs_report(lattice, K, pairs=((b1, b2),)).correlations[(b1, b2)]
-
-
-def corridor_average(lattice: LatticeSpec, K: CouplingField, corridor: Corridor) -> float:
-    if corridor.cardinality == 0:
-        raise ValueError("corridor is empty")
-    idx = corridor.sorted_indices()
-    rep = gibbs_report(lattice, K, bonds=idx)
-    return sum(rep.correlations[b] for b in idx) / len(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Nishimori-line parametrization, Gaussian disorder, and the interpolation law.
+"""Nishimori-line parametrization and the interpolation law.
 
 On the line beta_b = x_b / sigma_b, mu_b = sigma_b * x_b the quenched pressure
 depends on the couplings only through the nonnegative numbers x_b, so the
 public API works in x throughout.  Physical (beta, mu, sigma) triples enter
-only at the boundary via nl_from_physical.
+only at the boundary via nl_from_physical.  The disorder itself, j_b = x_b + g_b
+with a standard-normal core g, is drawn by `quenched.disorder_cores`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .lattice import Corridor, LatticeSpec
 
 NL_RTOL = 1e-12
@@ -98,47 +98,6 @@ def nl_from_physical(model: GaussianBondModel, rtol: float = NL_RTOL) -> Nishimo
         bad = np.flatnonzero(~on_line)
         raise OffNishimoriError(list(map(int, bad)), [float(residual[b]) for b in bad])
     return NishimoriParams(x=model.beta * model.sigma)
-
-
-@dataclass(frozen=True)
-class DisorderRealization:
-    """One draw of the unit-variance couplings j_b = x_b + g_b.
-
-    The standard-normal core g is retained so that the same underlying
-    randomness can be reused while the means move (common random numbers
-    along the interpolation path).
-    """
-
-    j: np.ndarray
-    g: np.ndarray
-    seed: int
-    sample_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", _readonly(self.j))
-        object.__setattr__(self, "g", _readonly(self.g))
-
-    @property
-    def n_bonds(self) -> int:
-        return len(self.j)
-
-
-def sample_disorder(params: NishimoriParams, seed: int, sample_index: int = 0) -> DisorderRealization:
-    """Draw j_b ~ N(x_b, 1) from the counter-based stream keyed by (seed, bond).
-
-    The draw for bond b depends only on (seed, b, sample_index), so identical
-    seeds give bit-identical realizations regardless of worker count or of how
-    many bonds are generated together.
-    """
-    g = rng.standard_normals(seed, np.arange(params.n_bonds), sample_index)
-    return DisorderRealization(j=params.x + g, g=g, seed=seed, sample_index=sample_index)
-
-
-def shift_disorder(real: DisorderRealization, new_params: NishimoriParams) -> DisorderRealization:
-    """Move the means to new_params while reusing the stored normal core."""
-    if new_params.n_bonds != real.n_bonds:
-        raise ValueError(f"bond count mismatch: realization has {real.n_bonds}, params {new_params.n_bonds}")
-    return DisorderRealization(j=new_params.x + real.g, g=real.g, seed=real.seed, sample_index=real.sample_index)
 
 
 def interpolated_params(lattice: LatticeSpec, corridor: Corridor, base_x: float, t: float = 1.0) -> NishimoriParams:

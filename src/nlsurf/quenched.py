@@ -359,48 +359,3 @@ def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: Ave
         need_log_z=True,
     )
     return res["pressure"]
-
-
-def quenched_correlation(
-    lattice: LatticeSpec,
-    params: NishimoriParams,
-    queries: Sequence[tuple],
-    method: AveragingMethod,
-) -> dict[tuple, Estimate]:
-    """Quenched bond observables, one disorder pass shared by all queries.
-
-    Query forms: ("bond", b) for [<S_b>], ("bond_sq", b) for [<S_b>^2],
-    ("pair", b, b2) for [<S_b S_b2>], ("j_bond", b) for [<j_b S_b>].
-    """
-    bonds: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
-    for q in queries:
-        kind = q[0]
-        if kind in ("bond", "bond_sq", "j_bond"):
-            bonds.add(q[1])
-        elif kind == "pair":
-            pairs.add((q[1], q[2]))
-        else:
-            raise ValueError(f"unknown query {q!r}")
-
-    def make(q):
-        kind = q[0]
-        if kind == "bond":
-            return lambda v: v[0].bond[q[1]]
-        if kind == "bond_sq":
-            return lambda v: v[0].bond[q[1]] ** 2
-        if kind == "pair":
-            return lambda v: v[0].pair[(q[1], q[2])]
-        return lambda v: v[0].j[:, q[1]] * v[0].bond[q[1]]
-
-    functionals = {repr(q): make(q) for q in queries}
-    res = quenched_joint(
-        lattice,
-        [params],
-        method,
-        functionals,
-        bonds=tuple(sorted(bonds)),
-        pairs=tuple(sorted(pairs)),
-    )
-    return {q: res[repr(q)] for q in queries}
-

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import ENUMERATION_CAP, batch_gibbs
+from .exact import ENUMERATION_CAP, SizeCapExceeded, batch_gibbs
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import McmcConfig, two_level_inner
 from .model import interpolated_params, uniform_params
@@ -130,6 +130,8 @@ def _interpolation_term(
     no direct route and no center bond.
     """
     need_direct, need_integral = _route_flags(routes)
+    if mcmc is None and lattice.n_sites > ENUMERATION_CAP:  # before any disorder is drawn
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
         raise ValueError("corridor is empty")
@@ -205,18 +207,6 @@ def _adjacency_setup(d: int, L: int):
     return lattice, decomp.corridor
 
 
-def adjacency_direct(d: int, L: int, x: float, method: AveragingMethod) -> Estimate:
-    """Pressure of the free 2L-box minus the sum over its 2^d free L-boxes."""
-    return adjacency_term(d, L, x, method, routes="direct").direct
-
-
-def adjacency_integral(
-    d: int, L: int, x: float, method: AveragingMethod, t_nodes: int = DEFAULT_T_NODES
-) -> Estimate:
-    """|C| x^2/2 (1 + integral of the quenched corridor average over t)."""
-    return adjacency_term(d, L, x, method, t_nodes, routes="integral").integral
-
-
 def adjacency_term(
     d: int,
     L: int,
@@ -245,15 +235,13 @@ def adjacency_term(
     if lattice.n_sites <= ENUMERATION_CAP:
         return _interpolation_term(*term, routes=routes, center_bond=_center_corridor_bond(lattice, corridor))
     if routes == "direct":
-        raise SizeCapExceededForSweep(
-            L, lattice.n_sites, "the direct route needs exact enumeration; Markov chains give the integral route only"
-        )
+        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP, f"at L={L} Markov chains give the integral route only")
     if not isinstance(method, DisorderMC) or mcmc is None:
-        raise SizeCapExceededForSweep(
-            L,
+        raise SizeCapExceeded(
             lattice.n_sites,
-            "pass a DisorderMC method and an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) "
-            "to use the two-level Markov-chain estimator",
+            ENUMERATION_CAP,
+            f"at L={L} the two-level Markov-chain estimator needs a DisorderMC method and an McmcConfig "
+            "(CLI: scaling --method mc --mcmc-sweeps N)",
         )
     return _interpolation_term(*term, routes="integral", mcmc=mcmc)
 
@@ -302,6 +290,8 @@ def surface_pressure_periodic(
     """
     need_direct, need_integral = _route_flags(routes)
     big, decomp = tiling_interfaces(d, L, k)
+    if big.n_sites > ENUMERATION_CAP:  # the kL-torus is the larger lattice of both routes
+        raise SizeCapExceeded(big.n_sites, ENUMERATION_CAP)
     direct = integral = None
     tables: dict = {}
     if need_integral:
@@ -323,7 +313,7 @@ def scaling_sweep(
     d: int,
     x: float,
     L_list,
-    method: AveragingMethod | None = None,
+    method: AveragingMethod,
     *,
     t_nodes: int = DEFAULT_T_NODES,
     mcmc: McmcConfig | None = None,
@@ -341,11 +331,5 @@ def scaling_sweep(
     L_list = list(L_list)
     if not L_list:
         raise ValueError("L_list is empty")
-    if method is None:
-        raise ValueError("an averaging method is required")
     return [adjacency_term(d, L, x, method, t_nodes, mcmc) for L in L_list]
 
-
-class SizeCapExceededForSweep(ValueError):
-    def __init__(self, L: int, n_sites: int, remedy: str):
-        super().__init__(f"L={L} gives {n_sites} sites (enumeration cap {ENUMERATION_CAP}); {remedy}")

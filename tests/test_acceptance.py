@@ -16,11 +16,10 @@ from nlsurf.cli import EXIT_OK, run
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.mcmc import McmcConfig, estimate_correlations
-from nlsurf.model import NishimoriParams, sample_disorder, uniform_params
-from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, quenched_correlation
+from nlsurf.model import NishimoriParams, uniform_params
+from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, disorder_cores, quenched_joint
 from nlsurf.surface import (
-    adjacency_direct,
-    adjacency_integral,
+    adjacency_term,
     periodic_minus_free,
     scaling_sweep,
     surface_pressure_free,
@@ -79,8 +78,8 @@ def test_acceptance_04_g2():
     for xb2 in np.arange(0.0, 1.501, 0.25):
         x = np.full(4, 0.6)
         x[2] = xb2
-        res = quenched_correlation(lat, NishimoriParams(x=x), [("bond", 0)], Quadrature(40))
-        vals.append(res[("bond", 0)].value)
+        res = quenched_joint(lat, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))
+        vals.append(res["s"].value)
     assert np.all(np.diff(vals) >= -1e-9)
     _announce(4, "d[<S_b>]/dx_b' identity, sign, tree zero, monotone grid")
 
@@ -88,13 +87,13 @@ def test_acceptance_04_g2():
 def test_acceptance_05_adjacency_route_equality():
     t0 = time.perf_counter()
     for x in (0.4, 0.8):
-        d = adjacency_direct(1, 2, x, Quadrature(20))
-        i = adjacency_integral(1, 2, x, Quadrature(20), t_nodes=16)
+        d = adjacency_term(1, 2, x, Quadrature(20), routes="direct").direct
+        i = adjacency_term(1, 2, x, Quadrature(20), t_nodes=16, routes="integral").integral
         assert abs(d.value - i.value) <= 1e-6, f"d=1 x={x}: {abs(d.value - i.value):.2e}"
     for x in (0.4, 0.8):
         m = DisorderMC(100_000, seed=1001)
-        d = adjacency_direct(2, 2, x, m)
-        i = adjacency_integral(2, 2, x, m, t_nodes=12)
+        d = adjacency_term(2, 2, x, m, routes="direct").direct
+        i = adjacency_term(2, 2, x, m, t_nodes=12, routes="integral").integral
         bound = 3.0 * combined_std_error(d, i)
         assert abs(d.value - i.value) <= bound, f"d=2 x={x}: {abs(d.value - i.value):.2e} > {bound:.2e}"
     elapsed = time.perf_counter() - t0
@@ -148,7 +147,7 @@ def test_acceptance_07_surface_pressure_sign_and_composition():
 
 def test_acceptance_08_small_x_prefactor():
     x = 0.05
-    est = adjacency_integral(2, 2, x, DisorderMC(20_000, seed=1004), t_nodes=8)
+    est = adjacency_term(2, 2, x, DisorderMC(20_000, seed=1004), t_nodes=8, routes="integral").integral
     ratio = est.value / (8 * x * x / 2.0)
     assert 0.99 <= ratio <= 1.01, f"ratio {ratio:.5f}"
     _announce(8, f"small-x structure: integral / (|C| x^2/2) = {ratio:.4f} in [0.99, 1.01]")
@@ -159,9 +158,9 @@ def test_acceptance_09_mcmc_vs_exact():
     params = uniform_params(lat, 0.5)
     bonds = tuple(range(lat.n_bonds))
     worst = 0.0
+    cores, _ = next(disorder_cores(lat, DisorderMC(5, seed=888)))  # realizations 0..4
     for s in range(5):
-        real = sample_disorder(params, 888, sample_index=s)
-        K = params.x * real.j
+        K = params.x * (params.x + cores[s])
         cfg = McmcConfig(sweeps=60_000, burn_in=2_000, seed=5000 + s, measure_stride=2)
         est, _ = estimate_correlations(lat, K, bonds=bonds, config=cfg)
         exact = gibbs_report(lat, CouplingField(K), bonds=bonds)

@@ -111,10 +111,17 @@ def test_exit_codes(tmp_path, capsys):
     assert "--mcmc-sweeps" not in capsys.readouterr().err
     # outside input is a usage error with an error line, not a traceback
     (tmp_path / "no-argv.json").write_text('{"outputs": {}}')
+    (tmp_path / "int-argv.json").write_text('{"argv": [1, 2], "outputs": {}}')
+    (tmp_path / "int-digest.json").write_text('{"argv": ["lattice-info"], "outputs": {"a": 1, "b": "x"}}')
+    looped = tmp_path / "looped.json"
+    looped.write_text(json.dumps({"argv": ["rerun", "--manifest", str(looped)], "outputs": {}}))
     for argv in (
         ["lattice-info", "--dim", "1", "--side", "4", "--bc", "free", "--tiles", "0"],
         ["rerun", "--manifest", str(tmp_path / "missing.json")],
         ["rerun", "--manifest", str(tmp_path / "no-argv.json")],
+        ["rerun", "--manifest", str(tmp_path / "int-argv.json")],
+        ["rerun", "--manifest", str(tmp_path / "int-digest.json")],
+        ["rerun", "--manifest", str(looped)],
     ):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")

@@ -14,15 +14,9 @@ from nlsurf.exact import (
     SizeCapExceeded,
     _engine_tables,
     batch_gibbs,
-    bond_correlation,
-    corridor_average,
-    effective_couplings,
     gibbs_report,
-    log_partition,
-    pair_correlation,
 )
 from nlsurf.lattice import Boundary, build_lattice, decompose_box, torus_cut
-from nlsurf.model import sample_disorder, uniform_params
 from nlsurf.rng import standard_normals
 
 from oracles import FROZEN, brute_gibbs, graycode_gibbs
@@ -36,21 +30,21 @@ def _bonds(lat):
 
 def test_free_spins():
     lat = build_lattice(2, 2, Boundary.FREE)
-    assert log_partition(lat, CouplingField(np.zeros(4))) == pytest.approx(4 * LN2, abs=1e-13)
+    assert gibbs_report(lat, CouplingField(np.zeros(4))).log_z == pytest.approx(4 * LN2, abs=1e-13)
 
 
 def test_single_bond_closed_form():
     lat = build_lattice(1, 2, Boundary.FREE)
     K = CouplingField(np.array([0.5]))
-    assert log_partition(lat, K) == pytest.approx(math.log(4 * math.cosh(0.5)), abs=1e-13)
-    assert bond_correlation(lat, K, 0) == pytest.approx(math.tanh(0.5), abs=1e-13)
+    assert gibbs_report(lat, K).log_z == pytest.approx(math.log(4 * math.cosh(0.5)), abs=1e-13)
+    assert gibbs_report(lat, K, bonds=(0,)).correlations[0] == pytest.approx(math.tanh(0.5), abs=1e-13)
 
 
 def test_2x2_frozen_oracle():
     lat = build_lattice(2, 2, Boundary.FREE)
     K = CouplingField(np.array([0.3, -0.2, 0.7, 0.1]))
-    assert log_partition(lat, K) == pytest.approx(FROZEN["logz_2x2_mixed"], abs=1e-13)
-    assert bond_correlation(lat, K, 0) == pytest.approx(FROZEN["corr_2x2_mixed_b0"], abs=1e-13)
+    assert gibbs_report(lat, K).log_z == pytest.approx(FROZEN["logz_2x2_mixed"], abs=1e-13)
+    assert gibbs_report(lat, K, bonds=(0,)).correlations[0] == pytest.approx(FROZEN["corr_2x2_mixed_b0"], abs=1e-13)
 
 
 def test_zero_couplings_correlations_vanish():
@@ -63,29 +57,36 @@ def test_zero_couplings_correlations_vanish():
 def test_tree_pair_factorizes():
     lat = build_lattice(1, 3, Boundary.FREE)
     K = CouplingField(np.array([0.8, -0.4]))
-    got = pair_correlation(lat, K, 0, 1)
+    got = gibbs_report(lat, K, pairs=((0, 1),)).correlations[(0, 1)]
     assert got == pytest.approx(math.tanh(0.8) * math.tanh(-0.4), abs=1e-13)
 
 
 def test_plaquette_pair_frozen():
     lat = build_lattice(2, 2, Boundary.FREE)
     K = CouplingField(np.full(4, 0.5))
-    pair = pair_correlation(lat, K, 0, 2)
+    corr = gibbs_report(lat, K, bonds=(0, 2), pairs=((0, 2),)).correlations
+    pair = corr[(0, 2)]
     assert pair == pytest.approx(FROZEN["pair_2x2_half_02"], abs=1e-13)
-    conn = pair - bond_correlation(lat, K, 0) * bond_correlation(lat, K, 2)
+    conn = pair - corr[0] * corr[2]
     assert conn == pytest.approx(FROZEN["conn_2x2_half_02"], abs=1e-13)
     assert conn > 0
 
 
 def test_corridor_average_cases():
     lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
+    idx = decompose_box(lat).corridor.sorted_indices()
+    assert idx == (1,)
+
+    def corridor_mean(K):
+        rep = gibbs_report(lat, K, bonds=idx)
+        return sum(rep.correlations[b] for b in idx) / len(idx)
+
     K = CouplingField(np.array([0.4, 0.9, -0.3]))
     # open chain factorizes bond by bond, so the middle bond gives tanh(0.9)
-    assert corridor_average(lat, K, dec.corridor) == pytest.approx(math.tanh(0.9), abs=1e-13)
-    assert corridor_average(lat, CouplingField(np.zeros(3)), dec.corridor) == pytest.approx(0.0, abs=1e-14)
-    single = bond_correlation(lat, K, 1)
-    assert corridor_average(lat, K, dec.corridor) == pytest.approx(single, abs=1e-15)
+    assert corridor_mean(K) == pytest.approx(math.tanh(0.9), abs=1e-13)
+    assert corridor_mean(CouplingField(np.zeros(3))) == pytest.approx(0.0, abs=1e-14)
+    single = gibbs_report(lat, K, bonds=(1,)).correlations[1]
+    assert corridor_mean(K) == pytest.approx(single, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -114,7 +115,7 @@ def test_graycode_oracle_matches(dim, side, bc):
     rng = np.random.default_rng(17)
     lat = build_lattice(dim, side, bc)
     K = rng.normal(0.0, 0.8, lat.n_bonds)
-    assert log_partition(lat, CouplingField(K)) == pytest.approx(
+    assert gibbs_report(lat, CouplingField(K)).log_z == pytest.approx(
         graycode_gibbs(lat.n_sites, _bonds(lat), K), abs=1e-10
     )
 
@@ -149,8 +150,8 @@ def test_derivative_of_logz_is_correlation():
             Kp, Km = K.copy(), K.copy()
             Kp[b] += h
             Km[b] -= h
-            fd = (log_partition(lat, CouplingField(Kp)) - log_partition(lat, CouplingField(Km))) / (2 * h)
-            assert fd == pytest.approx(bond_correlation(lat, CouplingField(K), b), abs=1e-8)
+            fd = (gibbs_report(lat, CouplingField(Kp)).log_z - gibbs_report(lat, CouplingField(Km)).log_z) / (2 * h)
+            assert fd == pytest.approx(gibbs_report(lat, CouplingField(K), bonds=(b,)).correlations[b], abs=1e-8)
 
 
 @settings(deadline=None, max_examples=20)
@@ -158,7 +159,7 @@ def test_derivative_of_logz_is_correlation():
 def test_logz_bounds(ks):
     lat = build_lattice(2, 2, Boundary.FREE)
     K = np.array(ks)
-    lz = log_partition(lat, CouplingField(K))
+    lz = gibbs_report(lat, CouplingField(K)).log_z
     bound = np.abs(K).sum()
     assert lat.n_sites * LN2 - bound - 1e-10 <= lz <= lat.n_sites * LN2 + bound + 1e-10
 
@@ -166,7 +167,7 @@ def test_logz_bounds(ks):
 def test_size_cap_error_mentions_mcmc():
     lat = build_lattice(2, 6, Boundary.FREE)
     with pytest.raises(SizeCapExceeded) as exc:
-        log_partition(lat, CouplingField(np.zeros(lat.n_bonds)))
+        gibbs_report(lat, CouplingField(np.zeros(lat.n_bonds)))
     assert "mcmc" in str(exc.value)
 
 
@@ -174,9 +175,9 @@ def test_invalid_queries():
     lat = build_lattice(2, 2, Boundary.FREE)
     K = CouplingField(np.zeros(4))
     with pytest.raises(ValueError):
-        bond_correlation(lat, K, 9)
+        gibbs_report(lat, K, bonds=(9,))
     with pytest.raises(ValueError):
-        pair_correlation(lat, K, 1, 1)
+        gibbs_report(lat, K, pairs=((1, 1),))
     with pytest.raises(ValueError):
         gibbs_report(lat, CouplingField(np.zeros(3)))
 
@@ -240,10 +241,3 @@ def test_float32_engine_bytes_pinned_to_schema():
         digest.update(bg.bond[b].tobytes())
     assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v4", "a5d82bedf017b356")
 
-
-def test_effective_couplings():
-    lat = build_lattice(1, 3, Boundary.FREE)
-    p = uniform_params(lat, 0.6)
-    real = sample_disorder(p, 5)
-    K = effective_couplings(p, real)
-    assert np.allclose(K.K, 0.6 * real.j)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsurf.exact import CouplingField, log_partition
+from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import (
     Boundary,
     CorridorKind,
@@ -218,11 +218,11 @@ def test_factorization_of_zeroed_corridor():
     dec = decompose_box(lat)
     K = rng.normal(0.0, 0.7, lat.n_bonds)
     K[list(dec.corridor.bond_indices)] = 0.0
-    total = log_partition(lat, CouplingField(K))
+    total = gibbs_report(lat, CouplingField(K)).log_z
     parts = 0.0
     for sites in dec.sub_boxes:
         sub, locK = _sub_box_lattice_and_couplings(lat, sites, K)
-        parts += log_partition(sub, CouplingField(locK))
+        parts += gibbs_report(sub, CouplingField(locK)).log_z
     assert total == pytest.approx(parts, abs=1e-11)
 
 
@@ -240,8 +240,8 @@ def test_torus_cut_unfolds_to_free_box(dim, side):
         if b.index in cut.bond_indices:
             continue
         freeK[free_bond[(b.site_a, b.site_b, b.direction)]] = K[b.index]
-    assert log_partition(torus, CouplingField(K)) == pytest.approx(
-        log_partition(free, CouplingField(freeK)), abs=1e-11
+    assert gibbs_report(torus, CouplingField(K)).log_z == pytest.approx(
+        gibbs_report(free, CouplingField(freeK)).log_z, abs=1e-11
     )
 
 
@@ -250,11 +250,11 @@ def test_tiling_zeroed_factorizes_into_free_boxes():
     lat, dec = tiling_interfaces(2, 2, 2)
     K = rng.normal(0.0, 0.6, lat.n_bonds)
     K[list(dec.corridor.bond_indices)] = 0.0
-    total = log_partition(lat, CouplingField(K))
+    total = gibbs_report(lat, CouplingField(K)).log_z
     parts = 0.0
     for sites in dec.sub_boxes:
         sub, locK = _sub_box_lattice_and_couplings(lat, sites, K)
-        parts += log_partition(sub, CouplingField(locK))
+        parts += gibbs_report(sub, CouplingField(locK)).log_z
     assert total == pytest.approx(parts, abs=1e-11)
 
 
@@ -266,6 +266,6 @@ def test_factorization_against_brute_force():
     K = rng.normal(0.0, 1.0, lat.n_bonds)
     K[list(dec.corridor.bond_indices)] = 0.0
     bonds = [(b.site_a, b.site_b) for b in lat.bonds]
-    assert log_partition(lat, CouplingField(K)) == pytest.approx(
+    assert gibbs_report(lat, CouplingField(K)).log_z == pytest.approx(
         brute_gibbs(lat.n_sites, bonds, K)["log_z"], abs=1e-12
     )

@@ -1,4 +1,4 @@
-"""Nishimori-line parametrization, disorder sampling, interpolation schedule."""
+"""Nishimori-line parametrization, keyed disorder draws, interpolation schedule."""
 
 import math
 
@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
 from nlsurf.model import (
-    DisorderRealization,
     GaussianBondModel,
     NishimoriParams,
     OffNishimoriError,
     interpolated_params,
     nl_from_physical,
-    sample_disorder,
-    shift_disorder,
     uniform_params,
 )
+from nlsurf.quenched import DisorderMC, disorder_cores
+from nlsurf.rng import standard_normals
 
 
 def test_nl_from_physical_examples():
@@ -82,54 +81,35 @@ def test_schedule_monotone_on_corridor(t1, t2):
     assert xa[0] == xb[0] == 0.8           # constant off it
 
 
+def _cores(lat, seed, samples):
+    """The normal cores g of realizations 0..samples-1; couplings are j = x + g."""
+    return np.concatenate([core for core, _ in disorder_cores(lat, DisorderMC(samples, seed))])
+
+
 def test_sample_disorder_deterministic():
     lat = build_lattice(2, 3, Boundary.PERIODIC)
-    p = uniform_params(lat, 0.5)
-    r1 = sample_disorder(p, seed=42)
-    r2 = sample_disorder(p, seed=42)
-    assert np.array_equal(r1.j, r2.j) and np.array_equal(r1.g, r2.g)
-    assert np.allclose(r1.j, p.x + r1.g)
-    assert not np.array_equal(r1.g, sample_disorder(p, seed=43).g)
-    assert not np.array_equal(r1.g, sample_disorder(p, seed=42, sample_index=1).g)
+    g1 = _cores(lat, 42, 2)
+    g2 = _cores(lat, 42, 2)
+    assert np.array_equal(g1, g2)
+    assert not np.array_equal(g1[0], _cores(lat, 43, 2)[0])
+    assert not np.array_equal(g1[0], g1[1])
 
 
 def test_sample_disorder_statistics():
     # x = 2 on every bond: empirical mean within 4 sigma of 2, variance within 5%
     lat = build_lattice(1, 2, Boundary.FREE)
     p = uniform_params(lat, 2.0)
-    vals = np.array([sample_disorder(p, 123, sample_index=s).j[0] for s in range(2000)])
+    vals = p.x[0] + _cores(lat, 123, 2000)[:, 0]
     # vectorized equivalent across sample indices for the bulk of the statistics
-    from nlsurf.rng import standard_normals
-
     j = 2.0 + standard_normals(123, 0, np.arange(100_000))
     assert np.array_equal(vals, j[:2000])
     assert abs(j.mean() - 2.0) <= 4.0 / math.sqrt(100_000)
     assert abs(j.var() - 1.0) <= 0.05
 
 
-def test_shift_disorder():
-    lat = build_lattice(1, 4, Boundary.FREE)
-    dec = decompose_box(lat)
-    p = uniform_params(lat, 0.8)
-    real = sample_disorder(p, 7)
-
-    same = shift_disorder(real, p)
-    assert np.array_equal(same.j, real.j)
-
-    p0 = interpolated_params(lat, dec.corridor, 0.8, t=0.0)
-    shifted = shift_disorder(real, p0)
-    assert shifted.j[1] == real.g[1]  # corridor mean removed
-    back = shift_disorder(shifted, p)
-    assert np.array_equal(back.j, real.j)  # bit-exact involution
-
-    with pytest.raises(ValueError):
-        shift_disorder(real, NishimoriParams(x=np.zeros(2)))
-
-
 def test_realization_regeneration_hash():
+    # realization 9 regenerates from (seed, 9) alone, without its neighbours
     lat = build_lattice(2, 2, Boundary.FREE)
-    p = uniform_params(lat, 0.3)
-    a = sample_disorder(p, 1234, sample_index=9)
-    b = sample_disorder(p, 1234, sample_index=9)
-    assert hash(a.g.tobytes()) == hash(b.g.tobytes())
-    assert isinstance(a, DisorderRealization)
+    a = _cores(lat, 1234, 10)[9]
+    b = standard_normals(1234, np.arange(lat.n_bonds), 9)
+    assert hash(a.tobytes()) == hash(b.tobytes())

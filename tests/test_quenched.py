@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nlsurf.exact import CouplingField, corridor_average, effective_couplings
+from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
 from nlsurf import quenched
-from nlsurf.model import (
-    NishimoriParams,
-    interpolated_params,
-    sample_disorder,
-    shift_disorder,
-    uniform_params,
-)
+from nlsurf.model import NishimoriParams, interpolated_params, uniform_params
 from nlsurf.quenched import (
     DisorderMC,
     GridTooLarge,
@@ -22,11 +16,12 @@ from nlsurf.quenched import (
     Moments,
     Quadrature,
     combined_std_error,
-    quenched_correlation,
+    disorder_cores,
     quenched_joint,
     quenched_joint_many,
     quenched_pressure,
 )
+from nlsurf.rng import standard_normals
 
 from oracles import FROZEN
 
@@ -63,18 +58,22 @@ def test_2x2_pressure_oracle_and_mc_cross():
 def test_quenched_correlation_single_bond_oracles():
     lat = build_lattice(1, 2, Boundary.FREE)
     p = uniform_params(lat, 1.0)
-    res = quenched_correlation(
-        lat, p, [("bond", 0), ("bond_sq", 0), ("j_bond", 0)], Quadrature(200)
+    res = quenched_joint(
+        lat,
+        [p],
+        Quadrature(200),
+        {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2, "js": lambda v: v[0].j[:, 0] * v[0].bond[0]},
+        bonds=(0,),
     )
-    assert res[("bond", 0)].value == pytest.approx(FROZEN["mean_tanh_x1"], abs=1e-10)
-    assert res[("bond_sq", 0)].value == pytest.approx(FROZEN["mean_tanh_sq_x1"], abs=1e-10)
-    assert res[("j_bond", 0)].value == pytest.approx(FROZEN["mean_j_tanh_x1"], abs=1e-8)
+    assert res["s"].value == pytest.approx(FROZEN["mean_tanh_x1"], abs=1e-10)
+    assert res["s2"].value == pytest.approx(FROZEN["mean_tanh_sq_x1"], abs=1e-10)
+    assert res["js"].value == pytest.approx(FROZEN["mean_j_tanh_x1"], abs=1e-8)
 
 
 def test_quenched_correlation_zero_x():
     lat = build_lattice(2, 2, Boundary.FREE)
     p = uniform_params(lat, 0.0)
-    res = quenched_correlation(lat, p, [("bond", b) for b in range(4)], Quadrature(10))
+    res = quenched_joint(lat, [p], Quadrature(10), {b: lambda v, b=b: v[0].bond[b] for b in range(4)}, bonds=(0, 1, 2, 3))
     assert all(abs(e.value) < 1e-14 for e in res.values())
 
 
@@ -83,17 +82,19 @@ def test_nishimori_identity_engine_invariant():
     for dim, side, x, nodes in [(1, 2, 0.3, 64), (1, 2, 0.7, 64), (2, 2, 0.3, 24), (2, 2, 0.7, 32)]:
         lat = build_lattice(dim, side, Boundary.FREE)
         p = uniform_params(lat, x)
-        res = quenched_correlation(lat, p, [("bond", 0), ("bond_sq", 0)], Quadrature(nodes))
-        assert abs(res[("bond", 0)].value - res[("bond_sq", 0)].value) <= 1e-8
+        functionals = {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2}
+        res = quenched_joint(lat, [p], Quadrature(nodes), functionals, bonds=(0,))
+        assert abs(res["s"].value - res["s2"].value) <= 1e-8
 
 
 def test_pair_query():
     lat = build_lattice(1, 3, Boundary.FREE)
     p = uniform_params(lat, 0.5)
-    res = quenched_correlation(lat, p, [("pair", 0, 1), ("bond", 0)], Quadrature(40))
+    functionals = {"pair": lambda v: v[0].pair[(0, 1)], "s": lambda v: v[0].bond[0]}
+    res = quenched_joint(lat, [p], Quadrature(40), functionals, bonds=(0,), pairs=((0, 1),))
     # tree: <S_0 S_1> = <S_0><S_1> at fixed disorder, both bonds i.i.d.
-    b = res[("bond", 0)].value
-    assert res[("pair", 0, 1)].value == pytest.approx(b * b, abs=1e-9)
+    b = res["s"].value
+    assert res["pair"].value == pytest.approx(b * b, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -104,8 +105,13 @@ def test_pair_query():
 def test_correlation_rejects_bad_bond_queries(query, message, method):
     # the same errors as the reference engine, not bond 3's value for bond -1
     lat = build_lattice(2, 2, Boundary.FREE)
+    kind, *idx = query
+    if kind == "pair":
+        request = {"functionals": {"q": lambda v: v[0].pair[tuple(idx)]}, "pairs": (tuple(idx),)}
+    else:
+        request = {"functionals": {"q": lambda v: v[0].bond[idx[0]]}, "bonds": (idx[0],)}
     with pytest.raises(ValueError, match=message):
-        quenched_correlation(lat, uniform_params(lat, 0.8), [query], method)
+        quenched_joint(lat, [uniform_params(lat, 0.8)], method, **request)
 
 
 def test_quadrature_convergence_profile():
@@ -178,45 +184,55 @@ def test_grid_cap():
 def _corridor_integrand(lat, corridor, x, t, g):
     """<S_C> at fixed normal core g and interpolation time t: couplings x_t (x_t + g)."""
     x_t = interpolated_params(lat, corridor, x, t).x
-    return corridor_average(lat, CouplingField(x_t * (x_t + g)), corridor)
+    idx = corridor.sorted_indices()
+    rep = gibbs_report(lat, CouplingField(x_t * (x_t + g)), bonds=idx)
+    return sum(rep.correlations[b] for b in idx) / len(idx)
+
+
+def _first_core(lat, seed):
+    """Realization 0 of the seeded disorder stream: row 0 of the first chunk."""
+    core, _ = next(disorder_cores(lat, DisorderMC(2, seed)))
+    return core[0]
 
 
 def _chain_core(seed):
     lat = build_lattice(1, 4, Boundary.FREE)
-    return lat, decompose_box(lat).corridor, sample_disorder(uniform_params(lat, 0.8), seed)
+    return lat, decompose_box(lat).corridor, _first_core(lat, seed)
 
 
 def test_corridor_integrand_zero_cases():
-    lat, corridor, real = _chain_core(13)
+    lat, corridor, g = _chain_core(13)
     # t = 0 decouples the sub-chains; each factor is a zero-field single box
-    assert _corridor_integrand(lat, corridor, 0.8, 0.0, real.g) == pytest.approx(0.0, abs=1e-14)
+    assert _corridor_integrand(lat, corridor, 0.8, 0.0, g) == pytest.approx(0.0, abs=1e-14)
     lat2d = build_lattice(2, 4, Boundary.FREE)
     corridor2d = decompose_box(lat2d).corridor
-    real2d = sample_disorder(uniform_params(lat2d, 0.8), 14)
-    assert _corridor_integrand(lat2d, corridor2d, 0.8, 0.0, real2d.g) == pytest.approx(0.0, abs=1e-12)
+    assert _corridor_integrand(lat2d, corridor2d, 0.8, 0.0, _first_core(lat2d, 14)) == pytest.approx(0.0, abs=1e-12)
 
-    lat0, corridor0, real0 = _chain_core(2)
+    lat0, corridor0, g0 = _chain_core(2)
     for t in (0.0, 0.3, 1.0):
-        assert _corridor_integrand(lat0, corridor0, 0.0, t, real0.g) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_corridor_integrand_matches_shifted_realization():
-    # the core form is the realization's means moved to x_b(t), bit for bit
-    lat, corridor, real = _chain_core(21)
-    t = 0.5
-    got = _corridor_integrand(lat, corridor, 0.8, t, real.g)
-    params_t = interpolated_params(lat, corridor, 0.8, t)
-    direct = corridor_average(lat, effective_couplings(params_t, shift_disorder(real, params_t)), corridor)
-    assert got == direct
+        assert _corridor_integrand(lat0, corridor0, 0.0, t, g0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_crn_smoothness_in_t():
     # for fixed g the integrand moves slowly in t: |f(t + 1e-4) - f(t)| <= 1e-2
-    lat, corridor, real = _chain_core(33)
+    lat, corridor, g = _chain_core(33)
     for t in np.linspace(1e-4, 1.0 - 1e-4, 23):
-        a = _corridor_integrand(lat, corridor, 1.0, float(t), real.g)
-        b = _corridor_integrand(lat, corridor, 1.0, float(t) + 1e-4, real.g)
+        a = _corridor_integrand(lat, corridor, 1.0, float(t), g)
+        b = _corridor_integrand(lat, corridor, 1.0, float(t) + 1e-4, g)
         assert abs(b - a) <= 1e-2
+
+
+def test_disorder_cores_rows_are_keyed_draws():
+    # row s of the Monte Carlo cores is standard_normals(seed, bonds, s) whatever
+    # chunk it falls in, so a realization can be regenerated from (seed, s) alone
+    lat = build_lattice(2, 2, Boundary.FREE)
+    bonds = np.arange(lat.n_bonds)
+    drawn = list(disorder_cores(lat, DisorderMC(5000, seed=1234)))
+    assert [len(core) for core, _ in drawn] == [4096, 904] and all(w is None for _, w in drawn)
+    cores = np.concatenate([core for core, _ in drawn])
+    for s in (0, 1, 4094, 4095, 4096, 4097, 4999):
+        assert cores[s].tobytes() == standard_normals(1234, bonds, s).tobytes()
+    assert cores.tobytes() == standard_normals(1234, bonds[None, :], np.arange(5000)[:, None]).tobytes()
 
 
 def _count_passes(monkeypatch, first_chunk_only=False):

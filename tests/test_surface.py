@@ -4,12 +4,11 @@ import math
 
 import pytest
 
+from nlsurf.exact import SizeCapExceeded
 from nlsurf.mcmc import McmcConfig
 from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error
 from nlsurf.surface import (
     SurfaceTermKind,
-    adjacency_direct,
-    adjacency_integral,
     adjacency_term,
     periodic_minus_free,
     scaling_sweep,
@@ -23,8 +22,8 @@ Q20 = Quadrature(20)
 
 
 def test_all_terms_vanish_at_zero_x():
-    assert adjacency_direct(1, 2, 0.0, Q20).value == pytest.approx(0.0, abs=1e-13)
-    assert adjacency_integral(1, 2, 0.0, Q20, t_nodes=4).value == 0.0
+    assert adjacency_term(1, 2, 0.0, Q20, routes="direct").direct.value == pytest.approx(0.0, abs=1e-13)
+    assert adjacency_term(1, 2, 0.0, Q20, t_nodes=4, routes="integral").integral.value == 0.0
     r = periodic_minus_free(1, 4, 0.0, Q20, t_nodes=4)
     assert r.direct.value == pytest.approx(0.0, abs=1e-13) and r.integral.value == 0.0
     r = surface_pressure_free(1, 2, 0.0, 2, Q20, t_nodes=4)
@@ -34,8 +33,8 @@ def test_all_terms_vanish_at_zero_x():
 
 
 def test_adjacency_oracle_and_route_equality():
-    d = adjacency_direct(1, 2, 0.8, Q20)
-    i = adjacency_integral(1, 2, 0.8, Q20, t_nodes=16)
+    d = adjacency_term(1, 2, 0.8, Q20, routes="direct").direct
+    i = adjacency_term(1, 2, 0.8, Q20, t_nodes=16, routes="integral").integral
     assert d.value == pytest.approx(FROZEN["adjacency_d1_L2_x08"], abs=1e-6)
     assert i.value == pytest.approx(FROZEN["adjacency_d1_L2_x08"], abs=1e-6)
     assert abs(d.value - i.value) <= 1e-6
@@ -84,17 +83,17 @@ def test_surface_pressure_periodic_oracle_and_composition():
 def test_small_x_prefactor_structure_1d():
     # integrand is O(x^2), so integral / (|C| x^2 / 2) -> 1 as x -> 0
     x = 0.05
-    r = adjacency_integral(1, 2, x, Quadrature(16), t_nodes=8)
+    r = adjacency_term(1, 2, x, Quadrature(16), t_nodes=8, routes="integral").integral
     ratio = r.value / (1 * x * x / 2.0)
     assert 0.99 <= ratio <= 1.01
 
 
 def test_mc_route_equality_and_determinism():
     m = DisorderMC(4000, seed=314)
-    d = adjacency_direct(2, 2, 0.8, m)
-    i = adjacency_integral(2, 2, 0.8, m, t_nodes=8)
+    d = adjacency_term(2, 2, 0.8, m, routes="direct").direct
+    i = adjacency_term(2, 2, 0.8, m, t_nodes=8, routes="integral").integral
     assert abs(d.value - i.value) <= 3.0 * combined_std_error(d, i)
-    d2 = adjacency_direct(2, 2, 0.8, m)
+    d2 = adjacency_term(2, 2, 0.8, m, routes="direct").direct
     assert d.value == d2.value and d.std_error == d2.std_error
 
 
@@ -183,3 +182,26 @@ def test_routes_rejected():
     cfg = McmcConfig(sweeps=40, burn_in=10, seed=1)
     with pytest.raises(ValueError, match="integral route only"):
         adjacency_term(2, 4, 0.5, DisorderMC(2, seed=1), 2, cfg, routes="direct")
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        lambda m: periodic_minus_free(2, 5, 0.5, m, 2),
+        lambda m: surface_pressure_free(2, 2, 0.5, 20, m, 2),
+        lambda m: surface_pressure_periodic(2, 2, 0.5, 20, m, 2),
+    ],
+    ids=["torus-diff", "surface-free", "surface-periodic"],
+)
+def test_size_cap_checked_before_any_draw(term, monkeypatch):
+    # beyond the cap a term must fail before it draws a disorder chunk
+    import nlsurf.quenched
+    import nlsurf.surface
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("disorder drawn for a lattice beyond the enumeration cap")
+
+    monkeypatch.setattr(nlsurf.surface, "disorder_cores", no_draw)
+    monkeypatch.setattr(nlsurf.quenched, "disorder_cores", no_draw)
+    with pytest.raises(SizeCapExceeded):
+        term(DisorderMC(4096, seed=1))

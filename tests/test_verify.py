@@ -8,7 +8,7 @@ import pytest
 from nlsurf import rng
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.model import NishimoriParams, uniform_params
-from nlsurf.quenched import DisorderMC, Quadrature, quenched_correlation
+from nlsurf.quenched import DisorderMC, Quadrature, quenched_joint
 from nlsurf.verify import (
     STANDARD_X_VALUES,
     CheckId,
@@ -88,8 +88,8 @@ def test_g2_monotonicity_grid():
     for xb2 in np.arange(0.0, 1.501, 0.25):
         x = np.full(4, 0.6)
         x[2] = xb2
-        res = quenched_correlation(LAT4, NishimoriParams(x=x), [("bond", 0)], Quadrature(40))
-        vals.append(res[("bond", 0)].value)
+        res = quenched_joint(LAT4, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))
+        vals.append(res["s"].value)
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-9)
 
