@@ -19,12 +19,7 @@ from .lattice import (
     tiling_interfaces,
     torus_cut,
 )
-from .mcmc import (
-    ChainDiagnostics,
-    McmcConfig,
-    PoorMixingWarning,
-    estimate_correlations,
-)
+from .mcmc import McmcConfig, PoorMixingWarning
 from .model import (
     GaussianBondModel,
     NishimoriParams,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -77,6 +78,18 @@ def _package_version() -> str:
         return metadata.version("nlsurf")
     except metadata.PackageNotFoundError:  # running from a source tree
         return "0.1.0+src"
+
+
+def _versions() -> dict:
+    """Package versions, the BLAS numpy was built against (float32 result
+    bytes depend on its sgemm) and the BLAS thread counts the environment asks for."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before show_config(mode=)
+        blas = "unknown"
+    threads = {v: os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v in os.environ}
+    return {"nlsurf": _package_version(), "numpy": np.__version__, "python": sys.version.split()[0], "blas": blas, "blas_threads": threads}
 
 
 def _method_from_args(args) -> Quadrature | DisorderMC:
@@ -173,7 +186,7 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
         argv=list(args.original_argv),
         config=config,
         seeds={"seed": getattr(args, "seed", None)},
-        versions={"nlsurf": _package_version(), "numpy": np.__version__, "python": sys.version.split()[0]},
+        versions=_versions(),
         wall_time_s=time.time() - args.start_time,
         outputs=outputs,
         telemetry=telemetry or {},
@@ -390,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None, help="fixed node count (default: per-instance)")
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--tolerance", type=float, default=None)
+    tol_help = f"bound for the non-derivative quadrature checks, finite and >= 0 (default {verify_mod.DEFAULT_TOL:g})"
+    tol_help += f"; derivative checks keep {verify_mod.DERIVATIVE_TOL:g}, MC checks use 3 combined std errors"
+    p.add_argument("--tolerance", type=float, default=None, help=tol_help)
     out(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -22,7 +22,9 @@ alone, whatever other chains share its batch.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
-realizations are independent.
+realizations are independent.  `run_chains` (the kernel) and
+`blocked_estimate` are composed by `two_level_inner`, the inner level of the
+two-level estimator beyond the enumeration cap.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import rng
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
-from .quenched import DisorderMC, Estimate, disorder_cores
+from .quenched import DisorderMC, disorder_cores
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
 CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
@@ -70,14 +72,6 @@ class McmcConfig:
     @property
     def n_measurements(self) -> int:
         return len(range(self.burn_in, self.sweeps, self.measure_stride))
-
-
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    acceptance: float
-    autocorr_time: float
-    ess: float
-    n_measurements: int
 
 
 _nbr_cache: dict = {}
@@ -141,7 +135,7 @@ def blocked_estimate(v: np.ndarray) -> tuple[float, float, float, float]:
     return float(v.mean()), se, tau, ess
 
 
-def _run_chains(
+def run_chains(
     lattice: LatticeSpec,
     kvecs: np.ndarray,
     seeds,
@@ -156,6 +150,8 @@ def _run_chains(
     encoded states (C, measurements) or None, flips (C,), proposals (C,)).
     """
     C, n = len(seeds), lattice.n_sites
+    if np.shape(kvecs) != (C, lattice.n_bonds):
+        raise ValueError("coupling field does not match the lattice, or not one per chain seed")
     nbr_site, nbr_bond = _neighbor_tables(lattice)
     classes = colour_classes(lattice)
     perm = np.array([s for cls in classes for s in cls], dtype=np.int64)
@@ -209,82 +205,6 @@ def _run_chains(
     return series, states, flips.sum(axis=1), proposals
 
 
-def estimate_correlations_batch(
-    lattice: LatticeSpec,
-    kvecs: np.ndarray,
-    seeds,
-    *,
-    bonds: tuple[int, ...] = (),
-    corridor: Corridor | None = None,
-    config: McmcConfig,
-) -> list[tuple[dict, ChainDiagnostics]]:
-    """estimate_correlations for many chains at once: row c of kvecs on seeds[c].
-
-    Entry c is bit-identical to estimate_correlations(lattice, kvecs[c],
-    config=replace(config, seed=seeds[c])), so results do not depend on how
-    chains are batched; chains run CHAIN_BATCH at a time to bound memory.
-    """
-    kvecs = np.asarray(kvecs, dtype=np.float64)
-    seeds = list(seeds)
-    if kvecs.shape != (len(seeds), lattice.n_bonds):
-        raise ValueError("coupling field does not match the lattice, or not one per chain seed")
-    query = tuple(bonds)
-    corr_idx: tuple[int, ...] = ()
-    if corridor is not None:
-        if corridor.cardinality == 0:
-            raise ValueError("corridor is empty")
-        corr_idx = corridor.sorted_indices()
-    track = tuple(dict.fromkeys(query + corr_idx))
-    if not track:
-        raise ValueError("nothing to measure: pass bonds and/or a corridor")
-    col = {b: i for i, b in enumerate(track)}
-    corr_cols = [col[b] for b in corr_idx]
-    n_meas = config.n_measurements
-    out = []
-    for lo in range(0, len(seeds), CHAIN_BATCH):
-        batch = seeds[lo : lo + CHAIN_BATCH]
-        series, _, flips, proposals = _run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
-        for c in range(len(batch)):
-            estimates: dict = {}
-            taus = []
-            for b in query:
-                mean, se, tau, _ = blocked_estimate(series[c, :, col[b]])
-                estimates[b] = Estimate(value=mean, std_error=se)
-                taus.append(tau)
-            main_tau, main_ess = 0.5, float(n_meas)
-            if corr_cols:
-                mean, se, main_tau, main_ess = blocked_estimate(series[c][:, corr_cols].mean(axis=1))
-                estimates["corridor_mean"] = Estimate(value=mean, std_error=se)
-            elif taus:
-                main_tau = max(taus)
-                main_ess = min(float(n_meas), n_meas / (2.0 * main_tau))
-            diags = ChainDiagnostics(
-                acceptance=float(flips[c] / max(proposals[c], 1)),
-                autocorr_time=main_tau,
-                ess=main_ess,
-                n_measurements=n_meas,
-            )
-            out.append((estimates, diags))
-    return out
-
-
-def estimate_correlations(
-    lattice: LatticeSpec,
-    K: np.ndarray,
-    *,
-    bonds: tuple[int, ...] = (),
-    corridor: Corridor | None = None,
-    config: McmcConfig,
-) -> tuple[dict, ChainDiagnostics]:
-    """Chain estimates of <S_b> (and the corridor average) at fixed disorder.
-
-    Returns ({bond index or "corridor_mean": Estimate}, diagnostics);
-    deterministic given config.seed.
-    """
-    kvec = np.asarray(K, dtype=np.float64)
-    return estimate_correlations_batch(lattice, kvec[None, :], [config.seed], bonds=bonds, corridor=corridor, config=config)[0]
-
-
 def two_level_inner(
     lattice: LatticeSpec,
     x_at,
@@ -298,8 +218,10 @@ def two_level_inner(
     Realization s takes its normal core g from quenched.disorder_cores (the
     disorder stream keyed by (disorder.seed, bond, s)); variant i runs the
     couplings x (x + g) with x = x_at[i] on stream
-    rng.derive_seed(config.seed, s, i).  All chains run as one batch.
-    Returns the (samples, variants) chain means of the corridor average, and
+    rng.derive_seed(config.seed, s, i).  Chains run CHAIN_BATCH at a time and
+    each batch is reduced to per-chain scalars before the next one starts,
+    which bounds memory, not results.  Returns the (samples, variants) chain
+    means of the corridor average (blocked_estimate of each chain's series), and
     the chain telemetry for the manifest (count, site-sweeps, time, mean
     acceptance, worst ESS, warning count).  The caller,
     surface._interpolation_term, reduces the columns over realizations with
@@ -311,11 +233,19 @@ def two_level_inner(
     x = np.asarray(x_at, dtype=np.float64)[None, :, :]
     kvecs = (x * (x + g)).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
     seeds = [rng.derive_seed(config.seed, s, i) for s in range(disorder.samples) for i in range(len(x_at))]
+    track = corridor.sorted_indices()
+    values, ess, acceptance = [], [], []
     t0 = time.perf_counter()
-    chains = estimate_correlations_batch(lattice, kvecs, seeds, corridor=corridor, config=config)
+    for lo in range(0, len(seeds), CHAIN_BATCH):
+        batch = seeds[lo : lo + CHAIN_BATCH]
+        series, _, flips, proposals = run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
+        for c in range(len(batch)):
+            mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
+            values.append(mean)
+            ess.append(chain_ess)
+            acceptance.append(float(flips[c] / max(proposals[c], 1)))
     chain_s = time.perf_counter() - t0
-    values = np.array([est["corridor_mean"].value for est, _ in chains]).reshape(disorder.samples, len(x_at))
-    min_ess = min(diag.ess for _, diag in chains)
+    min_ess = min(ess)
     poor = min_ess < MIN_INNER_ESS
     if poor:
         warnings.warn(
@@ -324,15 +254,15 @@ def two_level_inner(
             PoorMixingWarning,
             stacklevel=_outside_package_level(),
         )
-    site_sweeps = len(chains) * lattice.n_sites * config.sweeps
+    site_sweeps = len(seeds) * lattice.n_sites * config.sweeps
     telemetry = {
-        "chains": len(chains),
+        "chains": len(seeds),
         "site_sweeps": site_sweeps,
         "chain_s": chain_s,
         "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
-        "mean_acceptance": float(np.mean([diag.acceptance for _, diag in chains])),
+        "mean_acceptance": float(np.mean(acceptance)),
         "min_ess": min_ess,
         "poor_mixing_warnings": int(poor),
     }
-    return values, telemetry
+    return np.array(values).reshape(disorder.samples, len(x_at)), telemetry
 

@@ -320,8 +320,11 @@ def run_standard_suite(
 
     All checks go to one `quenched_joint_many` call: with method=None the 81
     checks share 14 quadrature grids, one disorder pass each, while under
-    DisorderMC every check has its own seed and so its own pass.
+    DisorderMC every check has its own seed and so its own pass.  tol bounds
+    the non-derivative quadrature checks and must be finite and >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
     wanted = set(checks) if checks is not None else set(CheckId)
     pending: list[_Check] = []
     counter = 0

@@ -122,6 +122,7 @@ def test_exit_codes(tmp_path, capsys):
         ["rerun", "--manifest", str(tmp_path / "int-argv.json")],
         ["rerun", "--manifest", str(tmp_path / "int-digest.json")],
         ["rerun", "--manifest", str(looped)],
+        *(["verify", "--method", "quadrature", "--nodes", "4", "--tolerance", t] for t in ("-1", "nan", "inf")),
     ):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
@@ -197,6 +198,24 @@ def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
     exact, chained = data["terms"]
     assert exact["routes"]["direct"] is not None and exact["integrand_tables"]["center_bond"]
     assert chained["routes"]["direct"] is None
+
+
+def test_manifest_records_blas_result_does_not(tmp_path, monkeypatch):
+    # the BLAS build and the requested BLAS thread counts go to the manifest;
+    # the result bytes do not depend on them
+    argv = ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5"]
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        status, _, out = _run_json(tmp_path, f"b{threads}.json", argv)
+        assert status == EXIT_OK
+        versions = json.loads((tmp_path / f"b{threads}.manifest.json").read_text())["versions"]
+        assert isinstance(versions["blas"], str) and versions["blas"]
+        assert versions["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+        assert "MKL_NUM_THREADS" not in versions["blas_threads"]
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
 
 
 def test_manifest_roundtrip_mc(tmp_path):

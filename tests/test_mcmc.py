@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +9,7 @@ import pytest
 from nlsurf import rng as nlrng
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
-from nlsurf.mcmc import (
-    CHAIN_ENGINE,
-    ChainDiagnostics,
-    McmcConfig,
-    _run_chains,
-    blocked_estimate,
-    colour_classes,
-    estimate_correlations,
-    estimate_correlations_batch,
-)
+from nlsurf.mcmc import CHAIN_ENGINE, McmcConfig, blocked_estimate, colour_classes, run_chains
 from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01
 from nlsurf.surface import Geometry, SurfaceTermKind, _adjacency_setup, _interpolation_term, adjacency_term
 
@@ -39,11 +29,12 @@ def test_config_validation():
 def test_zero_couplings():
     lat = build_lattice(2, 3, Boundary.PERIODIC)
     cfg = McmcConfig(sweeps=4000, burn_in=500, seed=3, measure_stride=1)
-    est, diag = estimate_correlations(lat, np.zeros(lat.n_bonds), bonds=(0, 5), config=cfg)
-    for b in (0, 5):
-        assert abs(est[b].value) <= 3.0 * est[b].std_error + 1e-9
-    assert 0.0 <= diag.acceptance <= 1.0
-    assert diag.ess <= diag.n_measurements
+    series, _, flips, proposals = run_chains(lat, np.zeros((1, lat.n_bonds)), [cfg.seed], cfg, (0, 5))
+    for col in range(2):  # bonds 0 and 5
+        mean, se, _, ess = blocked_estimate(series[0, :, col])
+        assert abs(mean) <= 3.0 * se + 1e-9
+        assert ess <= cfg.n_measurements
+    assert 0.0 <= flips[0] / proposals[0] <= 1.0
 
 
 @pytest.mark.parametrize("dim,side,bc", [(2, 3, Boundary.PERIODIC), (2, 2, Boundary.FREE), (1, 6, Boundary.FREE)])
@@ -54,20 +45,20 @@ def test_matches_exact_engine(dim, side, bc):
     K = rng.normal(0.25, 0.5, lat.n_bonds)
     bonds = tuple(range(lat.n_bonds))
     cfg = McmcConfig(sweeps=30_000, burn_in=2_000, seed=17, measure_stride=2)
-    est, _ = estimate_correlations(lat, K, bonds=bonds, config=cfg)
+    series, _, _, _ = run_chains(lat, K[None, :], [cfg.seed], cfg, bonds)
     exact = gibbs_report(lat, CouplingField(K), bonds=bonds)
     for b in bonds:
-        assert abs(est[b].value - exact.correlations[b]) <= 3.0 * est[b].std_error
+        mean, se, _, _ = blocked_estimate(series[0, :, b])
+        assert abs(mean - exact.correlations[b]) <= 3.0 * se
 
 
 def test_seed_determinism():
     lat = build_lattice(2, 3, Boundary.PERIODIC)
     K = np.full(lat.n_bonds, 0.3)
     cfg = McmcConfig(sweeps=2000, burn_in=200, seed=55, measure_stride=2)
-    a, da = estimate_correlations(lat, K, bonds=(0, 1), config=cfg)
-    b, db = estimate_correlations(lat, K, bonds=(0, 1), config=cfg)
-    assert a[0].value == b[0].value and a[1].std_error == b[1].std_error
-    assert da == db
+    a, b = (run_chains(lat, K[None, :], [cfg.seed], cfg, (0, 1)) for _ in range(2))
+    for x, y in zip(a, b):  # series, states (None), flips, proposals
+        assert (x is None and y is None) or x.tobytes() == y.tobytes()
 
 
 def test_stationary_distribution_2x2():
@@ -76,7 +67,7 @@ def test_stationary_distribution_2x2():
     rng = np.random.default_rng(8)
     K = rng.normal(0.3, 0.4, lat.n_bonds)
     cfg = McmcConfig(sweeps=1_000_000, burn_in=2_000, seed=5, measure_stride=1)
-    _, states, _, _ = _run_chains(lat, K[None, :], [cfg.seed], cfg, (0,), record_states=True)
+    _, states, _, _ = run_chains(lat, K[None, :], [cfg.seed], cfg, (0,), record_states=True)
     states = states[0]
     counts = np.bincount(states, minlength=16)
     bonds = [(b.site_a, b.site_b) for b in lat.bonds]
@@ -132,10 +123,12 @@ def test_quenched_estimate_corridor_route():
 def test_diagnostics_types():
     lat = build_lattice(1, 4, Boundary.FREE)
     cfg = McmcConfig(sweeps=500, burn_in=100, seed=2)
-    _, diag = estimate_correlations(lat, np.full(3, 0.4), bonds=(1,), config=cfg)
-    assert isinstance(diag, ChainDiagnostics)
-    assert diag.autocorr_time >= 0.5
-    assert diag.n_measurements == cfg.n_measurements
+    series, _, _, _ = run_chains(lat, np.full((1, 3), 0.4), [cfg.seed], cfg, (1,))
+    assert series.shape == (1, cfg.n_measurements, 1)
+    assert blocked_estimate(series[0, :, 0])[2] >= 0.5
+    for kvecs in (np.full((2, 3), 0.4), np.full((1, 4), 0.4)):  # one row per seed, one column per bond
+        with pytest.raises(ValueError):
+            run_chains(lat, kvecs, [cfg.seed], cfg, (1,))
 
 
 def test_starved_chain_is_flagged():
@@ -171,41 +164,50 @@ def test_colour_classes(dim, side, bc, n_classes):
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
 def test_batch_composition_independence():
-    # a chain's estimates and diagnostics are a function of its seed and
-    # couplings only, whatever other chains share its batch
+    # a chain's kernel outputs are a function of its seed and couplings
+    # only, whatever other chains share its batch
     lat = build_lattice(2, 3, Boundary.PERIODIC)
     cfg = McmcConfig(sweeps=300, burn_in=50, seed=0, measure_stride=1)
     kv = np.random.default_rng(3).normal(0.3, 0.5, (5, lat.n_bonds))
     seeds = [nlrng.derive_seed(9, c) for c in range(5)]
-    batch = estimate_correlations_batch(lat, kv, seeds, bonds=(0, 7), config=cfg)
-    assert estimate_correlations_batch(lat, kv[3:], seeds[3:], bonds=(0, 7), config=cfg) == batch[3:]
+
+    def chain(out, c):  # (series, flips, proposals) bytes of chain c of one kernel call
+        series, _, flips, proposals = out
+        return series[c].tobytes(), flips[c].tobytes(), proposals[c].tobytes()
+
+    batch = run_chains(lat, kv, seeds, cfg, (0, 7))
+    sub = run_chains(lat, kv[3:], seeds[3:], cfg, (0, 7))
     for c, seed in enumerate(seeds):
-        alone = estimate_correlations(lat, kv[c], bonds=(0, 7), config=replace(cfg, seed=seed))
-        assert alone == batch[c]
+        alone = chain(run_chains(lat, kv[c : c + 1], [seed], cfg, (0, 7)), 0)
+        assert alone == chain(batch, c)
+        if c >= 3:
+            assert alone == chain(sub, c - 3)
 
     # chain (s, i) of the two-level adjacency call, run alone, reproduces its
     # row: the node estimates and the worst ESS and mean acceptance are bit-equal
     method, mcmc = DisorderMC(3, seed=4), McmcConfig(sweeps=120, burn_in=20, seed=11)
     r = adjacency_term(2, 3, 0.5, method, 2, mcmc)
     lattice, corridor = _adjacency_setup(2, 3)
-    corr_idx = list(corridor.sorted_indices())
+    corr_idx = corridor.sorted_indices()
     tn, _ = legendre_nodes_01(2)
-    alone = []
+    alone = []  # (corridor mean, ESS, acceptance) per chain
     for s in range(method.samples):
         g = nlrng.standard_normals(method.seed, np.arange(lattice.n_bonds, dtype=np.uint64), s)
         for i, t in enumerate(tn):
             xt = np.full(lattice.n_bonds, 0.5)
-            xt[corr_idx] = 0.5 * math.sqrt(t)
-            cfg = replace(mcmc, seed=nlrng.derive_seed(mcmc.seed, s, i))
-            alone.append(estimate_correlations(lattice, xt * (xt + g), corridor=corridor, config=cfg))
-    values = np.array([est["corridor_mean"].value for est, _ in alone]).reshape(method.samples, 2)
+            xt[list(corr_idx)] = 0.5 * math.sqrt(t)
+            seed = nlrng.derive_seed(mcmc.seed, s, i)
+            series, _, flips, proposals = run_chains(lattice, (xt * (xt + g))[None, :], [seed], mcmc, corr_idx)
+            mean, _, _, ess = blocked_estimate(series[0].mean(axis=1))
+            alone.append((mean, ess, float(flips[0] / max(proposals[0], 1))))
+    values = np.array([a[0] for a in alone]).reshape(method.samples, 2)
     moments = Moments()
     moments.add(list(values.T), None)
     for point, node in zip(r.integrand_tables["corridor"], moments.estimates(), strict=True):
         assert (point.value, point.std_error) == (node.value, node.std_error)
     assert r.chain_telemetry["chains"] == len(alone)
-    assert r.chain_telemetry["min_ess"] == min(d.ess for _, d in alone)
-    assert r.chain_telemetry["mean_acceptance"] == float(np.mean([d.acceptance for _, d in alone]))
+    assert r.chain_telemetry["min_ess"] == min(a[1] for a in alone)
+    assert r.chain_telemetry["mean_acceptance"] == float(np.mean([a[2] for a in alone]))
 
 
 def test_poor_mixing_warning_names_the_caller():
@@ -229,7 +231,20 @@ def test_chain_kernel_bytes_pinned_to_engine_version():
     for lat, n_classes in ((build_lattice(2, 3, Boundary.PERIODIC), 3), (build_lattice(2, 2, Boundary.FREE), 2)):
         assert len(colour_classes(lat)) == n_classes
         kvecs = np.stack([np.linspace(-0.4, 0.9, lat.n_bonds), np.linspace(0.7, -0.2, lat.n_bonds)])
-        series, _, flips, proposals = _run_chains(lat, kvecs, [101, 202], cfg, tuple(range(lat.n_bonds)))
+        series, _, flips, proposals = run_chains(lat, kvecs, [101, 202], cfg, tuple(range(lat.n_bonds)))
         for a in (series, flips, proposals):
             digest.update(a.tobytes())
     assert (CHAIN_ENGINE, digest.hexdigest()[:16]) == ("metropolis-batched-3", "8e59a320c3399ccc")
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
+def test_two_level_bytes_pinned_to_engine_version():
+    # the reduction after the kernel: the integral, every corridor node and the
+    # chain telemetry of a fixed two-level term; when this digest moves on
+    # purpose, CHAIN_ENGINE must move with it
+    r = adjacency_term(2, 3, 0.5, DisorderMC(3, seed=4), 2, McmcConfig(sweeps=120, burn_in=20, seed=11))
+    values = [r.integral.value, r.integral.std_error]
+    values += [v for p in r.integrand_tables["corridor"] for v in (p.value, p.std_error)]
+    values += [r.chain_telemetry[k] for k in ("chains", "site_sweeps", "min_ess", "mean_acceptance", "poor_mixing_warnings")]
+    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()[:16]
+    assert (CHAIN_ENGINE, digest) == ("metropolis-batched-3", "f6d82ebb2997d3ea")
