@@ -46,7 +46,6 @@ from .surface import (
     surface_pressure_free,
     surface_pressure_periodic,
 )
-from .cli import RunManifest
 from .verify import CheckId, VerificationReport, run_standard_suite, suite_report
 
 __version__ = "0.1.0"

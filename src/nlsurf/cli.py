@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
 
@@ -47,30 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce and audit one run.
-
-    Result files reference the manifest through manifest_id (a digest of the
-    parameter snapshot), never the other way around, so reruns are
-    byte-identical while the manifest itself may carry wall-clock time.
-    """
-
-    manifest_id: str
-    argv: list[str]
-    config: dict
-    seeds: dict
-    versions: dict
-    wall_time_s: float
-    outputs: dict = field(default_factory=dict)
-    telemetry: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schema"] = MANIFEST_SCHEMA
-        return d
 
 
 def _package_version() -> str:
@@ -150,11 +125,16 @@ def _config_snapshot(args, command: str) -> dict:
     return cfg
 
 
-def _write_run(args, command: str, result: dict, csv_text: str | None = None, telemetry: dict | None = None) -> dict:
-    """Attach the manifest id, write result + manifest files, return manifest.
+def _write_run(args, command: str, result: dict, csv_text: str | None = None, telemetry: dict | None = None) -> None:
+    """Attach the manifest id and write the result: to stdout, or to --out
+    with a manifest next to it.
 
-    Telemetry (timings, counters, diagnostics) goes to the manifest only, so
-    the result bytes reproduce.
+    The manifest holds everything needed to reproduce and audit the run.
+    Result files reference it through manifest_id (a digest of the parameter
+    snapshot), never the other way around, so reruns are byte-identical while
+    the manifest itself may carry wall-clock time.  Telemetry (timings,
+    counters, diagnostics) goes to the manifest only, so the result bytes
+    reproduce.
     """
     config = _config_snapshot(args, command)
     manifest_id = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
@@ -168,33 +148,30 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
     # --format json the CSV goes next to an --out file
     as_csv = getattr(args, "format", "json") == "csv"
     primary = csv_text if as_csv else text
-    outputs: dict[str, str] = {}
-    out = args.out
-    if out is None:
+    if args.out is None:
         sys.stdout.write(primary)
-    else:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        files = {out: primary}
-        if csv_text is not None and not as_csv:
-            files[out.with_suffix(".csv")] = csv_text
-        for path, content in files.items():
-            path.write_text(content)
-            outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest = RunManifest(
-        manifest_id=manifest_id,
-        argv=list(args.original_argv),
-        config=config,
-        seeds={"seed": getattr(args, "seed", None)},
-        versions=_versions(),
-        wall_time_s=time.time() - args.start_time,
-        outputs=outputs,
-        telemetry=telemetry or {},
-    )
-    if out is not None:
-        mpath = out.with_name(out.stem + ".manifest.json")
-        mpath.write_text(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
-    return manifest
+        return
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    files = {out: primary}
+    if csv_text is not None and not as_csv:
+        files[out.with_suffix(".csv")] = csv_text
+    outputs: dict[str, str] = {}
+    for path, content in files.items():
+        path.write_text(content)
+        outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = {
+        "schema": MANIFEST_SCHEMA,
+        "manifest_id": manifest_id,
+        "argv": list(args.original_argv),
+        "config": config,
+        "seeds": {"seed": getattr(args, "seed", None)},
+        "versions": _versions(),
+        "wall_time_s": time.time() - args.start_time,
+        "outputs": outputs,
+        "telemetry": telemetry or {},
+    }
+    out.with_name(out.stem + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _boundary(name: str) -> Boundary:
@@ -267,6 +244,11 @@ def _cmd_term(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    if args.format == "json" and args.out is not None and Path(args.out).suffix == ".csv":
+        raise ValueError(
+            f"--out {args.out}: with --format json the sweep CSV goes next to the JSON result under a .csv suffix and "
+            "would overwrite it; pass --format csv to write the CSV alone, or an --out that does not end in .csv"
+        )
     method = _method_from_args(args)
     mcmc = None
     if args.mcmc_sweeps is not None:

@@ -7,9 +7,9 @@ product weights.  The coupling mean x_b is added on top per parameter variant,
 so several nearby parameter sets (interpolation nodes, finite-difference
 bumps) share the same core - common random numbers by construction.
 
-`quenched_joint_many` runs many such joint averages at once: jobs whose cores
-coincide share one pass over them, and each distinct variant is enumerated
-once per chunk.  `quenched_joint` is its one-job case.
+`quenched_joint_many` runs many such joint averages (`JointJob`s) at once:
+jobs whose cores coincide share one pass over them, and each distinct variant
+is enumerated once per chunk.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class VariantChunk:
 
 @dataclass(frozen=True)
 class JointJob:
-    """The arguments of one `quenched_joint` call, for `quenched_joint_many`."""
+    """One joint disorder average, every variant on the same cores, for `quenched_joint_many`."""
 
     lattice: LatticeSpec
     variants: Sequence[NishimoriParams]
@@ -265,14 +265,14 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 def quenched_joint_many(jobs: Sequence[JointJob]) -> list[dict[str, Estimate]]:
-    """Run several `quenched_joint` calls with one disorder pass per grid.
+    """Run several joint averages with one disorder pass per grid.
 
     Jobs whose disorder cores coincide (see `_grid`) share one
     `disorder_cores` stream, and a parameter variant common to several of
     them (equal x bytes) is enumerated once per chunk, for the union of the
     bonds, pairs and log Z its jobs ask for.  Each job keeps its own Moments,
     and a batch_gibbs row does not depend on what else is requested, so every
-    result equals the job's lone `quenched_joint` result bit for bit.
+    result equals the job's lone `quenched_joint_many([job])` result bit for bit.
     """
     groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray]] = {}
     for i, job in enumerate(jobs):
@@ -330,32 +330,7 @@ def _variant_chunk(
     return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, x=x, core=core)
 
 
-def quenched_joint(
-    lattice: LatticeSpec,
-    variants: Sequence[NishimoriParams],
-    method: AveragingMethod,
-    functionals: Mapping[str, Callable[[list[VariantChunk]], np.ndarray]],
-    *,
-    bonds: tuple[int, ...] = (),
-    pairs: tuple[tuple[int, int], ...] = (),
-    need_log_z: bool = False,
-) -> dict[str, Estimate]:
-    """Average per-sample functionals of several parameter variants jointly.
-
-    All variants are evaluated on the same disorder cores, and all requested
-    functionals are accumulated in a single pass.  The one-job case of
-    `quenched_joint_many`.
-    """
-    return quenched_joint_many([JointJob(lattice, variants, method, functionals, bonds, pairs, need_log_z)])[0]
-
-
 def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod) -> Estimate:
     """[ln Z] under the product Gaussian with means x_b."""
-    res = quenched_joint(
-        lattice,
-        [params],
-        method,
-        {"pressure": lambda v: v[0].log_z},
-        need_log_z=True,
-    )
-    return res["pressure"]
+    job = JointJob(lattice, [params], method, {"pressure": lambda v: v[0].log_z}, need_log_z=True)
+    return quenched_joint_many([job])[0]["pressure"]

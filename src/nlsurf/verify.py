@@ -3,9 +3,10 @@
 Each check evaluates its left and right sides on shared disorder (common
 random numbers) and reports the discrepancy against a tolerance: an absolute
 one under deterministic quadrature, three combined standard errors under
-disorder Monte Carlo.  A check is a `JointJob` plus a finisher; checks run
-together make one disorder pass per grid (`quenched.quenched_joint_many`),
-and each gets the bytes its one-check `verify_*` call gives.
+disorder Monte Carlo.  A check (`check_le` ... `check_idset`) is a `JointJob`
+plus a finisher.  `run_checks` runs checks together, one disorder pass per
+grid (`quenched.quenched_joint_many`), and each check's reports equal, bit
+for bit, those it gives when run alone.
 
 Derivatives with respect to x_b are total: the bump moves the Gaussian mean
 and the coupling strength together, i.e. it stays inside the one-parameter
@@ -96,17 +97,18 @@ def _finish(check_id, lattice, params, bonds, lhs, rhs, method, tol, extra_ok=Tr
 
 # A check is a (JointJob, finisher) pair: the job says what to average over
 # disorder, the finisher turns the job's estimates into reports.
-_Check = tuple[JointJob, Callable[[dict[str, Estimate]], list[VerificationReport]]]
+Check = tuple[JointJob, Callable[[dict[str, Estimate]], list[VerificationReport]]]
 
 
-def _run(checks: list[_Check]) -> list[VerificationReport]:
+def run_checks(checks: list[Check]) -> list[VerificationReport]:
     """Evaluate the checks' jobs together, one disorder pass per grid, and
     finish the reports in check order."""
     results = quenched_joint_many([job for job, _ in checks])
     return [r for (_, finish), res in zip(checks, results) for r in finish(res)]
 
 
-def _le(lattice, params, b, method, tol) -> _Check:
+def check_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> Check:
+    """[<j_b S_b>] equals x_b."""
     job = JointJob(lattice, [params], method, {"lhs": lambda v: v[0].j[:, b] * v[0].bond[b]}, bonds=(b,))
 
     def finish(res):
@@ -116,23 +118,14 @@ def _le(lattice, params, b, method, tol) -> _Check:
     return job, finish
 
 
-def verify_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """[<j_b S_b>] equals x_b."""
-    return _run([_le(lattice, params, b, method, tol)])[0]
-
-
-def _mq(lattice, params, b, method, tol) -> _Check:
+def check_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> Check:
+    """[<S_b>] equals [<S_b>^2]."""
     job = JointJob(
         lattice, [params], method,
         {"lhs": lambda v: v[0].bond[b], "rhs": lambda v: v[0].bond[b] ** 2},
         bonds=(b,),
     )
     return job, lambda res: [_finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)]
-
-
-def verify_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """[<S_b>] equals [<S_b>^2]."""
-    return _run([_mq(lattice, params, b, method, tol)])[0]
 
 
 def _bumped(params: NishimoriParams, b: int, delta: float) -> NishimoriParams:
@@ -158,7 +151,8 @@ def _fd_variants(params: NishimoriParams, b: int):
     return variants, coef
 
 
-def _g1(lattice, params, b, method, tol) -> _Check:
+def check_g1(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DERIVATIVE_TOL) -> Check:
+    """dP/dx_b (finite difference) equals x_b [<S_b + 1>], which is >= 0."""
     variants, coef = _fd_variants(params, b)
     xb = float(params.x[b])
     job = JointJob(
@@ -180,18 +174,10 @@ def _g1(lattice, params, b, method, tol) -> _Check:
     return job, finish
 
 
-def verify_g1(
-    lattice: LatticeSpec,
-    params: NishimoriParams,
-    b: int,
-    method: AveragingMethod,
-    tol: float = DERIVATIVE_TOL,
-) -> VerificationReport:
-    """dP/dx_b (finite difference) equals x_b [<S_b + 1>], which is >= 0."""
-    return _run([_g1(lattice, params, b, method, tol)])[0]
-
-
-def _g2(lattice, params, b, b2, method, tol) -> _Check:
+def check_g2(
+    lattice: LatticeSpec, params: NishimoriParams, b: int, b2: int, method: AveragingMethod, tol: float = DERIVATIVE_TOL
+) -> Check:
+    """d[<S_b>]/dx_b2 equals 2 x_b2 [(<S_b S_b2> - <S_b><S_b2>)^2] >= 0."""
     if b == b2:
         raise ValueError("g2 needs two distinct bonds")
     variants, coef = _fd_variants(params, b2)
@@ -218,19 +204,16 @@ def _g2(lattice, params, b, b2, method, tol) -> _Check:
     return job, finish
 
 
-def verify_g2(
-    lattice: LatticeSpec,
-    params: NishimoriParams,
-    b: int,
-    b2: int,
-    method: AveragingMethod,
-    tol: float = DERIVATIVE_TOL,
-) -> VerificationReport:
-    """d[<S_b>]/dx_b2 equals 2 x_b2 [(<S_b S_b2> - <S_b><S_b2>)^2] >= 0."""
-    return _run([_g2(lattice, params, b, b2, method, tol)])[0]
+def check_idset(
+    lattice: LatticeSpec, params: NishimoriParams, b: int, b2: int, method: AveragingMethod, tol: float = DEFAULT_TOL
+) -> Check:
+    """The auxiliary identity group for a bond pair, one disorder pass.
 
-
-def _idset(lattice, params, b, b2, method, tol) -> _Check:
+    IDSET_A: [<S_b S_b2>] = [<S_b S_b2>^2]
+    IDSET_B: [<S_b><S_b2>] = [<S_b S_b2><S_b2>] = [<S_b><S_b2><S_b S_b2>]
+             (all three pairwise equalities of the chain are reported)
+    IDSET_C: [<S_b><S_b2>^2] = [<S_b>^2<S_b2>^2]
+    """
     if b == b2:
         raise ValueError("idset needs two distinct bonds")
     p = (b, b2)
@@ -258,24 +241,6 @@ def _idset(lattice, params, b, b2, method, tol) -> _Check:
         ]
 
     return job, finish
-
-
-def verify_idset(
-    lattice: LatticeSpec,
-    params: NishimoriParams,
-    b: int,
-    b2: int,
-    method: AveragingMethod,
-    tol: float = DEFAULT_TOL,
-) -> list[VerificationReport]:
-    """The auxiliary identity group for a bond pair, one disorder pass.
-
-    IDSET_A: [<S_b S_b2>] = [<S_b S_b2>^2]
-    IDSET_B: [<S_b><S_b2>] = [<S_b S_b2><S_b2>] = [<S_b><S_b2><S_b S_b2>]
-             (all three pairwise equalities of the chain are reported)
-    IDSET_C: [<S_b><S_b2>^2] = [<S_b>^2<S_b2>^2]
-    """
-    return _run([_idset(lattice, params, b, b2, method, tol)])
 
 
 STANDARD_X_VALUES = (0.3, 0.7, 1.2)
@@ -326,7 +291,7 @@ def run_standard_suite(
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
     wanted = set(checks) if checks is not None else set(CheckId)
-    pending: list[_Check] = []
+    pending: list[Check] = []
     counter = 0
 
     def mth(lattice: LatticeSpec, x: float, derivative: bool = False):
@@ -343,17 +308,17 @@ def run_standard_suite(
             params = uniform_params(lattice, x)
             for b in bonds:
                 if CheckId.LE in wanted:
-                    pending.append(_le(lattice, params, b, mth(lattice, x), tol))
+                    pending.append(check_le(lattice, params, b, mth(lattice, x), tol))
                 if CheckId.MQ in wanted:
-                    pending.append(_mq(lattice, params, b, mth(lattice, x), tol))
+                    pending.append(check_mq(lattice, params, b, mth(lattice, x), tol))
                 if CheckId.G1 in wanted:
-                    pending.append(_g1(lattice, params, b, mth(lattice, x, True), DERIVATIVE_TOL))
+                    pending.append(check_g1(lattice, params, b, mth(lattice, x, True)))
             for b, b2 in pairs:
                 if CheckId.G2 in wanted:
-                    pending.append(_g2(lattice, params, b, b2, mth(lattice, x, True), DERIVATIVE_TOL))
+                    pending.append(check_g2(lattice, params, b, b2, mth(lattice, x, True)))
                 if wanted & {CheckId.IDSET_A, CheckId.IDSET_B, CheckId.IDSET_C}:
-                    pending.append(_idset(lattice, params, b, b2, mth(lattice, x), tol))
-    return _run(pending)
+                    pending.append(check_idset(lattice, params, b, b2, mth(lattice, x), tol))
+    return run_checks(pending)
 
 
 def suite_report(reports: list[VerificationReport]) -> dict:

@@ -17,7 +17,7 @@ from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.mcmc import McmcConfig, blocked_estimate, run_chains
 from nlsurf.model import NishimoriParams, uniform_params
-from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, disorder_cores, quenched_joint
+from nlsurf.quenched import DisorderMC, JointJob, Quadrature, combined_std_error, disorder_cores, quenched_joint_many
 from nlsurf.surface import (
     adjacency_term,
     periodic_minus_free,
@@ -78,7 +78,7 @@ def test_acceptance_04_g2():
     for xb2 in np.arange(0.0, 1.501, 0.25):
         x = np.full(4, 0.6)
         x[2] = xb2
-        res = quenched_joint(lat, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))
+        [res] = quenched_joint_many([JointJob(lat, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))])
         vals.append(res["s"].value)
     assert np.all(np.diff(vals) >= -1e-9)
     _announce(4, "d[<S_b>]/dx_b' identity, sign, tree zero, monotone grid")

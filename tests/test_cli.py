@@ -251,3 +251,26 @@ def test_result_references_manifest(tmp_path):
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert data["manifest_id"] == manifest["manifest_id"]
     assert manifest["outputs"][out.name] == __import__("hashlib").sha256(out.read_bytes()).hexdigest()
+
+
+def test_manifest_keys(tmp_path):
+    # the manifest's top-level keys are its schema: pinned exactly
+    status, _, _ = _run_json(tmp_path, "k.json", ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5"])
+    assert status == EXIT_OK
+    manifest = json.loads((tmp_path / "k.manifest.json").read_text())
+    assert set(manifest) == {
+        "schema", "manifest_id", "argv", "config", "seeds", "versions", "wall_time_s", "outputs", "telemetry"
+    }
+    assert manifest["schema"] == "nlsurf.manifest.v1"
+
+
+def test_scaling_json_out_csv_is_usage_error(tmp_path, capsys):
+    # with --format json the sweep CSV goes to out.with_suffix(".csv"): a .csv
+    # --out would be overwritten by it and the JSON result lost
+    out = tmp_path / "sweep.csv"
+    argv = ["scaling", "--dim", "1", "--L-list", "2", "--x", "0.5", "--nodes", "6", "--t-nodes", "2", "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--format csv" in err
+    assert list(tmp_path.iterdir()) == []

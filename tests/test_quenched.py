@@ -17,7 +17,6 @@ from nlsurf.quenched import (
     Quadrature,
     combined_std_error,
     disorder_cores,
-    quenched_joint,
     quenched_joint_many,
     quenched_pressure,
 )
@@ -58,13 +57,14 @@ def test_2x2_pressure_oracle_and_mc_cross():
 def test_quenched_correlation_single_bond_oracles():
     lat = build_lattice(1, 2, Boundary.FREE)
     p = uniform_params(lat, 1.0)
-    res = quenched_joint(
+    job = JointJob(
         lat,
         [p],
         Quadrature(200),
         {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2, "js": lambda v: v[0].j[:, 0] * v[0].bond[0]},
         bonds=(0,),
     )
+    [res] = quenched_joint_many([job])
     assert res["s"].value == pytest.approx(FROZEN["mean_tanh_x1"], abs=1e-10)
     assert res["s2"].value == pytest.approx(FROZEN["mean_tanh_sq_x1"], abs=1e-10)
     assert res["js"].value == pytest.approx(FROZEN["mean_j_tanh_x1"], abs=1e-8)
@@ -73,7 +73,8 @@ def test_quenched_correlation_single_bond_oracles():
 def test_quenched_correlation_zero_x():
     lat = build_lattice(2, 2, Boundary.FREE)
     p = uniform_params(lat, 0.0)
-    res = quenched_joint(lat, [p], Quadrature(10), {b: lambda v, b=b: v[0].bond[b] for b in range(4)}, bonds=(0, 1, 2, 3))
+    functionals = {b: lambda v, b=b: v[0].bond[b] for b in range(4)}
+    [res] = quenched_joint_many([JointJob(lat, [p], Quadrature(10), functionals, bonds=(0, 1, 2, 3))])
     assert all(abs(e.value) < 1e-14 for e in res.values())
 
 
@@ -83,7 +84,7 @@ def test_nishimori_identity_engine_invariant():
         lat = build_lattice(dim, side, Boundary.FREE)
         p = uniform_params(lat, x)
         functionals = {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2}
-        res = quenched_joint(lat, [p], Quadrature(nodes), functionals, bonds=(0,))
+        [res] = quenched_joint_many([JointJob(lat, [p], Quadrature(nodes), functionals, bonds=(0,))])
         assert abs(res["s"].value - res["s2"].value) <= 1e-8
 
 
@@ -91,7 +92,7 @@ def test_pair_query():
     lat = build_lattice(1, 3, Boundary.FREE)
     p = uniform_params(lat, 0.5)
     functionals = {"pair": lambda v: v[0].pair[(0, 1)], "s": lambda v: v[0].bond[0]}
-    res = quenched_joint(lat, [p], Quadrature(40), functionals, bonds=(0,), pairs=((0, 1),))
+    [res] = quenched_joint_many([JointJob(lat, [p], Quadrature(40), functionals, bonds=(0,), pairs=((0, 1),))])
     # tree: <S_0 S_1> = <S_0><S_1> at fixed disorder, both bonds i.i.d.
     b = res["s"].value
     assert res["pair"].value == pytest.approx(b * b, abs=1e-9)
@@ -111,7 +112,7 @@ def test_correlation_rejects_bad_bond_queries(query, message, method):
     else:
         request = {"functionals": {"q": lambda v: v[0].bond[idx[0]]}, "bonds": (idx[0],)}
     with pytest.raises(ValueError, match=message):
-        quenched_joint(lat, [uniform_params(lat, 0.8)], method, **request)
+        quenched_joint_many([JointJob(lat, [uniform_params(lat, 0.8)], method, **request)])
 
 
 def test_quadrature_convergence_profile():
@@ -279,10 +280,7 @@ X3, X12 = [0.3] * 4, [1.2] * 4
 def test_joint_many_one_pass_per_grid(monkeypatch, xs, passes):
     lat = build_lattice(2, 2, Boundary.FREE)
     jobs = _jobs(lat, xs)
-    lone = [
-        quenched_joint(j.lattice, j.variants, j.method, j.functionals, bonds=j.bonds, pairs=j.pairs, need_log_z=j.need_log_z)
-        for j in jobs
-    ]
+    lone = [quenched_joint_many([j])[0] for j in jobs]
     calls = _count_passes(monkeypatch)
     assert quenched_joint_many(jobs) == lone  # Estimate fields compared with ==, bit for bit
     assert len(calls) == passes
@@ -292,10 +290,7 @@ def test_joint_many_mc_groups_by_seed(monkeypatch):
     lat = build_lattice(2, 2, Boundary.FREE)
     xs = [X3, [0.3001] + X3[1:], X3]
     jobs = _jobs(lat, xs, DisorderMC(300, seed=4)) + _jobs(lat, xs, DisorderMC(300, seed=5))
-    lone = [
-        quenched_joint(j.lattice, j.variants, j.method, j.functionals, bonds=j.bonds, pairs=j.pairs, need_log_z=j.need_log_z)
-        for j in jobs
-    ]
+    lone = [quenched_joint_many([j])[0] for j in jobs]
     calls = _count_passes(monkeypatch)
     assert quenched_joint_many(jobs) == lone
     assert len(calls) == 2

@@ -8,18 +8,19 @@ import pytest
 from nlsurf import rng
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.model import NishimoriParams, uniform_params
-from nlsurf.quenched import DisorderMC, Quadrature, quenched_joint
+from nlsurf.quenched import DisorderMC, JointJob, Quadrature, quenched_joint_many
 from nlsurf.verify import (
     STANDARD_X_VALUES,
     CheckId,
+    check_g1,
+    check_g2,
+    check_idset,
+    check_le,
+    check_mq,
+    run_checks,
     run_standard_suite,
     standard_instances,
     suite_report,
-    verify_g1,
-    verify_g2,
-    verify_idset,
-    verify_le,
-    verify_mq,
 )
 
 LAT1 = build_lattice(1, 2, Boundary.FREE)
@@ -28,55 +29,56 @@ LAT4 = build_lattice(2, 2, Boundary.FREE)
 
 
 def test_le_trivial_and_oracle():
-    r = verify_le(LAT1, uniform_params(LAT1, 0.0), 0, Quadrature(20))
+    [r] = run_checks([check_le(LAT1, uniform_params(LAT1, 0.0), 0, Quadrature(20))])
     assert r.passed and abs(r.lhs.value) < 1e-14 and r.rhs.value == 0.0
-    r = verify_le(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-8)
+    [r] = run_checks([check_le(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-8)])
     assert r.passed and r.discrepancy <= 1e-8
     for b in (0, 2):
-        r = verify_le(LAT4, uniform_params(LAT4, 0.7), b, Quadrature(32))
+        [r] = run_checks([check_le(LAT4, uniform_params(LAT4, 0.7), b, Quadrature(32))])
         assert r.passed and r.rhs.value == pytest.approx(0.7)
 
 
 def test_mq_examples():
-    r = verify_mq(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-8)
+    [r] = run_checks([check_mq(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-8)])
     assert r.passed
-    r = verify_mq(LAT4, uniform_params(LAT4, 0.5), 1, Quadrature(24))
+    [r] = run_checks([check_mq(LAT4, uniform_params(LAT4, 0.5), 1, Quadrature(24))])
     assert r.passed
 
 
 def test_g1_cases():
-    r = verify_g1(LAT1, uniform_params(LAT1, 0.0), 0, Quadrature(40))
+    [r] = run_checks([check_g1(LAT1, uniform_params(LAT1, 0.0), 0, Quadrature(40))])
     assert r.passed and abs(r.lhs.value) <= 1e-5 and r.rhs.value == 0.0
-    r = verify_g1(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-6)
+    [r] = run_checks([check_g1(LAT1, uniform_params(LAT1, 1.0), 0, Quadrature(200), tol=1e-6)])
     assert r.passed
     for b in range(4):
-        r = verify_g1(LAT4, uniform_params(LAT4, 0.6), b, Quadrature(24))
+        [r] = run_checks([check_g1(LAT4, uniform_params(LAT4, 0.6), b, Quadrature(24))])
         assert r.passed
         assert 0.0 <= r.rhs.value <= 2 * 0.6
 
 
 def test_g2_tree_and_plaquette():
-    r = verify_g2(LAT3, uniform_params(LAT3, 0.9), 0, 1, Quadrature(64))
+    [r] = run_checks([check_g2(LAT3, uniform_params(LAT3, 0.9), 0, 1, Quadrature(64))])
     assert r.passed
     assert abs(r.rhs.value) <= 1e-12  # tree: connected correlation vanishes
     assert abs(r.lhs.value) <= 1e-6
 
-    r = verify_g2(LAT4, uniform_params(LAT4, 0.0), 0, 2, Quadrature(16))
+    [r] = run_checks([check_g2(LAT4, uniform_params(LAT4, 0.0), 0, 2, Quadrature(16))])
     assert r.passed and r.rhs.value == 0.0
 
-    r = verify_g2(LAT4, uniform_params(LAT4, 0.6), 0, 2, Quadrature(24))
+    [r] = run_checks([check_g2(LAT4, uniform_params(LAT4, 0.6), 0, 2, Quadrature(24))])
     assert r.passed and r.rhs.value > 1e-3
-    with pytest.raises(ValueError):
-        verify_g2(LAT4, uniform_params(LAT4, 0.6), 1, 1, Quadrature(16))
+    for check in (check_g2, check_idset):
+        with pytest.raises(ValueError):
+            check(LAT4, uniform_params(LAT4, 0.6), 1, 1, Quadrature(16))
 
 
 def test_idset_cases():
-    for r in verify_idset(LAT4, uniform_params(LAT4, 0.0), 0, 2, Quadrature(12)):
+    for r in run_checks([check_idset(LAT4, uniform_params(LAT4, 0.0), 0, 2, Quadrature(12))]):
         assert r.passed and abs(r.lhs.value) < 1e-14 and abs(r.rhs.value) < 1e-14
-    rs = verify_idset(LAT3, uniform_params(LAT3, 1.0), 0, 1, Quadrature(128), tol=1e-8)
+    rs = run_checks([check_idset(LAT3, uniform_params(LAT3, 1.0), 0, 1, Quadrature(128), tol=1e-8)])
     assert len(rs) == 5
     assert all(r.passed for r in rs)
-    rs = verify_idset(LAT4, uniform_params(LAT4, 0.8), 0, 2, Quadrature(32))
+    rs = run_checks([check_idset(LAT4, uniform_params(LAT4, 0.8), 0, 2, Quadrature(32))])
     assert all(r.passed for r in rs)
     ids = [r.check_id for r in rs]
     assert ids.count(CheckId.IDSET_B) == 3
@@ -88,14 +90,14 @@ def test_g2_monotonicity_grid():
     for xb2 in np.arange(0.0, 1.501, 0.25):
         x = np.full(4, 0.6)
         x[2] = xb2
-        res = quenched_joint(LAT4, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))
+        [res] = quenched_joint_many([JointJob(LAT4, [NishimoriParams(x=x)], Quadrature(40), {"s": lambda v: v[0].bond[0]}, bonds=(0,))])
         vals.append(res["s"].value)
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-9)
 
 
 def test_report_serialization():
-    r = verify_le(LAT1, uniform_params(LAT1, 0.3), 0, Quadrature(40))
+    [r] = run_checks([check_le(LAT1, uniform_params(LAT1, 0.3), 0, Quadrature(40))])
     d = r.to_dict()
     json.dumps(d)
     assert d["check"] == "le" and d["passed"] is True
@@ -123,20 +125,19 @@ def test_mc_mode_derivative_checks():
 
 
 def _one_check_suite(method_at):
-    """The standard suite as one-check calls; method_at(k) is check k's method."""
+    """The standard suite as one-check `run_checks` calls; method_at(k) is check k's method."""
     reports, k = [], 0
     for _, lattice, bonds, pairs in standard_instances():
         for x in STANDARD_X_VALUES:
             params = uniform_params(lattice, x)
             for b in bonds:
-                for check in (verify_le, verify_mq, verify_g1):
+                for check in (check_le, check_mq, check_g1):
                     k += 1
-                    reports.append(check(lattice, params, b, method_at(k)))
+                    reports.extend(run_checks([check(lattice, params, b, method_at(k))]))
             for b, b2 in pairs:
-                k += 1
-                reports.append(verify_g2(lattice, params, b, b2, method_at(k)))
-                k += 1
-                reports.extend(verify_idset(lattice, params, b, b2, method_at(k)))
+                for check in (check_g2, check_idset):
+                    k += 1
+                    reports.extend(run_checks([check(lattice, params, b, b2, method_at(k))]))
     return reports
 
 
