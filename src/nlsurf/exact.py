@@ -21,6 +21,10 @@ Two paths share the bond-spin conventions:
   an analytic end is reduced over the pattern marginals of its own site.
   Below 10 sites A is empty and every site is enumerated, which keeps
   float32 connected correlations of tiny lattices at 0 where they vanish.
+  The two cases use two layouts: with patterns the energies are
+  sample-major (rows, n_cfg); with every site enumerated they are
+  configuration-major (n_cfg, rows), so the max, exp and sums over the 2-256
+  configurations run down contiguous rows instead of along short ones.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -250,6 +254,11 @@ def batch_gibbs(
     ln 2cosh(Hp) @ M.  A bond with an analytic end a is reduced over a's own
     pattern slice of the pattern marginals Q = P @ M.T, so a row of any
     result does not depend on what else is requested.
+
+    Below 10 sites every site is enumerated and the weights are laid out
+    configuration-major: T = sign.T @ Kc.T has shape (n_cfg, rows), so the
+    max, Z and every moment v @ P reduce over axis 0.  In float32, P is cast
+    to float64 once per chunk, so each moment is one float64 BLAS product.
     """
     if lattice.n_sites > ENUMERATION_CAP:
         raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
@@ -278,11 +287,16 @@ def batch_gibbs(
             if inner.any():  # odd rings: K_b s s' of the bonds between enumerated sites
                 T += Kc[:, inner] @ sign[inner]
             tH = np.tanh(Hp) if bonds or pairs else None
-        else:
-            T = Kc @ sign  # every bond joins two enumerated sites
-        m = T.max(axis=1)
-        P = np.exp(np.maximum(T - m[:, None], _EXP_FLOOR))
-        Z = P.sum(axis=1, dtype=np.float64)
+            m = T.max(axis=1)
+            P = np.exp(np.maximum(T - m[:, None], _EXP_FLOOR))
+            Z = P.sum(axis=1, dtype=np.float64)
+        else:  # configuration-major (n_cfg, rows): every reduction runs down contiguous rows
+            T = sign.T @ Kc.T  # every bond joins two enumerated sites
+            m = T.max(axis=0)
+            T -= m
+            P = np.exp(np.maximum(T, _EXP_FLOOR, out=T), out=T)
+            Z = P.sum(axis=0, dtype=np.float64)
+            P64 = P.astype(np.float64, copy=False) if bonds or pairs else None  # one cast per chunk
         if need_log_z:
             out_log_z[lo:hi] = _LN2 + m.astype(np.float64) + np.log(Z)
         Q = P @ M.T if need_q else None
@@ -294,7 +308,7 @@ def batch_gibbs(
             if len(ends) == 2 and ends[0] == ends[1]:
                 ends = []  # shared analytic end: S_a^2 = 1 drops out of the product
             if not ends:  # enumerated spins only: a matrix-vector product, summed in float64
-                return (P @ v.astype(np.float64)) / Z
+                return (P @ v.astype(np.float64) if n_pat else v.astype(np.float64) @ P64) / Z
             for a in ends:
                 v = tH[:, col[a]] * v
             return (P * v).sum(axis=1, dtype=np.float64) / Z

@@ -202,7 +202,17 @@ def test_batch_engines_consistent(dim, side, bc):
             assert np.allclose(got.pair[p], [r.correlations[p] for r in ref], atol=tol)
 
 
-@pytest.mark.parametrize("dim,side,bc", [(2, 4, Boundary.FREE), (2, 4, Boundary.PERIODIC), (1, 11, Boundary.PERIODIC)])
+@pytest.mark.parametrize(
+    "dim,side,bc",
+    [
+        (2, 4, Boundary.FREE),
+        (2, 4, Boundary.PERIODIC),
+        (1, 11, Boundary.PERIODIC),
+        (2, 2, Boundary.FREE),
+        (2, 3, Boundary.PERIODIC),
+        (1, 3, Boundary.FREE),
+    ],
+)
 @pytest.mark.parametrize("precise", [True, False])
 def test_batch_row_does_not_depend_on_request(dim, side, bc, precise):
     # quenched_joint_many enumerates a shared variant once for the union of its
@@ -239,5 +249,22 @@ def test_float32_engine_bytes_pinned_to_schema():
     digest = hashlib.sha256(bg.log_z.tobytes())
     for b in corridor:
         digest.update(bg.bond[b].tobytes())
-    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v4", "a5d82bedf017b356")
+    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v5", "a5d82bedf017b356")
 
+
+def test_enumerated_engine_bytes_pinned_to_schema():
+    # lattices under 10 sites take the configuration-major path: seeded batches
+    # on the 2x2 box in float64 and the 3x3 torus in float32, with log Z, every
+    # bond and one pair; when a digest moves on purpose, RESULT_SCHEMA moves with it
+    digests = []
+    for (dim, side, bc), precise in (((2, 2, Boundary.FREE), True), ((2, 3, Boundary.PERIODIC), False)):
+        lat = build_lattice(dim, side, bc)
+        every, pair = tuple(range(lat.n_bonds)), (0, lat.n_bonds - 1)
+        core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
+        bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=every, pairs=(pair,), need_log_z=True, precise=precise)
+        digest = hashlib.sha256(bg.log_z.tobytes())
+        for b in every:
+            digest.update(bg.bond[b].tobytes())
+        digest.update(bg.pair[pair].tobytes())
+        digests.append(digest.hexdigest()[:16])
+    assert (RESULT_SCHEMA, *digests) == ("nlsurf.result.v5", "3bcb8ebe79cb805b", "7cb11e183adb0b0f")
