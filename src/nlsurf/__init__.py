@@ -11,7 +11,6 @@ from .lattice import (
     Bond,
     Boundary,
     Corridor,
-    CorridorKind,
     Decomposition,
     LatticeSpec,
     build_lattice,

@@ -21,10 +21,10 @@ Two paths share the bond-spin conventions:
   an analytic end is reduced over the pattern marginals of its own site.
   Below 10 sites A is empty and every site is enumerated, which keeps
   float32 connected correlations of tiny lattices at 0 where they vanish.
-  The two cases use two layouts: with patterns the energies are
-  sample-major (rows, n_cfg); with every site enumerated they are
-  configuration-major (n_cfg, rows), so the max, exp and sums over the 2-256
-  configurations run down contiguous rows instead of along short ones.
+  Every lattice uses one layout: the energies are configuration-major
+  (n_cfg, rows), so the max, exp and sums over the 2-2048 configurations
+  run down contiguous rows, and a batch of one disorder chunk (at most 4096
+  rows) is one pass.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -33,6 +33,7 @@ log Z picks up an extra ln 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ ENUMERATION_CAP = 24
 _LN2 = math.log(2.0)
 _EXP_FLOOR = -80.0  # keeps float32 exp() out of the subnormal range; e^-80 is far below float64 rounding
 _CONFIG_CHUNK = 1 << 15
-_ELEM_BUDGET = 1 << 24  # max scratch elements per inner block
 _ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
 _BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
 
@@ -249,16 +249,14 @@ def batch_gibbs(
     (disorder Monte Carlo).  Which sites are summed analytically depends only
     on the lattice, never on the environment, so results are reproducible.
 
-    With analytic sites, ln 2cosh and tanh are evaluated once per pattern
-    field Hp = K @ S_pat, and the configuration energies are one product
-    ln 2cosh(Hp) @ M.  A bond with an analytic end a is reduced over a's own
-    pattern slice of the pattern marginals Q = P @ M.T, so a row of any
-    result does not depend on what else is requested.
-
-    Below 10 sites every site is enumerated and the weights are laid out
-    configuration-major: T = sign.T @ Kc.T has shape (n_cfg, rows), so the
-    max, Z and every moment v @ P reduce over axis 0.  In float32, P is cast
-    to float64 once per chunk, so each moment is one float64 BLAS product.
+    ln 2cosh and tanh run once per pattern field Hp = S_pat.T @ K.T.  The
+    weights are one configuration-major table, T = M.T @ ln 2cosh(Hp) plus
+    K_b s s' of the bonds between enumerated sites, of shape (n_cfg, rows):
+    the max, Z and every moment reduce over axis 0.  A bond with an analytic
+    end a is reduced over a's pattern slice of Q = M @ P, so a row of any
+    result does not depend on what else is requested.  The batch is one pass:
+    callers hand it one disorder chunk of at most 4096 rows, and no lattice
+    under the cap has over 2^11 configurations, so T has at most 2^23 entries.
     """
     if lattice.n_sites > ENUMERATION_CAP:
         raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
@@ -268,58 +266,41 @@ def batch_gibbs(
     _check_queries(lattice, bonds, pairs)
     dtype = np.float64 if precise else np.float32
     sign, apos, S_pat, M, col, start = _engine_tables(lattice, dtype)
-    n_pat, n_cfg = M.shape
     inner = apos < 0  # bonds between two enumerated sites
-    need_q = any(apos[b] >= 0 for b in bonds)
-    G = K_batch.shape[0]
-    out_log_z = np.empty(G) if need_log_z else None
-    out_bond = {b: np.empty(G) for b in bonds}
-    out_pair = {p: np.empty(G) for p in pairs}
+    Kc = K_batch.astype(dtype)
+    Hp = S_pat.T @ Kc.T  # pattern fields (n_pat, rows)
+    aH = np.abs(Hp)
+    # one product: sum_a ln(2 cosh h_a) through M, plus K_b s s' of the bonds between enumerated sites
+    lhs = np.concatenate([M.T, sign[inner].T], axis=1)
+    T = lhs @ np.concatenate([aH + np.log1p(np.exp(-2.0 * aH)), Kc[:, inner].T])
+    tH = np.tanh(Hp) if bonds or pairs else None
+    m = T.max(axis=0)
+    T -= m
+    P = np.exp(np.maximum(T, _EXP_FLOOR, out=T), out=T)
+    Z = P.sum(axis=0, dtype=np.float64)
+    log_z = _LN2 + m.astype(np.float64) + np.log(Z) if need_log_z else None
+    Q = M @ P if any(apos[b] >= 0 for b in bonds) else None
+    P64 = functools.cache(lambda: P.astype(np.float64, copy=False))  # cast once, for spins-only moments
 
-    rows = max(16, _ELEM_BUDGET // max(n_cfg, n_pat))
-    for lo in range(0, G, rows):
-        hi = min(lo + rows, G)
-        Kc = K_batch[lo:hi].astype(dtype)
-        if n_pat:
-            Hp = Kc @ S_pat
-            aH = np.abs(Hp)
-            T = (aH + np.log1p(np.exp(-2.0 * aH))) @ M  # sum_a ln(2 cosh h_a)
-            if inner.any():  # odd rings: K_b s s' of the bonds between enumerated sites
-                T += Kc[:, inner] @ sign[inner]
-            tH = np.tanh(Hp) if bonds or pairs else None
-            m = T.max(axis=1)
-            P = np.exp(np.maximum(T - m[:, None], _EXP_FLOOR))
-            Z = P.sum(axis=1, dtype=np.float64)
-        else:  # configuration-major (n_cfg, rows): every reduction runs down contiguous rows
-            T = sign.T @ Kc.T  # every bond joins two enumerated sites
-            m = T.max(axis=0)
-            T -= m
-            P = np.exp(np.maximum(T, _EXP_FLOOR, out=T), out=T)
-            Z = P.sum(axis=0, dtype=np.float64)
-            P64 = P.astype(np.float64, copy=False) if bonds or pairs else None  # one cast per chunk
-        if need_log_z:
-            out_log_z[lo:hi] = _LN2 + m.astype(np.float64) + np.log(Z)
-        Q = P @ M.T if need_q else None
+    def moment(bs):
+        """<prod_b S_b> over the bonds bs, with the spins of A averaged out."""
+        v = sign[list(bs)].prod(axis=0)
+        ends = [a for a in apos[list(bs)] if a >= 0]
+        if len(ends) == 2 and ends[0] == ends[1]:
+            ends = []  # shared analytic end: S_a^2 = 1 drops out of the product
+        if not ends:  # enumerated spins only: a vector-matrix product, summed in float64
+            return v.astype(np.float64) @ P64() / Z
+        w = v[:, None]
+        for a in ends:
+            w = tH[col[a]] * w
+        return (P * w).sum(axis=0, dtype=np.float64) / Z
 
-        def moment(bs):
-            """<prod_b S_b> over the bonds bs, with the spins of A averaged out."""
-            v = sign[list(bs)].prod(axis=0)
-            ends = [a for a in apos[list(bs)] if a >= 0]
-            if len(ends) == 2 and ends[0] == ends[1]:
-                ends = []  # shared analytic end: S_a^2 = 1 drops out of the product
-            if not ends:  # enumerated spins only: a matrix-vector product, summed in float64
-                return (P @ v.astype(np.float64) if n_pat else v.astype(np.float64) @ P64) / Z
-            for a in ends:
-                v = tH[:, col[a]] * v
-            return (P * v).sum(axis=1, dtype=np.float64) / Z
-
-        for b in bonds:
-            a = apos[b]
-            if a < 0:
-                out_bond[b][lo:hi] = moment((b,))
-            else:  # sum_p Q_p s_e(p) tanh Hp_p over a's own patterns
-                sl = slice(start[a], start[a + 1])
-                out_bond[b][lo:hi] = (Q[:, sl] * tH[:, sl] * S_pat[b, sl]).sum(axis=1, dtype=np.float64) / Z
-        for p in pairs:
-            out_pair[p][lo:hi] = moment(p)
-    return BatchGibbs(log_z=out_log_z, bond=out_bond, pair=out_pair)
+    bond = {}
+    for b in bonds:
+        a = apos[b]
+        if a < 0:
+            bond[b] = moment((b,))
+        else:  # sum_p Q_p s_e(p) tanh Hp_p over a's own patterns
+            sl = slice(start[a], start[a + 1])
+            bond[b] = (Q[sl] * tH[sl] * S_pat[b, sl, None]).sum(axis=0, dtype=np.float64) / Z
+    return BatchGibbs(log_z=log_z, bond=bond, pair={p: moment(p) for p in pairs})

@@ -25,12 +25,6 @@ class Boundary(Enum):
     PERIODIC = "periodic"
 
 
-class CorridorKind(Enum):
-    MIDPLANES = "midplanes"
-    TORUS_CUT = "torus_cut"
-    TILING_INTERFACES = "tiling_interfaces"
-
-
 @dataclass(frozen=True)
 class Bond:
     index: int
@@ -42,7 +36,6 @@ class Bond:
 @dataclass(frozen=True)
 class Corridor:
     bond_indices: frozenset[int]
-    kind: CorridorKind
 
     @property
     def cardinality(self) -> int:
@@ -183,14 +176,14 @@ def _box_id(lattice: LatticeSpec, site: int, box_side: int) -> tuple[int, ...]:
     return tuple(c // box_side for c in lattice.site_coords(site))
 
 
-def _partition_corridor(lattice: LatticeSpec, box_side: int, kind: CorridorKind) -> Decomposition:
+def _partition_corridor(lattice: LatticeSpec, box_side: int) -> Decomposition:
     ids = [_box_id(lattice, s, box_side) for s in range(lattice.n_sites)]
     boxes: dict[tuple[int, ...], set[int]] = {}
     for site, bid in enumerate(ids):
         boxes.setdefault(bid, set()).add(site)
     crossing = frozenset(b.index for b in lattice.bonds if ids[b.site_a] != ids[b.site_b])
     sub = tuple(frozenset(boxes[bid]) for bid in sorted(boxes))
-    return Decomposition(sub_boxes=sub, corridor=Corridor(bond_indices=crossing, kind=kind))
+    return Decomposition(sub_boxes=sub, corridor=Corridor(bond_indices=crossing))
 
 
 def decompose_box(lattice: LatticeSpec) -> Decomposition:
@@ -204,7 +197,7 @@ def decompose_box(lattice: LatticeSpec) -> Decomposition:
         raise ValueError("decompose_box needs a free-boundary box")
     if lattice.side % 2 != 0 or lattice.side < 4:
         raise ValueError(f"decompose_box needs an even side >= 4, got {lattice.side}")
-    return _partition_corridor(lattice, lattice.side // 2, CorridorKind.MIDPLANES)
+    return _partition_corridor(lattice, lattice.side // 2)
 
 
 def torus_cut(lattice: LatticeSpec) -> Corridor:
@@ -231,7 +224,7 @@ def torus_cut(lattice: LatticeSpec) -> Corridor:
         for b in lattice.bonds:
             if b.site_b - b.site_a == (lattice.side - 1) * stride[b.direction]:
                 wrap.append(b.index)
-    return Corridor(bond_indices=frozenset(wrap), kind=CorridorKind.TORUS_CUT)
+    return Corridor(bond_indices=frozenset(wrap))
 
 
 def tiling_interfaces(dim: int, box_side: int, k: int) -> tuple[LatticeSpec, Decomposition]:
@@ -245,4 +238,4 @@ def tiling_interfaces(dim: int, box_side: int, k: int) -> tuple[LatticeSpec, Dec
     if box_side < 2:
         raise ValueError(f"box side must be >= 2, got {box_side}")
     lattice = build_lattice(dim, k * box_side, Boundary.PERIODIC)
-    return lattice, _partition_corridor(lattice, box_side, CorridorKind.TILING_INTERFACES)
+    return lattice, _partition_corridor(lattice, box_side)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import rng
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
-from .quenched import DisorderMC, disorder_cores
+from .quenched import DisorderMC, disorder_cores, nishimori_couplings
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
 CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
@@ -231,7 +231,7 @@ def two_level_inner(
     """
     g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)])[:, None, :]
     x = np.asarray(x_at, dtype=np.float64)[None, :, :]
-    kvecs = (x * (x + g)).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
+    kvecs = nishimori_couplings(x, g).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
     seeds = [rng.derive_seed(config.seed, s, i) for s in range(disorder.samples) for i in range(len(x_at))]
     track = corridor.sorted_indices()
     values, ess, acceptance = [], [], []

@@ -28,8 +28,7 @@ from .lattice import LatticeSpec
 from .model import NishimoriParams
 
 QUADRATURE_GRID_CAP = 10**7
-_MC_CHUNK = 4096
-_QUAD_CHUNK = 4096
+_CHUNK = 4096  # rows per disorder chunk; batch_gibbs sizes its one pass on this bound
 
 
 class GridTooLarge(ValueError):
@@ -113,8 +112,8 @@ def disorder_cores(
     n_bonds = lattice.n_bonds
     if isinstance(method, DisorderMC):
         bond_idx = np.arange(n_bonds, dtype=np.uint64)
-        for lo in range(0, method.samples, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, method.samples)
+        for lo in range(0, method.samples, _CHUNK):
+            hi = min(lo + _CHUNK, method.samples)
             samples = np.arange(lo, hi, dtype=np.uint64)
             core = rng.standard_normals(method.seed, bond_idx[None, :], samples[:, None])
             yield core, None
@@ -141,8 +140,8 @@ def disorder_cores(
         grids.append(scaled[s])
     total = nodes**n_active
     strides = [nodes ** (n_active - 1 - p) for p in range(n_active)]
-    for lo in range(0, total, _QUAD_CHUNK):
-        hi = min(lo + _QUAD_CHUNK, total)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
         gidx = np.arange(lo, hi, dtype=np.int64)
         core = np.zeros((hi - lo, n_bonds))
         weights = np.ones(hi - lo)
@@ -151,6 +150,11 @@ def disorder_cores(
             core[:, b] = nd[digit]
             weights *= wt[digit]
         yield core, weights
+
+
+def nishimori_couplings(x: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Nishimori-line couplings K = beta J = x (x + core): beta = x / sigma, J = sigma (x + core)."""
+    return x * (x + core)
 
 
 class Moments:
@@ -211,9 +215,8 @@ class Moments:
 class VariantChunk:
     """Fixed-disorder values for one parameter variant over one chunk.
 
-    The couplings j = x + core, a (rows, bonds) array, are formed on access,
-    so a pass holds one core per chunk rather than one coupling array per
-    variant.
+    j(b) forms bond b's couplings x_b + core[:, b] on access, so a pass holds
+    one core per chunk rather than one coupling array per variant.
     """
 
     log_z: np.ndarray | None
@@ -222,9 +225,8 @@ class VariantChunk:
     x: np.ndarray
     core: np.ndarray
 
-    @property
-    def j(self) -> np.ndarray:
-        return self.x[None, :] + self.core
+    def j(self, b: int) -> np.ndarray:
+        return self.x[b] + self.core[:, b]
 
 
 @dataclass(frozen=True)
@@ -325,8 +327,7 @@ def _joint_pass(jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray) -> 
 def _variant_chunk(
     lattice: LatticeSpec, core: np.ndarray, x: np.ndarray, bonds: tuple, pairs: tuple, need_log_z: bool, precise: bool
 ) -> VariantChunk:
-    K = x[None, :] * (x[None, :] + core)
-    bg = batch_gibbs(lattice, K, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
+    bg = batch_gibbs(lattice, nishimori_couplings(x, core), bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
     return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, x=x, core=core)
 
 

@@ -109,7 +109,7 @@ def run_checks(checks: list[Check]) -> list[VerificationReport]:
 
 def check_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> Check:
     """[<j_b S_b>] equals x_b."""
-    job = JointJob(lattice, [params], method, {"lhs": lambda v: v[0].j[:, b] * v[0].bond[b]}, bonds=(b,))
+    job = JointJob(lattice, [params], method, {"lhs": lambda v: v[0].j(b) * v[0].bond[b]}, bonds=(b,))
 
     def finish(res):
         rhs = Estimate(value=float(params.x[b]), std_error=0.0)

@@ -239,32 +239,30 @@ def test_pattern_count_4x4_box():
     assert np.all(M.sum(axis=0) == 8) and np.all(M.sum(axis=1) >= 1)
 
 
-def test_float32_engine_bytes_pinned_to_schema():
-    # a seeded disorder-MC batch on the 4x4 box: log Z and the 8 corridor bonds
-    # in float32; when this digest moves on purpose, RESULT_SCHEMA moves with it
-    lat = build_lattice(2, 4, Boundary.FREE)
-    corridor = decompose_box(lat).corridor.sorted_indices()
+@pytest.mark.parametrize(
+    "dim,side,bc,precise,corridor_only,pairs,pinned",
+    [
+        (2, 4, Boundary.FREE, False, True, (), "a5d82bedf017b356"),
+        (2, 2, Boundary.FREE, True, False, ((0, 3),), "3bcb8ebe79cb805b"),
+        (2, 3, Boundary.PERIODIC, False, False, ((0, 17),), "7cb11e183adb0b0f"),
+        (1, 11, Boundary.PERIODIC, False, False, ((0, 1), (0, 10)), "a1921d8d9cb5b315"),
+        (2, 4, Boundary.PERIODIC, True, False, ((0, 1), (0, 31)), "da7b0c8437098b8e"),
+    ],
+    ids=["4x4-box-f32", "2x2-box-f64", "3x3-torus-f32", "11-ring-f32", "4x4-torus-f64"],
+)
+def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pairs, pinned):
+    # a seeded disorder-MC batch with log Z: the 4x4 box with its 8 corridor
+    # bonds, the others with every bond and the listed pairs (the 2x2 box and
+    # 3x3 torus enumerate every site; the odd 11-ring has bonds between
+    # enumerated sites and pairs with tanh ends); when a digest moves on
+    # purpose, RESULT_SCHEMA moves with it
+    lat = build_lattice(dim, side, bc)
+    bonds = decompose_box(lat).corridor.sorted_indices() if corridor_only else tuple(range(lat.n_bonds))
     core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
-    bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=corridor, need_log_z=True, precise=False)
+    bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=bonds, pairs=pairs, need_log_z=True, precise=precise)
     digest = hashlib.sha256(bg.log_z.tobytes())
-    for b in corridor:
+    for b in bonds:
         digest.update(bg.bond[b].tobytes())
-    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v5", "a5d82bedf017b356")
-
-
-def test_enumerated_engine_bytes_pinned_to_schema():
-    # lattices under 10 sites take the configuration-major path: seeded batches
-    # on the 2x2 box in float64 and the 3x3 torus in float32, with log Z, every
-    # bond and one pair; when a digest moves on purpose, RESULT_SCHEMA moves with it
-    digests = []
-    for (dim, side, bc), precise in (((2, 2, Boundary.FREE), True), ((2, 3, Boundary.PERIODIC), False)):
-        lat = build_lattice(dim, side, bc)
-        every, pair = tuple(range(lat.n_bonds)), (0, lat.n_bonds - 1)
-        core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
-        bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=every, pairs=(pair,), need_log_z=True, precise=precise)
-        digest = hashlib.sha256(bg.log_z.tobytes())
-        for b in every:
-            digest.update(bg.bond[b].tobytes())
-        digest.update(bg.pair[pair].tobytes())
-        digests.append(digest.hexdigest()[:16])
-    assert (RESULT_SCHEMA, *digests) == ("nlsurf.result.v5", "3bcb8ebe79cb805b", "7cb11e183adb0b0f")
+    for p in pairs:
+        digest.update(bg.pair[p].tobytes())
+    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v6", pinned)

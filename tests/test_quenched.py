@@ -61,7 +61,7 @@ def test_quenched_correlation_single_bond_oracles():
         lat,
         [p],
         Quadrature(200),
-        {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2, "js": lambda v: v[0].j[:, 0] * v[0].bond[0]},
+        {"s": lambda v: v[0].bond[0], "s2": lambda v: v[0].bond[0] ** 2, "js": lambda v: v[0].j(0) * v[0].bond[0]},
         bonds=(0,),
     )
     [res] = quenched_joint_many([job])
@@ -257,7 +257,7 @@ def _jobs(lat, xs, method=Quadrature(6)):
     variant xs[0], the second for log Z and a pair of variants xs[1], xs[2]."""
     p = [NishimoriParams(x=np.asarray(x, dtype=float)) for x in xs]
     return [
-        JointJob(lat, [p[0]], method, {"s": lambda v: v[0].bond[0], "js": lambda v: v[0].j[:, 0] * v[0].bond[0]}, bonds=(0,)),
+        JointJob(lat, [p[0]], method, {"s": lambda v: v[0].bond[0], "js": lambda v: v[0].j(0) * v[0].bond[0]}, bonds=(0,)),
         JointJob(
             lat, [p[1], p[2]], method,
             {"dz": lambda v: v[0].log_z - v[1].log_z, "pp": lambda v: v[1].pair[(0, 2)] * v[0].bond[2]},
