@@ -21,10 +21,10 @@ Two paths share the bond-spin conventions:
   an analytic end is reduced over the pattern marginals of its own site.
   Below 10 sites A is empty and every site is enumerated, which keeps
   float32 connected correlations of tiny lattices at 0 where they vanish.
-  Every lattice uses one layout: the energies are configuration-major
-  (n_cfg, rows), so the max, exp and sums over the 2-2048 configurations
-  run down contiguous rows, and a batch of one disorder chunk (at most 4096
-  rows) is one pass.
+  Every lattice uses one layout: the couplings are bond-major (bonds, rows)
+  and the energies configuration-major (n_cfg, rows), so the products, the
+  max, exp and sums over the 2-2048 configurations run down contiguous rows,
+  and a batch of one disorder chunk (at most 4096 rows) is one pass.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -33,7 +33,6 @@ log Z picks up an extra ln 2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -176,7 +175,9 @@ def _engine_tables(lattice: LatticeSpec, dtype):
     enumerated end spin in every pattern of its analytic end, so K @ S_pat is
     the local field of every pattern; M (P, n_cfg) is the 0/1 indicator of
     the pattern each site shows in each configuration, and col (|A|, n_cfg)
-    the column of that pattern.
+    the column of that pattern.  lhs (n_cfg, P + inner bonds) is the product
+    operand [M.T, sign.T of the bonds between enumerated sites] that turns
+    the pattern terms and those couplings into configuration energies.
     """
     key = (lattice.cache_key(), dtype)
     if key in _table_cache:
@@ -218,7 +219,8 @@ def _engine_tables(lattice: LatticeSpec, dtype):
         S_pat[bs, lo:hi] = block
     M = np.zeros((start[-1], n_cfg), dtype=dtype)
     M[col, cfg] = 1.0
-    tables = (sign, apos, S_pat, M, col, start)
+    lhs = np.concatenate([M.T, sign[apos < 0].T], axis=1)
+    tables = (sign, apos, S_pat, M, col, start, lhs)
     _table_cache[key] = tables
     return tables
 
@@ -245,11 +247,15 @@ def batch_gibbs(
 ) -> BatchGibbs:
     """Fixed-disorder quantities for a (samples, bonds) batch of couplings.
 
-    precise=True computes in float64 (quadrature grids), otherwise in float32
-    (disorder Monte Carlo).  Which sites are summed analytically depends only
-    on the lattice, never on the environment, so results are reproducible.
+    K_batch may come in either memory layout: callers holding bond-major
+    couplings (bonds, samples) pass their transposed view, and len(K_batch)
+    is the row count either way.  precise=True computes in float64
+    (quadrature grids), otherwise in float32 (disorder Monte Carlo).  Which
+    sites are summed analytically depends only on the lattice, never on the
+    environment, so results are reproducible.
 
-    ln 2cosh and tanh run once per pattern field Hp = S_pat.T @ K.T.  The
+    Inside, the couplings are bond-major, K = K_batch.T made contiguous.
+    ln 2cosh and tanh run once per pattern field Hp = S_pat.T @ K.  The
     weights are one configuration-major table, T = M.T @ ln 2cosh(Hp) plus
     K_b s s' of the bonds between enumerated sites, of shape (n_cfg, rows):
     the max, Z and every moment reduce over axis 0.  A bond with an analytic
@@ -265,14 +271,13 @@ def batch_gibbs(
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
     _check_queries(lattice, bonds, pairs)
     dtype = np.float64 if precise else np.float32
-    sign, apos, S_pat, M, col, start = _engine_tables(lattice, dtype)
+    sign, apos, S_pat, M, col, start, lhs = _engine_tables(lattice, dtype)
     inner = apos < 0  # bonds between two enumerated sites
-    Kc = K_batch.astype(dtype)
-    Hp = S_pat.T @ Kc.T  # pattern fields (n_pat, rows)
+    Kc = np.ascontiguousarray(K_batch.T, dtype=dtype)  # bond-major (bonds, rows)
+    Hp = S_pat.T @ Kc  # pattern fields (n_pat, rows)
     aH = np.abs(Hp)
     # one product: sum_a ln(2 cosh h_a) through M, plus K_b s s' of the bonds between enumerated sites
-    lhs = np.concatenate([M.T, sign[inner].T], axis=1)
-    T = lhs @ np.concatenate([aH + np.log1p(np.exp(-2.0 * aH)), Kc[:, inner].T])
+    T = lhs @ np.concatenate([aH + np.log1p(np.exp(-2.0 * aH)), Kc[inner]])
     tH = np.tanh(Hp) if bonds or pairs else None
     m = T.max(axis=0)
     T -= m
@@ -280,16 +285,19 @@ def batch_gibbs(
     Z = P.sum(axis=0, dtype=np.float64)
     log_z = _LN2 + m.astype(np.float64) + np.log(Z) if need_log_z else None
     Q = M @ P if any(apos[b] >= 0 for b in bonds) else None
-    P64 = functools.cache(lambda: P.astype(np.float64, copy=False))  # cast once, for spins-only moments
+    P64 = None  # P in float64, cast on first use by a spins-only moment
 
     def moment(bs):
         """<prod_b S_b> over the bonds bs, with the spins of A averaged out."""
+        nonlocal P64
         v = sign[list(bs)].prod(axis=0)
         ends = [a for a in apos[list(bs)] if a >= 0]
         if len(ends) == 2 and ends[0] == ends[1]:
             ends = []  # shared analytic end: S_a^2 = 1 drops out of the product
         if not ends:  # enumerated spins only: a vector-matrix product, summed in float64
-            return v.astype(np.float64) @ P64() / Z
+            if P64 is None:
+                P64 = P.astype(np.float64, copy=False)
+            return v.astype(np.float64) @ P64 / Z
         w = v[:, None]
         for a in ends:
             w = tH[col[a]] * w

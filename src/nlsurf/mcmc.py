@@ -229,9 +229,9 @@ def two_level_inner(
     PoorMixingWarning, attributed to the first caller outside this package,
     when the worst ESS falls below MIN_INNER_ESS.
     """
-    g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)])[:, None, :]
-    x = np.asarray(x_at, dtype=np.float64)[None, :, :]
-    kvecs = nishimori_couplings(x, g).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
+    g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)], axis=1)  # (bonds, samples)
+    K = nishimori_couplings(np.asarray(x_at, dtype=np.float64), g)  # (variants, bonds, samples)
+    kvecs = K.transpose(2, 0, 1).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
     seeds = [rng.derive_seed(config.seed, s, i) for s in range(disorder.samples) for i in range(len(x_at))]
     track = corridor.sorted_indices()
     values, ess, acceptance = [], [], []

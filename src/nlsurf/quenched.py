@@ -1,7 +1,8 @@
 """Quenched (disorder) averages: tensor Gauss-Hermite quadrature or seeded MC.
 
 Both methods are driven through one chunked "disorder core" generator.  A core
-is the standard-normal part of the couplings: Monte Carlo draws it from the
+is the standard-normal part of the couplings, laid out bond-major
+(bonds, rows) from the draw to the engine: Monte Carlo draws it from the
 counter-based stream, quadrature walks a tensor grid of Hermite nodes with
 product weights.  The coupling mean x_b is added on top per parameter variant,
 so several nearby parameter sets (interpolation nodes, finite-difference
@@ -102,11 +103,12 @@ def disorder_cores(
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield (core, weights) chunks; couplings are j = x + core per variant.
 
-    Monte Carlo cores are N(0,1) draws keyed by (seed, bond, sample) and
-    weights is None (uniform).  Quadrature cores hold (scaled) Hermite node
-    offsets on the active bonds (zero elsewhere) with the matching product
-    weights; the grid is feasible only while nodes_per_bond ** n_active stays
-    within QUADRATURE_GRID_CAP.  x_ref gives the per-bond coupling scale used
+    A core is bond-major, (bonds, rows): row b holds bond b's offsets for
+    every sample of the chunk.  Monte Carlo cores are N(0,1) draws keyed by
+    (seed, bond, sample) and weights is None (uniform).  Quadrature cores hold
+    (scaled) Hermite node offsets on the active bonds (zero rows elsewhere)
+    with the matching product weights; the grid is feasible only while
+    nodes_per_bond ** n_active stays within QUADRATURE_GRID_CAP.  x_ref gives the per-bond coupling scale used
     to pick the node scaling (the largest x any variant will add).
     """
     n_bonds = lattice.n_bonds
@@ -115,7 +117,7 @@ def disorder_cores(
         for lo in range(0, method.samples, _CHUNK):
             hi = min(lo + _CHUNK, method.samples)
             samples = np.arange(lo, hi, dtype=np.uint64)
-            core = rng.standard_normals(method.seed, bond_idx[None, :], samples[:, None])
+            core = rng.standard_normals(method.seed, bond_idx[:, None], samples[None, :])
             yield core, None
         return
 
@@ -139,21 +141,26 @@ def disorder_cores(
             scaled[s] = (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)) if s != 1.0 else (eps, wnorm)
         grids.append(scaled[s])
     total = nodes**n_active
-    strides = [nodes ** (n_active - 1 - p) for p in range(n_active)]
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        gidx = np.arange(lo, hi, dtype=np.int64)
-        core = np.zeros((hi - lo, n_bonds))
+        # one digit row per active bond, for the whole chunk at once
+        digits = np.unravel_index(np.arange(lo, hi), (nodes,) * n_active) if n_active else ()
+        core = np.zeros((n_bonds, hi - lo))
         weights = np.ones(hi - lo)
-        for pos, (b, (nd, wt)) in enumerate(zip(act, grids)):
-            digit = (gidx // strides[pos]) % nodes
-            core[:, b] = nd[digit]
+        for b, (nd, wt), digit in zip(act, grids, digits):
+            core[b] = nd[digit]
             weights *= wt[digit]
         yield core, weights
 
 
 def nishimori_couplings(x: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Nishimori-line couplings K = beta J = x (x + core): beta = x / sigma, J = sigma (x + core)."""
+    """Nishimori-line couplings K = beta J = x (x + core): beta = x / sigma, J = sigma (x + core).
+
+    x holds per-bond means on its last axis and core is bond-major
+    (bonds, rows), so K has x's shape followed by rows, formed on contiguous
+    rows of the core.
+    """
+    x = x[..., None]
     return x * (x + core)
 
 
@@ -215,7 +222,7 @@ class Moments:
 class VariantChunk:
     """Fixed-disorder values for one parameter variant over one chunk.
 
-    j(b) forms bond b's couplings x_b + core[:, b] on access, so a pass holds
+    j(b) forms bond b's couplings x_b + core[b] on access, so a pass holds
     one core per chunk rather than one coupling array per variant.
     """
 
@@ -226,7 +233,7 @@ class VariantChunk:
     core: np.ndarray
 
     def j(self, b: int) -> np.ndarray:
-        return self.x[b] + self.core[:, b]
+        return self.x[b] + self.core[b]
 
 
 @dataclass(frozen=True)
@@ -327,7 +334,7 @@ def _joint_pass(jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray) -> 
 def _variant_chunk(
     lattice: LatticeSpec, core: np.ndarray, x: np.ndarray, bonds: tuple, pairs: tuple, need_log_z: bool, precise: bool
 ) -> VariantChunk:
-    bg = batch_gibbs(lattice, nishimori_couplings(x, core), bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
+    bg = batch_gibbs(lattice, nishimori_couplings(x, core).T, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
     return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, x=x, core=core)
 
 

@@ -151,14 +151,14 @@ def _interpolation_term(
         for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
             rows = []
             if need_direct:
-                lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core), need_log_z=True, precise=precise).log_z
-                lz0 = batch_gibbs(lattice, nishimori_couplings(x_zero, core), need_log_z=True, precise=precise).log_z
+                lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core).T, need_log_z=True, precise=precise).log_z
+                lz0 = batch_gibbs(lattice, nishimori_couplings(x_zero, core).T, need_log_z=True, precise=precise).log_z
                 rows.append(lz1 - lz0)
             if need_integral:
                 node_rows, center_rows = [], []
-                f_chunk = np.zeros(len(core))
+                f_chunk = np.zeros(core.shape[1])
                 for xt, w in zip(x_at, tw):
-                    bg = batch_gibbs(lattice, nishimori_couplings(xt, core), bonds=corr_idx, precise=precise)
+                    bg = batch_gibbs(lattice, nishimori_couplings(xt, core).T, bonds=corr_idx, precise=precise)
                     sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
                     f_chunk += w * sc
                     node_rows.append(sc)

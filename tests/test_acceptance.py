@@ -160,7 +160,7 @@ def test_acceptance_09_mcmc_vs_exact():
     worst = 0.0
     cores, _ = next(disorder_cores(lat, DisorderMC(5, seed=888)))  # realizations 0..4
     for s in range(5):
-        K = params.x * (params.x + cores[s])
+        K = params.x * (params.x + cores[:, s])
         cfg = McmcConfig(sweeps=60_000, burn_in=2_000, seed=5000 + s, measure_stride=2)
         series = run_chains(lat, K[None, :], [cfg.seed], cfg, bonds)[0]
         est = [blocked_estimate(series[0, :, b])[:2] for b in bonds]  # (mean, blocked std error)

@@ -234,12 +234,14 @@ def test_pattern_count_4x4_box():
     # two interior sites of degree 4 give 72 sign patterns, but the two edge
     # sites next to site 0 (fixed up) show only half of theirs: 64 distinct
     lat = build_lattice(2, 4, Boundary.FREE)
-    sign, apos, S_pat, M, col, start = _engine_tables(lat, np.float64)
+    sign, apos, S_pat, M, col, start, lhs = _engine_tables(lat, np.float64)
     assert M.shape == (64, 128) and S_pat.shape == (lat.n_bonds, 64)
     assert np.all(M.sum(axis=0) == 8) and np.all(M.sum(axis=1) >= 1)
+    # bipartite: no bond joins two enumerated sites, so the product operand is M.T
+    assert np.all(apos >= 0) and lhs.tobytes() == np.ascontiguousarray(M.T).tobytes()
 
 
-@pytest.mark.parametrize(
+_PINNED_ENGINES = pytest.mark.parametrize(
     "dim,side,bc,precise,corridor_only,pairs,pinned",
     [
         (2, 4, Boundary.FREE, False, True, (), "a5d82bedf017b356"),
@@ -250,19 +252,40 @@ def test_pattern_count_4x4_box():
     ],
     ids=["4x4-box-f32", "2x2-box-f64", "3x3-torus-f32", "11-ring-f32", "4x4-torus-f64"],
 )
+
+
+def _pinned_batch(dim, side, bc, precise, corridor_only, pairs, bond_major=False):
+    """(outputs as bytes, digest) of the seeded 512-row batch a pinned case runs."""
+    lat = build_lattice(dim, side, bc)
+    bonds = decompose_box(lat).corridor.sorted_indices() if corridor_only else tuple(range(lat.n_bonds))
+    core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
+    K = 0.8 * (0.8 + core)
+    if bond_major:  # the same values, handed over as the transposed view of a (bonds, rows) array
+        K = np.ascontiguousarray(K.T).T
+        assert K.flags.f_contiguous and not K.flags.c_contiguous
+    bg = batch_gibbs(lat, K, bonds=bonds, pairs=pairs, need_log_z=True, precise=precise)
+    out = [bg.log_z.tobytes()] + [bg.bond[b].tobytes() for b in bonds] + [bg.pair[p].tobytes() for p in pairs]
+    digest = hashlib.sha256()
+    for chunk in out:
+        digest.update(chunk)
+    return out, digest.hexdigest()[:16]
+
+
+@_PINNED_ENGINES
 def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pairs, pinned):
     # a seeded disorder-MC batch with log Z: the 4x4 box with its 8 corridor
     # bonds, the others with every bond and the listed pairs (the 2x2 box and
     # 3x3 torus enumerate every site; the odd 11-ring has bonds between
     # enumerated sites and pairs with tanh ends); when a digest moves on
     # purpose, RESULT_SCHEMA moves with it
-    lat = build_lattice(dim, side, bc)
-    bonds = decompose_box(lat).corridor.sorted_indices() if corridor_only else tuple(range(lat.n_bonds))
-    core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
-    bg = batch_gibbs(lat, 0.8 * (0.8 + core), bonds=bonds, pairs=pairs, need_log_z=True, precise=precise)
-    digest = hashlib.sha256(bg.log_z.tobytes())
-    for b in bonds:
-        digest.update(bg.bond[b].tobytes())
-    for p in pairs:
-        digest.update(bg.pair[p].tobytes())
-    assert (RESULT_SCHEMA, digest.hexdigest()[:16]) == ("nlsurf.result.v6", pinned)
+    _, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs)
+    assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v6", pinned)
+
+
+@_PINNED_ENGINES
+def test_engine_bytes_independent_of_coupling_layout(dim, side, bc, precise, corridor_only, pairs, pinned):
+    # C-ordered (rows, bonds) couplings and the transposed view of bond-major
+    # ones, as the disorder passes hand them over, give the same bytes
+    row_major, _ = _pinned_batch(dim, side, bc, precise, corridor_only, pairs)
+    bond_major, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, bond_major=True)
+    assert bond_major == row_major and digest == pinned

@@ -82,8 +82,8 @@ def test_schedule_monotone_on_corridor(t1, t2):
 
 
 def _cores(lat, seed, samples):
-    """The normal cores g of realizations 0..samples-1; couplings are j = x + g."""
-    return np.concatenate([core for core, _ in disorder_cores(lat, DisorderMC(samples, seed))])
+    """The bond-major normal cores g (bonds, samples) of realizations 0..samples-1; couplings are j = x + g."""
+    return np.concatenate([core for core, _ in disorder_cores(lat, DisorderMC(samples, seed))], axis=1)
 
 
 def test_sample_disorder_deterministic():
@@ -91,15 +91,15 @@ def test_sample_disorder_deterministic():
     g1 = _cores(lat, 42, 2)
     g2 = _cores(lat, 42, 2)
     assert np.array_equal(g1, g2)
-    assert not np.array_equal(g1[0], _cores(lat, 43, 2)[0])
-    assert not np.array_equal(g1[0], g1[1])
+    assert not np.array_equal(g1[:, 0], _cores(lat, 43, 2)[:, 0])
+    assert not np.array_equal(g1[:, 0], g1[:, 1])
 
 
 def test_sample_disorder_statistics():
     # x = 2 on every bond: empirical mean within 4 sigma of 2, variance within 5%
     lat = build_lattice(1, 2, Boundary.FREE)
     p = uniform_params(lat, 2.0)
-    vals = p.x[0] + _cores(lat, 123, 2000)[:, 0]
+    vals = p.x[0] + _cores(lat, 123, 2000)[0]
     # vectorized equivalent across sample indices for the bulk of the statistics
     j = 2.0 + standard_normals(123, 0, np.arange(100_000))
     assert np.array_equal(vals, j[:2000])
@@ -110,6 +110,6 @@ def test_sample_disorder_statistics():
 def test_realization_regeneration_hash():
     # realization 9 regenerates from (seed, 9) alone, without its neighbours
     lat = build_lattice(2, 2, Boundary.FREE)
-    a = _cores(lat, 1234, 10)[9]
+    a = _cores(lat, 1234, 10)[:, 9]
     b = standard_normals(1234, np.arange(lat.n_bonds), 9)
     assert hash(a.tobytes()) == hash(b.tobytes())

@@ -1,10 +1,13 @@
 """Quenched averaging: quadrature vs oracles, MC error behavior, CRN structure."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nlsurf.cli import RESULT_SCHEMA
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice, decompose_box
 from nlsurf import quenched
@@ -21,6 +24,7 @@ from nlsurf.quenched import (
     quenched_pressure,
 )
 from nlsurf.rng import standard_normals
+from nlsurf.verify import run_standard_suite, suite_report
 
 from oracles import FROZEN
 
@@ -191,9 +195,9 @@ def _corridor_integrand(lat, corridor, x, t, g):
 
 
 def _first_core(lat, seed):
-    """Realization 0 of the seeded disorder stream: row 0 of the first chunk."""
+    """Realization 0 of the seeded disorder stream: column 0 of the first chunk."""
     core, _ = next(disorder_cores(lat, DisorderMC(2, seed)))
-    return core[0]
+    return core[:, 0]
 
 
 def _chain_core(seed):
@@ -224,16 +228,18 @@ def test_crn_smoothness_in_t():
 
 
 def test_disorder_cores_rows_are_keyed_draws():
-    # row s of the Monte Carlo cores is standard_normals(seed, bonds, s) whatever
-    # chunk it falls in, so a realization can be regenerated from (seed, s) alone
+    # the Monte Carlo cores are bond-major (bonds, samples); column s is
+    # standard_normals(seed, bonds, s) whatever chunk it falls in, so a
+    # realization can be regenerated from (seed, s) alone
     lat = build_lattice(2, 2, Boundary.FREE)
     bonds = np.arange(lat.n_bonds)
     drawn = list(disorder_cores(lat, DisorderMC(5000, seed=1234)))
-    assert [len(core) for core, _ in drawn] == [4096, 904] and all(w is None for _, w in drawn)
-    cores = np.concatenate([core for core, _ in drawn])
+    assert [core.shape for core, _ in drawn] == [(lat.n_bonds, 4096), (lat.n_bonds, 904)]
+    assert all(core.flags.c_contiguous and w is None for core, w in drawn)
+    cores = np.concatenate([core for core, _ in drawn], axis=1)
     for s in (0, 1, 4094, 4095, 4096, 4097, 4999):
-        assert cores[s].tobytes() == standard_normals(1234, bonds, s).tobytes()
-    assert cores.tobytes() == standard_normals(1234, bonds[None, :], np.arange(5000)[:, None]).tobytes()
+        assert cores[:, s].tobytes() == standard_normals(1234, bonds, s).tobytes()
+    assert cores.tobytes() == standard_normals(1234, bonds[:, None], np.arange(5000)[None, :]).tobytes()
 
 
 def _count_passes(monkeypatch, first_chunk_only=False):
@@ -296,11 +302,23 @@ def test_joint_many_mc_groups_by_seed(monkeypatch):
     assert len(calls) == 2
 
 
+def _suite_digest(reports):
+    return hashlib.sha256(json.dumps(suite_report(reports), sort_keys=True).encode()).hexdigest()[:16]
+
+
 def test_standard_suite_passes(monkeypatch):
     # 81 one-check jobs share 14 grids; cutting each pass to its first chunk
-    # keeps the count and makes the test cheap
-    from nlsurf.verify import run_standard_suite
-
+    # keeps the count and makes the test cheap.  The digest pins the
+    # quadrature digits, node scales and product weights of those chunks;
+    # when it moves on purpose, RESULT_SCHEMA moves with it
     calls = _count_passes(monkeypatch, first_chunk_only=True)
-    assert len(run_standard_suite()) == 117
+    reports = run_standard_suite()
+    assert len(reports) == 117
     assert len(calls) == 14
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v6", "a56ee16e7aa3d2f7")
+
+
+def test_standard_suite_mc_bytes_pinned_to_schema():
+    # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
+    reports = run_standard_suite(DisorderMC(2000, 1))
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v6", "916b8e6b00215d08")
