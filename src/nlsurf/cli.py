@@ -260,7 +260,7 @@ def _cmd_scaling(args) -> int:
         "x": args.x,
         "terms": [_term_dict(r) for r in results],
     }
-    telemetry = {}
+    telemetry = {"workers": args.workers}
     if mcmc is not None:
         payload["method"]["mcmc"] = {
             "engine": CHAIN_ENGINE,
@@ -322,6 +322,12 @@ def _cmd_rerun(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlsurf",
@@ -340,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out(p):
         p.add_argument("--out", type=str, default=None, help="result file (stdout if omitted)")
-        p.add_argument(
-            "--workers", type=int, default=1, help="accepted for compatibility; starts no processes, results never depend on it"
-        )
+        workers_help = "threads for scaling's Markov chains: at 2 or more, one helper draws their uniforms ahead of "
+        workers_help += "the sweeps; results never depend on it, and no other command starts a thread"
+        p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
 
     p = sub.add_parser("lattice-info", help="sites, bonds, corridor cardinalities")
     p.add_argument("--dim", type=int, required=True)

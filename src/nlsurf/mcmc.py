@@ -18,7 +18,12 @@ lockstep and never decorrelate.
 Every chain draws from its own Philox stream, `rng.spawn_generator(seed)`, in
 blocks of BLOCK_SWEEPS sweeps with a fixed layout per sweep: one uniform per
 site.  A chain's result is therefore a function of its seed and couplings
-alone, whatever other chains share its batch.
+alone, whatever other chains share its batch.  Under workers > 1 a helper
+thread draws the next block's uniforms and thresholds while the sweeps of
+this one run; the streams are read in the same order, so the bytes do not
+change.  That overlap pays on large batches, such as 64 chains on the 8x8
+box; on small ones, such as 12 chains there or one chain of 4 sites, the
+helper only contends for the GIL, so workers = 1 draws in line.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -135,6 +141,48 @@ def blocked_estimate(v: np.ndarray) -> tuple[float, float, float, float]:
     return float(v.mean()), se, tau, ess
 
 
+class _Call(threading.Thread):
+    """fn(item) on a thread of its own; result() joins it, then returns or raises."""
+
+    def __init__(self, fn, item):
+        super().__init__()
+        self._fn, self._item, self._error = fn, item, None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._fn(self._item)
+        except BaseException as exc:
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _ahead(fn, items):
+    """map(fn, items), with fn of the next item computed on a helper thread
+    while the caller works on this one.  The calls run one at a time and in
+    item order, so fn may read stateful generators; an error in fn is raised
+    in the caller, and no helper outlives the iteration."""
+    call = None  # the call in flight
+    try:
+        for item in items:
+            if call is None:
+                call = _Call(fn, item)
+                continue
+            value = call.result()
+            call = _Call(fn, item)
+            yield value
+        if call is not None:
+            yield call.result()
+    finally:
+        if call is not None:
+            call.join()
+
+
 def run_chains(
     lattice: LatticeSpec,
     kvecs: np.ndarray,
@@ -142,12 +190,16 @@ def run_chains(
     config: McmcConfig,
     track: tuple[int, ...],
     record_states: bool = False,
+    workers: int = 1,
 ):
     """Advance one chain per row of kvecs, chain c on stream seeds[c].
 
     Spins are stored with the colour classes contiguous, so each class update
-    works on a slice.  Returns (bond series (C, measurements, len(track)),
-    encoded states (C, measurements) or None, flips (C,), proposals (C,)).
+    works on a slice.  With workers > 1 a helper thread draws each block's
+    uniforms and thresholds while this thread runs the sweeps of the block
+    before; the streams are read in the same order, so the outputs are the
+    same bytes.  Returns (bond series (C, measurements, len(track)), encoded
+    states (C, measurements) or None, flips (C,), proposals (C,)).
     """
     C, n = len(seeds), lattice.n_sites
     if np.shape(kvecs) != (C, lattice.n_bonds):
@@ -176,14 +228,22 @@ def run_chains(
     flips = np.zeros((C, n), dtype=np.int64)
     proposals = np.zeros(C, dtype=np.int64)
     mi = 0
-    for start in range(0, config.sweeps, BLOCK_SWEEPS):
-        nb = min(BLOCK_SWEEPS, config.sweeps - start)
-        u = np.stack([g.random((nb, n)) for g in gens], axis=1)[:, :, perm]  # (sweep, chain, column)
-        proposed = u < 0.5
-        proposals += proposed.sum(axis=(0, 2))
-        # u < 1/2 min(1, e^D) with D = -2 s h  <=>  u < 1/2 and s h < -log(2u)/2
+
+    def draw(start):  # one block's thresholds; numpy only, as it may run on a helper thread
+        u = np.stack([g.random((min(BLOCK_SWEEPS, config.sweeps - start), n)) for g in gens], axis=1)[:, :, perm]
+        proposed = u < 0.5  # (sweep, chain, column)
+        # u < 1/2 min(1, e^D) with D = -2 s h  <=>  u < 1/2 and s h < -log(2u)/2; the thresholds
+        # overwrite u: with a fresh array per step a 64-chain batch took about 3x the page faults
         with np.errstate(divide="ignore"):
-            threshold = np.where(proposed, -0.5 * np.log(2.0 * u), -np.inf)
+            np.log(np.multiply(u, 2.0, out=u), out=u)
+        np.multiply(u, -0.5, out=u)
+        u[~proposed] = -np.inf
+        return start, proposed.sum(axis=(0, 2)), u
+
+    starts = range(0, config.sweeps, BLOCK_SWEEPS)
+    for start, n_proposed, threshold in (_ahead if workers > 1 else map)(draw, starts):
+        nb = len(threshold)
+        proposals += n_proposed
         snap = np.empty((nb, C, n))  # measured states of this block
         k = 0
         for j in range(nb):
@@ -212,6 +272,7 @@ def two_level_inner(
     *,
     corridor: Corridor,
     config: McmcConfig,
+    workers: int = 1,
 ) -> tuple[np.ndarray, dict]:
     """Inner values of the two-level estimator: one chain per (realization, variant).
 
@@ -220,7 +281,10 @@ def two_level_inner(
     couplings x (x + g) with x = x_at[i] on stream
     rng.derive_seed(config.seed, s, i).  Chains run CHAIN_BATCH at a time and
     each batch is reduced to per-chain scalars before the next one starts,
-    which bounds memory, not results.  Returns the (samples, variants) chain
+    which bounds memory, not results.  workers > 1 draws each block of a
+    batch's uniforms on a helper thread (see run_chains), with the same
+    bytes; it pays on large batches only, since on small ones the helper
+    just contends for the GIL.  Returns the (samples, variants) chain
     means of the corridor average (blocked_estimate of each chain's series), and
     the chain telemetry for the manifest (count, site-sweeps, time, mean
     acceptance, worst ESS, warning count).  The caller,
@@ -238,7 +302,9 @@ def two_level_inner(
     t0 = time.perf_counter()
     for lo in range(0, len(seeds), CHAIN_BATCH):
         batch = seeds[lo : lo + CHAIN_BATCH]
-        series, _, flips, proposals = run_chains(lattice, kvecs[lo : lo + len(batch)], batch, config, track)
+        series, _, flips, proposals = run_chains(
+            lattice, kvecs[lo : lo + len(batch)], batch, config, track, workers=workers
+        )
         for c in range(len(batch)):
             mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
             values.append(mean)

@@ -116,6 +116,7 @@ def _interpolation_term(
     routes: str = "both",
     center_bond: int | None = None,
     mcmc: McmcConfig | None = None,
+    workers: int = 1,
 ) -> SurfaceTermResult:
     """One corridor interpolation, computing only the routes asked for.
 
@@ -128,7 +129,7 @@ def _interpolation_term(
     t-node].  With an McmcConfig (two-level estimator, DisorderMC only) the
     corridor means come from one Markov chain per (realization, t-node) on
     stream derive_seed(mcmc.seed, s, i) and go in as one chunk; that path has
-    no direct route and no center bond.
+    no direct route and no center bond, and passes workers to the chains.
     """
     need_direct, need_integral = _route_flags(routes)
     if mcmc is None and lattice.n_sites > ENUMERATION_CAP:  # before any disorder is drawn
@@ -145,7 +146,7 @@ def _interpolation_term(
     moments = Moments()
     telemetry = None
     if mcmc is not None:
-        node_vals, telemetry = two_level_inner(lattice, x_at, method, corridor=corridor, config=mcmc)
+        node_vals, telemetry = two_level_inner(lattice, x_at, method, corridor=corridor, config=mcmc, workers=workers)
         moments.add(list(node_vals.T) + [node_vals @ tw], None)
     else:
         for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
@@ -217,6 +218,7 @@ def adjacency_term(
     mcmc: McmcConfig | None = None,
     *,
     routes: str = "both",
+    workers: int = 1,
 ) -> SurfaceTermResult:
     """The adjacency term, plus the center-bond integrand.
 
@@ -228,7 +230,8 @@ def adjacency_term(
     the outer boundary, so the two are kept distinct rather than conflated.
     Beyond the enumeration cap a DisorderMC method plus an McmcConfig run the
     two-level estimator instead: the integral route and the corridor table
-    only, with the chain telemetry on the result for the manifest.
+    only, with the chain telemetry on the result for the manifest; workers
+    goes to its chains (see mcmc.run_chains).
     """
     lattice, corridor = _adjacency_setup(d, L)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
@@ -244,7 +247,7 @@ def adjacency_term(
             f"at L={L} the two-level Markov-chain estimator needs a DisorderMC method and an McmcConfig "
             "(CLI: scaling --method mc --mcmc-sweeps N)",
         )
-    return _interpolation_term(*term, routes="integral", mcmc=mcmc)
+    return _interpolation_term(*term, routes="integral", mcmc=mcmc, workers=workers)
 
 
 def periodic_minus_free(
@@ -325,12 +328,17 @@ def scaling_sweep(
     Each size runs `adjacency_term`: the exact inner engine within the
     enumeration cap, the two-level estimator (DisorderMC plus McmcConfig)
     beyond it.  Finite-L values only; no thermodynamic limit is claimed.
-    `workers` is accepted for compatibility and starts no processes: the
-    chains of a sweep point run batched in this process, so results never
-    depend on it.
+    `workers` (at least 1) counts the threads of the two-level chains: at 2
+    or more a helper thread draws each block of chain uniforms while the
+    sweeps of the block before run.  Results never depend on it.  It pays on
+    large chain batches, such as 64 chains per size on the 8x8 box; it does
+    not help the exact engine, which starts no thread, nor a few small
+    chains, where the helper only contends for the GIL.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     L_list = list(L_list)
     if not L_list:
         raise ValueError("L_list is empty")
-    return [adjacency_term(d, L, x, method, t_nodes, mcmc) for L in L_list]
+    return [adjacency_term(d, L, x, method, t_nodes, mcmc, workers=workers) for L in L_list]
 

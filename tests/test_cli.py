@@ -128,6 +128,20 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bad_worker_count_is_usage_error(capsys):
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            scaling_sweep(1, 0.5, [2], method=Quadrature(6), t_nodes=2, workers=workers)
+    for workers in ("0", "-3", "two"):
+        for argv in (
+            "scaling --dim 1 --L-list 2 --x 0.5 --nodes 6 --t-nodes 2",
+            "pressure --dim 1 --side 2 --bc free --x 0.5",
+        ):
+            capsys.readouterr()
+            assert run(argv.split() + ["--workers", workers]) == EXIT_USAGE
+            assert "--workers" in capsys.readouterr().err
+
+
 def test_size_cap_advice_names_a_reachable_path(capsys):
     # commands without a chain path must not point at the Markov-chain module
     for argv in (
@@ -198,6 +212,22 @@ def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
     exact, chained = data["terms"]
     assert exact["routes"]["direct"] is not None and exact["integrand_tables"]["center_bond"]
     assert chained["routes"]["direct"] is None
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
+def test_scaling_worker_count_in_telemetry_only(tmp_path):
+    # a two-level sweep at 1 and 2 workers: the same result and CSV bytes and
+    # manifest id; the worker count is recorded under telemetry alone
+    argv = ["scaling", "--dim", "2", "--L-list", "4", "--x", "0.5", "--method", "mc", "--samples", "2", "--seed", "3",
+            "--t-nodes", "2", "--mcmc-sweeps", "80", "--mcmc-burn-in", "10"]
+    runs = []
+    for workers in (1, 2):
+        status, _, out = _run_json(tmp_path, f"w{workers}.json", argv + ["--workers", str(workers)])
+        assert status == EXIT_OK
+        manifest = json.loads((tmp_path / f"w{workers}.manifest.json").read_text())
+        assert manifest["telemetry"]["workers"] == workers and "workers" not in manifest["config"]
+        runs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes(), manifest["manifest_id"]))
+    assert runs[0] == runs[1]
 
 
 def test_manifest_records_blas_result_does_not(tmp_path, monkeypatch):

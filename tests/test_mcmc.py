@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from nlsurf import rng as nlrng
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
-from nlsurf.mcmc import CHAIN_ENGINE, McmcConfig, blocked_estimate, colour_classes, run_chains
+from nlsurf.mcmc import BLOCK_SWEEPS, CHAIN_ENGINE, McmcConfig, blocked_estimate, colour_classes, run_chains
 from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01
 from nlsurf.surface import Geometry, SurfaceTermKind, _adjacency_setup, _interpolation_term, adjacency_term
 
@@ -208,6 +210,59 @@ def test_batch_composition_independence():
     assert r.chain_telemetry["chains"] == len(alone)
     assert r.chain_telemetry["min_ess"] == min(a[1] for a in alone)
     assert r.chain_telemetry["mean_acceptance"] == float(np.mean([a[2] for a in alone]))
+
+
+@pytest.mark.parametrize(
+    "sweeps, chains",
+    [(1500, 5), (BLOCK_SWEEPS - 4, 5), (300, 1)],
+    ids=["partial-last-block", "one-block", "one-chain"],
+)
+def test_pipelined_draws_are_byte_identical(sweeps, chains):
+    # workers=2 draws each block on a helper thread: the series, states, flips
+    # and proposals are the bytes of the in-line draws, and no thread is left
+    lat = build_lattice(2, 3, Boundary.PERIODIC)
+    cfg = McmcConfig(sweeps=sweeps, burn_in=10, seed=0, measure_stride=3)
+    kv = np.random.default_rng(5).normal(0.3, 0.5, (chains, lat.n_bonds))
+    seeds = [nlrng.derive_seed(2, c) for c in range(chains)]
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        inline, ahead = [run_chains(lat, kv, seeds, cfg, (0, 4), record_states=True, workers=w) for w in (1, 2)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    for a, b in zip(inline, ahead, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_pipelined_draw_error_reaches_the_caller(monkeypatch):
+    # an error on the helper thread is raised by run_chains, after the helper
+    # has been joined; at one worker there is no helper
+    lat = build_lattice(2, 2, Boundary.FREE)
+    cfg = McmcConfig(sweeps=200, burn_in=10, seed=0)
+    calls = []  # the thread of each block draw
+    spawn = nlrng.spawn_generator
+
+    class FailingStream:  # fails on the first draw of the second block
+        def __init__(self, seed):
+            self.g = spawn(seed)
+            self.integers = self.g.integers
+
+        def random(self, *args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) > 2:
+                raise RuntimeError("draw failed")
+            return self.g.random(*args, **kwargs)
+
+    monkeypatch.setattr(nlrng, "spawn_generator", FailingStream)
+    before = threading.active_count()
+    for workers in (1, 2):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_chains(lat, np.full((2, lat.n_bonds), 0.3), [1, 2], cfg, (0,), workers=workers)
+        assert threading.active_count() == before
+        # one worker draws in line, on the calling thread
+        assert all((t is threading.main_thread()) == (workers == 1) for t in calls)
 
 
 def test_poor_mixing_warning_names_the_caller():
