@@ -23,8 +23,11 @@ Two paths share the bond-spin conventions:
   float32 connected correlations of tiny lattices at 0 where they vanish.
   Every lattice uses one layout: the couplings are bond-major (bonds, rows)
   and the energies configuration-major (n_cfg, rows), so the products, the
-  max, exp and sums over the 2-2048 configurations run down contiguous rows,
-  and a batch of one disorder chunk (at most 4096 rows) is one pass.
+  max, exp and sums over the 2-2048 configurations run down contiguous rows.
+  A batch whose row count is a multiple of 512 runs in cache-sized passes
+  of row blocks with the bytes of one pass (see `batch_gibbs`); any other
+  batch, and a 4096-row chunk on lattices of up to 16 configurations in
+  float64 or 32 in float32, is one pass.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -45,6 +48,8 @@ _LN2 = math.log(2.0)
 _EXP_FLOOR = -80.0  # keeps float32 exp() out of the subnormal range; e^-80 is far below float64 rounding
 _CONFIG_CHUNK = 1 << 15
 _ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
+_PASS_BYTES = 1 << 19  # energy table per batch_gibbs pass: 512 KiB, a quarter of a 2 MiB L2
+_PASS_ROWS = 512  # the fewest rows per pass (256 ran slower); only a multiple of it is split into passes
 _BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
 
 
@@ -260,9 +265,17 @@ def batch_gibbs(
     K_b s s' of the bonds between enumerated sites, of shape (n_cfg, rows):
     the max, Z and every moment reduce over axis 0.  A bond with an analytic
     end a is reduced over a's pattern slice of Q = M @ P, so a row of any
-    result does not depend on what else is requested.  The batch is one pass:
-    callers hand it one disorder chunk of at most 4096 rows, and no lattice
-    under the cap has over 2^11 configurations, so T has at most 2^23 entries.
+    result does not depend on what else is requested.
+
+    A batch of more than max(512, 2^19 / (n_cfg * itemsize)) rows whose row
+    count is a multiple of 512 (every full 4096-row disorder chunk) runs in
+    passes of that many rows, joined in row order.  A pass's table takes
+    512 KiB where 512 rows allow it and 4-8 MiB at 2048 configurations,
+    against 2-64 MiB for one pass over 4096 rows.  Every pass is a multiple
+    of 512 rows wide, where the BLAS kernels and their thread splits run at
+    full width, so the passes give the bytes of one pass over the batch.
+    Any other batch runs as one pass: the last rows of a pass of another
+    width come out of other BLAS edge kernels, and their last bits move.
     """
     if lattice.n_sites > ENUMERATION_CAP:
         raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
@@ -271,7 +284,22 @@ def batch_gibbs(
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
     _check_queries(lattice, bonds, pairs)
     dtype = np.float64 if precise else np.float32
-    sign, apos, S_pat, M, col, start, lhs = _engine_tables(lattice, dtype)
+    tables = _engine_tables(lattice, dtype)
+    lhs = tables[-1]  # (n_cfg, ...)
+    step = max(_PASS_ROWS, _PASS_BYTES // (len(lhs) * lhs.itemsize))
+    if len(K_batch) <= step or len(K_batch) % _PASS_ROWS:
+        return _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype)
+    passes = [_gibbs_pass(tables, K_batch[lo : lo + step], bonds, pairs, need_log_z, dtype) for lo in range(0, len(K_batch), step)]
+    return BatchGibbs(
+        log_z=np.concatenate([g.log_z for g in passes]) if need_log_z else None,
+        bond={b: np.concatenate([g.bond[b] for g in passes]) for b in bonds},
+        pair={p: np.concatenate([g.pair[p] for g in passes]) for p in pairs},
+    )
+
+
+def _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype) -> BatchGibbs:
+    """One pass of `batch_gibbs` over all rows of a validated batch."""
+    sign, apos, S_pat, M, col, start, lhs = tables
     inner = apos < 0  # bonds between two enumerated sites
     Kc = np.ascontiguousarray(K_batch.T, dtype=dtype)  # bond-major (bonds, rows)
     Hp = S_pat.T @ Kc  # pattern fields (n_pat, rows)

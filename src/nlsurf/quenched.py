@@ -29,7 +29,7 @@ from .lattice import LatticeSpec
 from .model import NishimoriParams
 
 QUADRATURE_GRID_CAP = 10**7
-_CHUNK = 4096  # rows per disorder chunk; batch_gibbs sizes its one pass on this bound
+_CHUNK = 4096  # rows per disorder chunk, a multiple of 512, so batch_gibbs runs a full chunk in cache-sized passes
 
 
 class GridTooLarge(ValueError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nlsurf.exact import (
     CouplingField,
     SizeCapExceeded,
     _engine_tables,
+    _gibbs_pass,
     batch_gibbs,
     gibbs_report,
 )
@@ -242,23 +244,25 @@ def test_pattern_count_4x4_box():
 
 
 _PINNED_ENGINES = pytest.mark.parametrize(
-    "dim,side,bc,precise,corridor_only,pairs,pinned",
+    "dim,side,bc,precise,corridor_only,pairs,rows,pinned",
     [
-        (2, 4, Boundary.FREE, False, True, (), "a5d82bedf017b356"),
-        (2, 2, Boundary.FREE, True, False, ((0, 3),), "3bcb8ebe79cb805b"),
-        (2, 3, Boundary.PERIODIC, False, False, ((0, 17),), "7cb11e183adb0b0f"),
-        (1, 11, Boundary.PERIODIC, False, False, ((0, 1), (0, 10)), "a1921d8d9cb5b315"),
-        (2, 4, Boundary.PERIODIC, True, False, ((0, 1), (0, 31)), "da7b0c8437098b8e"),
+        (2, 4, Boundary.FREE, False, True, (), 512, "a5d82bedf017b356"),
+        (2, 2, Boundary.FREE, True, False, ((0, 3),), 512, "3bcb8ebe79cb805b"),
+        (2, 3, Boundary.PERIODIC, False, False, ((0, 17),), 512, "7cb11e183adb0b0f"),
+        (1, 11, Boundary.PERIODIC, False, False, ((0, 1), (0, 10)), 512, "a1921d8d9cb5b315"),
+        (2, 4, Boundary.PERIODIC, True, False, ((0, 1), (0, 31)), 512, "da7b0c8437098b8e"),
+        (2, 4, Boundary.FREE, False, True, (), 4096, "5fead7a3c0917d47"),
+        (1, 23, Boundary.PERIODIC, True, False, ((0, 1), (0, 22)), 4096, "9af270e873783730"),
     ],
-    ids=["4x4-box-f32", "2x2-box-f64", "3x3-torus-f32", "11-ring-f32", "4x4-torus-f64"],
+    ids=["4x4-box-f32", "2x2-box-f64", "3x3-torus-f32", "11-ring-f32", "4x4-torus-f64", "4x4-box-f32-4096", "23-ring-f64-4096"],
 )
 
 
-def _pinned_batch(dim, side, bc, precise, corridor_only, pairs, bond_major=False):
-    """(outputs as bytes, digest) of the seeded 512-row batch a pinned case runs."""
+def _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows, bond_major=False):
+    """(outputs as bytes, digest) of the seeded batch of `rows` rows a pinned case runs."""
     lat = build_lattice(dim, side, bc)
     bonds = decompose_box(lat).corridor.sorted_indices() if corridor_only else tuple(range(lat.n_bonds))
-    core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(512)[:, None])
+    core = standard_normals(7, np.arange(lat.n_bonds)[None, :], np.arange(rows)[:, None])
     K = 0.8 * (0.8 + core)
     if bond_major:  # the same values, handed over as the transposed view of a (bonds, rows) array
         K = np.ascontiguousarray(K.T).T
@@ -272,20 +276,87 @@ def _pinned_batch(dim, side, bc, precise, corridor_only, pairs, bond_major=False
 
 
 @_PINNED_ENGINES
-def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pairs, pinned):
+def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pairs, rows, pinned):
     # a seeded disorder-MC batch with log Z: the 4x4 box with its 8 corridor
     # bonds, the others with every bond and the listed pairs (the 2x2 box and
-    # 3x3 torus enumerate every site; the odd 11-ring has bonds between
-    # enumerated sites and pairs with tanh ends); when a digest moves on
-    # purpose, RESULT_SCHEMA moves with it
-    _, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs)
+    # 3x3 torus enumerate every site; the odd rings have bonds between
+    # enumerated sites and pairs with tanh ends); the 4096-row cases run in
+    # 4 and 8 passes; when a digest moves on purpose, RESULT_SCHEMA moves with it
+    _, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows)
     assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v6", pinned)
 
 
 @_PINNED_ENGINES
-def test_engine_bytes_independent_of_coupling_layout(dim, side, bc, precise, corridor_only, pairs, pinned):
+def test_engine_bytes_independent_of_coupling_layout(dim, side, bc, precise, corridor_only, pairs, rows, pinned):
     # C-ordered (rows, bonds) couplings and the transposed view of bond-major
     # ones, as the disorder passes hand them over, give the same bytes
-    row_major, _ = _pinned_batch(dim, side, bc, precise, corridor_only, pairs)
-    bond_major, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, bond_major=True)
+    row_major, _ = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows)
+    bond_major, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows, bond_major=True)
     assert bond_major == row_major and digest == pinned
+
+
+def _outputs(bg, bonds, pairs):
+    return [bg.log_z] + [bg.bond[b] for b in bonds] + [bg.pair[p] for p in pairs]
+
+
+@pytest.mark.parametrize(
+    "dim,side,bc,precise",
+    [
+        (2, 4, Boundary.FREE, False),
+        (2, 4, Boundary.FREE, True),
+        (2, 4, Boundary.PERIODIC, True),
+        (2, 3, Boundary.PERIODIC, False),
+        (1, 23, Boundary.PERIODIC, True),
+        (1, 24, Boundary.FREE, False),
+    ],
+    ids=["4x4-box-f32", "4x4-box-f64", "4x4-torus-f64", "3x3-torus-f32", "23-ring-f64", "24-chain-f32"],
+)
+def test_batch_passes_give_the_bytes_of_one_pass(dim, side, bc, precise):
+    # a 4096-row chunk runs in passes of 512 (ring, chain, 3x3 torus, 4x4 in
+    # float64) or 1024 rows (4x4 box in float32); every bond, a pair and log Z
+    # equal one pass over the whole chunk and calls on slices cut at multiples
+    # of 512 rows, byte for byte; a width that is not a multiple of 512 runs
+    # as one pass
+    lat = build_lattice(dim, side, bc)
+    K = 0.8 * (0.8 + standard_normals(11, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
+    bonds, pairs = tuple(range(lat.n_bonds)), ((0, lat.n_bonds - 1),)
+    dtype = np.float64 if precise else np.float32
+    tables = _engine_tables(lat, dtype)
+
+    def run(rows):
+        return _outputs(batch_gibbs(lat, rows, bonds=bonds, pairs=pairs, need_log_z=True, precise=precise), bonds, pairs)
+
+    whole = run(K)
+    one = _outputs(_gibbs_pass(tables, K, bonds, pairs, True, dtype), bonds, pairs)
+    sliced = [run(K[lo:hi]) for lo, hi in ((0, 512), (512, 1536), (1536, 4096))]
+    for i, w in enumerate(whole):
+        assert w.tobytes() == one[i].tobytes() == np.concatenate([s[i] for s in sliced]).tobytes()
+    odd = _outputs(_gibbs_pass(tables, K[:4059], bonds, pairs, True, dtype), bonds, pairs)
+    assert [w.tobytes() for w in run(K[:4059])] == [w.tobytes() for w in odd]
+
+
+def test_zero_row_batch_gives_empty_outputs():
+    for lat in (build_lattice(1, 24, Boundary.FREE), build_lattice(2, 2, Boundary.FREE)):
+        for precise in (True, False):
+            bg = batch_gibbs(lat, np.zeros((0, lat.n_bonds)), bonds=(0, 1), pairs=((0, 1),), need_log_z=True, precise=precise)
+            assert all(v.shape == (0,) and v.dtype == np.float64 for v in _outputs(bg, (0, 1), ((0, 1),)))
+
+
+@pytest.mark.parametrize(
+    "dim,side,bc,precise", [(1, 24, Boundary.FREE, False), (1, 23, Boundary.PERIODIC, True)], ids=["24-chain-f32", "23-ring-f64"]
+)
+def test_batch_peak_memory_is_cache_sized(dim, side, bc, precise):
+    # live arrays of one 4096-row call with every bond and a pair: in one
+    # pass the 2048-configuration tables held 99 MiB (24-chain, float32) and
+    # 198 MiB (23-ring, float64); in passes of 512 rows they stay under 32 MiB
+    lat = build_lattice(dim, side, bc)
+    K = 0.8 * (0.8 + standard_normals(5, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
+    request = dict(bonds=tuple(range(lat.n_bonds)), pairs=((0, lat.n_bonds - 1),), need_log_z=True, precise=precise)
+    batch_gibbs(lat, K[:1], **request)  # the cached engine tables are built outside the measurement
+    tracemalloc.start()
+    try:
+        batch_gibbs(lat, K, **request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

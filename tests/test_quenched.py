@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,21 @@ def test_disorder_cores_rows_are_keyed_draws():
     for s in (0, 1, 4094, 4095, 4096, 4097, 4999):
         assert cores[:, s].tobytes() == standard_normals(1234, bonds, s).tobytes()
     assert cores.tobytes() == standard_normals(1234, bonds[:, None], np.arange(5000)[None, :]).tobytes()
+
+
+def test_disorder_cores_peak_memory_is_cache_sized():
+    # 8192 samples on the 4x4 box, consumed chunk by chunk: Philox over a
+    # whole (24, 4096) chunk held 9 MiB of temporaries, in blocks of
+    # rng._BLOCK counters the draw stays under 6 MiB
+    lat = build_lattice(2, 4, Boundary.FREE)
+    tracemalloc.start()
+    try:
+        for _ in disorder_cores(lat, DisorderMC(8192, seed=1)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def _count_passes(monkeypatch, first_chunk_only=False):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlsurf.rng import derive_seed, philox4x32, spawn_generator, standard_normals
+from nlsurf.rng import TAG_DISORDER, _BLOCK, _key_words, derive_seed, philox4x32, spawn_generator, standard_normals
 
 # Published Philox4x32-10 reference vectors (counter, key, output words).
 KAT = [
@@ -31,6 +31,34 @@ def test_normals_deterministic_and_order_free():
     # each (bond, sample) value is independent of how the batch is laid out
     singles = np.array([standard_normals(99, b_, 4) for b_ in bonds])
     assert np.array_equal(a, singles)
+
+
+def _unblocked(seed, index_a, index_b):
+    """The normals of `standard_normals` from one Philox evaluation of the whole broadcast array."""
+    a, b = np.broadcast_arrays(np.asarray(index_a, dtype=np.uint64), np.asarray(index_b, dtype=np.uint64))
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    w0, w1, w2, w3 = philox4x32(a & lo32, a >> s32, b & lo32, b >> s32, *_key_words(seed, TAG_DISORDER))
+    u1, u2 = (((((hi << s32) | lo) >> np.uint64(11)).astype(np.float64) + 0.5) * 0.5**53 for hi, lo in ((w0, w1), (w2, w3)))
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.mark.parametrize(
+    "index_a,index_b",
+    [
+        (np.arange(48)[:, None], np.arange(4096)[None, :]),
+        (5, np.arange(3 * _BLOCK + 1)[None, :]),
+        (5, np.arange(3 * _BLOCK + 7)[:, None]),
+        (np.arange(3)[:, None], (2**32 - 8 + np.arange(2 * _BLOCK + 3, dtype=np.uint64))[None, :]),
+        (np.arange(48)[:, None], np.arange(0)[None, :]),
+    ],
+    ids=["48x4096", "1x3-blocks-and-1", "long-first-axis", "samples-past-2^32", "zero-samples"],
+)
+def test_normals_blocks_match_one_evaluation(index_a, index_b):
+    # draws above _BLOCK counters are evaluated in slices of their longest
+    # axis; the bytes are those of one evaluation of the whole array
+    got = standard_normals(2024, index_a, index_b)
+    want = _unblocked(2024, index_a, index_b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_normals_depend_on_all_indices():
