@@ -108,8 +108,15 @@ def disorder_cores(
     (seed, bond, sample) and weights is None (uniform).  Quadrature cores hold
     (scaled) Hermite node offsets on the active bonds (zero rows elsewhere)
     with the matching product weights; the grid is feasible only while
-    nodes_per_bond ** n_active stays within QUADRATURE_GRID_CAP.  x_ref gives the per-bond coupling scale used
-    to pick the node scaling (the largest x any variant will add).
+    nodes_per_bond ** n_active stays within QUADRATURE_GRID_CAP.  x_ref gives
+    the per-bond coupling scale used to pick the node scaling: the job's
+    reference point, so a small bump of x around it keeps its grid.
+
+    Grid row r takes active bond i's node (r // nodes**(k-1-i)) % nodes, the
+    C-order digits of r: each node repeated nodes**(k-1-i) times, with period
+    nodes**(k-i).  A bond whose period fits in a chunk is tiled once per grid
+    and sliced per chunk; a longer period spans a few runs per chunk.  The
+    weights multiply in bond order, as a per-chunk digit walk would.
     """
     n_bonds = lattice.n_bonds
     if isinstance(method, DisorderMC):
@@ -134,22 +141,37 @@ def disorder_cores(
     eps, w = hermegauss(nodes)
     wnorm = w / math.sqrt(2.0 * math.pi)
     scaled: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    grids = []  # (nodes, weights) of each active bond
-    for b in act:
+    total = nodes**n_active
+    walk = []  # (bond, run, period, nodes, weights) of each active bond; nodes and weights tiled for short periods
+    for i, b in enumerate(act):
         s = gh_scale(float(x_ref[b])) if x_ref is not None else 1.0
         if s not in scaled:
             scaled[s] = (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)) if s != 1.0 else (eps, wnorm)
-        grids.append(scaled[s])
-    total = nodes**n_active
+        nd, wt = scaled[s]
+        run = nodes ** (n_active - 1 - i)
+        period = run * nodes
+        if period <= _CHUNK:
+            # a chunk starting at lo reads [lo % period, lo % period + rows), never past min(period - 1 + _CHUNK, total)
+            size = min(period - 1 + _CHUNK, total)
+            nd, wt = np.resize(np.repeat(nd, run), size), np.resize(np.repeat(wt, run), size)
+        walk.append((b, run, period, nd, wt))
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        # one digit row per active bond, for the whole chunk at once
-        digits = np.unravel_index(np.arange(lo, hi), (nodes,) * n_active) if n_active else ()
         core = np.zeros((n_bonds, hi - lo))
         weights = np.ones(hi - lo)
-        for b, (nd, wt), digit in zip(act, grids, digits):
-            core[b] = nd[digit]
-            weights *= wt[digit]
+        for b, run, period, nd, wt in walk:
+            if period <= _CHUNK:
+                start = lo % period
+                core[b] = nd[start : start + hi - lo]
+                weights *= wt[start : start + hi - lo]
+            else:
+                first, last = lo // run, (hi - 1) // run
+                digit = np.arange(first, last + 1) % nodes
+                counts = np.full(last + 1 - first, run)
+                counts[0] -= lo - first * run
+                counts[-1] -= (last + 1) * run - hi
+                core[b] = np.repeat(nd[digit], counts)
+                weights *= np.repeat(wt[digit], counts)
         yield core, weights
 
 
@@ -253,8 +275,11 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
     """(key, active, x_ref) of a job: jobs with equal keys get equal cores.
 
     Monte Carlo cores depend on the lattice and the method (its seed) only.
-    Quadrature cores also depend on which bonds are active and on each
-    active bond's node scale, not on x itself.
+    Quadrature cores also depend on which bonds are active (any variant's
+    x_b > 0) and on each active bond's node scale, not on x itself.  The
+    scale comes from the job's reference point x_ref = variants[0].x, so a
+    finite-difference family (its unperturbed point first) shares one grid
+    with the lone job at that point.
     """
     lattice = job.lattice
     if lattice.n_sites > ENUMERATION_CAP:
@@ -263,10 +288,9 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
         if v.n_bonds != lattice.n_bonds:
             raise ValueError("variant bond count does not match the lattice")
     active = np.zeros(lattice.n_bonds, dtype=bool)
-    x_ref = np.zeros(lattice.n_bonds)
     for v in job.variants:
         active |= v.x > 0
-        x_ref = np.maximum(x_ref, v.x)
+    x_ref = job.variants[0].x
     key: tuple = (lattice.cache_key(), job.method)
     if isinstance(job.method, Quadrature):
         key += (active.tobytes(), tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active)))
@@ -276,7 +300,9 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
 def quenched_joint_many(jobs: Sequence[JointJob]) -> list[dict[str, Estimate]]:
     """Run several joint averages with one disorder pass per grid.
 
-    Jobs whose disorder cores coincide (see `_grid`) share one
+    Jobs whose disorder cores coincide (see `_grid`: under quadrature the
+    node scales come from each job's reference point variants[0], not from
+    the largest x over its variants) share one
     `disorder_cores` stream, and a parameter variant common to several of
     them (equal x bytes) is enumerated once per chunk, for the union of the
     bonds, pairs and log Z its jobs ask for.  Each job keeps its own Moments,

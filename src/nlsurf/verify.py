@@ -139,7 +139,8 @@ def _fd_variants(params: NishimoriParams, b: int):
     nonnegative, else one-sided O(h^2).
 
     Returns (variants, coefficients) so that sum(coef * value(variant)) is the
-    derivative estimate; variants[0] is always the unperturbed point.
+    derivative estimate; variants[0] is always the unperturbed point, and it
+    sets the quadrature grid (node scales) that the bumped variants share.
     """
     h = FD_STEP
     if params.x[b] - h >= 0.0:
@@ -284,7 +285,8 @@ def run_standard_suite(
     check position, so the whole suite is reproducible from one seed.
 
     All checks go to one `quenched_joint_many` call: with method=None the 81
-    checks share 14 quadrature grids, one disorder pass each, while under
+    checks share 8 quadrature grids, one disorder pass each (a finite-
+    difference family shares the grid of its unperturbed point), while under
     DisorderMC every check has its own seed and so its own pass.  tol bounds
     the non-derivative quadrature checks and must be finite and >= 0.
     """

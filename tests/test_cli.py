@@ -24,7 +24,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v6"
+    assert data["schema"] == "nlsurf.result.v7"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -176,7 +176,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v6" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v7" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON

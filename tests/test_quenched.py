@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from nlsurf.cli import RESULT_SCHEMA
 from nlsurf.exact import CouplingField, gibbs_report
@@ -258,6 +259,56 @@ def test_disorder_cores_peak_memory_is_cache_sized():
     assert peak < 6 * 2**20
 
 
+def _unravel_walk(lat, nodes, active, x_ref):
+    """Quadrature (core, weights) chunks from one np.unravel_index per chunk: the reference digit walk."""
+    eps, w = hermegauss(nodes)
+    wnorm = w / math.sqrt(2.0 * math.pi)
+    act = np.flatnonzero(active)
+    grids = []
+    for b in act:
+        s = quenched.gh_scale(float(x_ref[b]))
+        grids.append((eps, wnorm) if s == 1.0 else (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)))
+    total = nodes ** len(act)
+    for lo in range(0, total, quenched._CHUNK):
+        hi = min(lo + quenched._CHUNK, total)
+        digits = np.unravel_index(np.arange(lo, hi), (nodes,) * len(act)) if len(act) else ()
+        core, weights = np.zeros((lat.n_bonds, hi - lo)), np.ones(hi - lo)
+        for b, (nd, wt), digit in zip(act, grids, digits):
+            core[b] = nd[digit]
+            weights *= wt[digit]
+        yield core, weights
+
+
+@pytest.mark.parametrize(
+    "nodes, n_active",
+    [
+        (2, 0), (2, 1), (2, 2), (2, 4),
+        (2, 12),  # 4096 rows: one full chunk, bond 0's period exactly a chunk
+        (3, 0), (3, 1), (3, 2), (3, 4),
+        (3, 8),  # 6561 rows: a short last chunk, bond 0's period longer than a chunk
+        (24, 1), (24, 2),
+        (24, 4),  # periods 24 and 576 tiled, 13,824 and 331,776 in runs of 576 and 13,824
+        (40, 1), (40, 2),
+        (40, 3),  # 64,000 rows: a short last chunk, bond 0 in runs of 1600 across chunk ends
+        (40, 4),
+        (200, 1),
+        (200, 2),  # 40,000 rows: runs of 200 rows, about 20 a chunk
+    ],
+)
+def test_grid_walk_matches_unravel_index(nodes, n_active):
+    # every second bond of the 4x4 box is active, so inactive bonds sit
+    # between active ones; node scales mix 1 (x 0.5) and two pole-scaled ones
+    lat = build_lattice(2, 4, Boundary.FREE)
+    active = np.zeros(lat.n_bonds, dtype=bool)
+    active[2 * np.arange(n_active) + 1] = True
+    x_ref = np.resize([0.5, 1.2, 2.0], lat.n_bonds)
+    walked = list(disorder_cores(lat, Quadrature(nodes), active, x_ref))
+    reference = list(_unravel_walk(lat, nodes, active, x_ref))
+    assert len(walked) == len(reference) == -(-nodes**n_active // quenched._CHUNK)
+    for (core, weights), (ref_core, ref_weights) in zip(walked, reference):
+        assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
+
+
 def _count_passes(monkeypatch, first_chunk_only=False):
     """Record every disorder_cores call; optionally cut each pass to one chunk."""
     calls = []
@@ -294,9 +345,10 @@ X3, X12 = [0.3] * 4, [1.2] * 4
 @pytest.mark.parametrize(
     "xs, passes",
     [
-        ([X12, [1.2001] + X12[1:], X12], 2),  # the bump moves bond 0's node scale
+        ([X12, [1.2001] + X12[1:], X12], 2),  # the bump is the second job's reference point: its node scale moves
         ([X3, [0.3001] + X3[1:], X3], 1),  # node scale 1 either way: one grid, X3 enumerated once
         ([X3, X3[:3] + [0.0], X3[:3] + [0.0]], 2),  # a zero-x bond is inactive: another grid
+        ([X12, X12, [1.2001] + X12[1:]], 1),  # a bump after the reference point keeps its grid
     ],
 )
 def test_joint_many_one_pass_per_grid(monkeypatch, xs, passes):
@@ -323,18 +375,19 @@ def _suite_digest(reports):
 
 
 def test_standard_suite_passes(monkeypatch):
-    # 81 one-check jobs share 14 grids; cutting each pass to its first chunk
+    # 81 one-check jobs share 8 grids (each finite-difference family the grid
+    # of its unperturbed point); cutting each pass to its first chunk
     # keeps the count and makes the test cheap.  The digest pins the
     # quadrature digits, node scales and product weights of those chunks;
     # when it moves on purpose, RESULT_SCHEMA moves with it
     calls = _count_passes(monkeypatch, first_chunk_only=True)
     reports = run_standard_suite()
     assert len(reports) == 117
-    assert len(calls) == 14
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v6", "a56ee16e7aa3d2f7")
+    assert len(calls) == 8
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v7", "ecdaa2aa27dcc817")
 
 
 def test_standard_suite_mc_bytes_pinned_to_schema():
     # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
     reports = run_standard_suite(DisorderMC(2000, 1))
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v6", "916b8e6b00215d08")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v7", "916b8e6b00215d08")
