@@ -6,6 +6,7 @@ from .exact import (
     CouplingField,
     GibbsReport,
     SizeCapExceeded,
+    enumerable,
 )
 from .lattice import (
     Bond,

@@ -152,26 +152,27 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
         sys.stdout.write(primary)
         return
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     files = {out: primary}
     if csv_text is not None and not as_csv:
         files[out.with_suffix(".csv")] = csv_text
-    outputs: dict[str, str] = {}
-    for path, content in files.items():
-        path.write_text(content)
-        outputs[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "manifest_id": manifest_id,
-        "argv": list(args.original_argv),
-        "config": config,
-        "seeds": {"seed": getattr(args, "seed", None)},
-        "versions": _versions(),
-        "wall_time_s": time.time() - args.start_time,
-        "outputs": outputs,
-        "telemetry": telemetry or {},
-    }
-    out.with_name(out.stem + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        for path, content in files.items():
+            path.write_text(content)
+        manifest = {
+            "schema": MANIFEST_SCHEMA,
+            "manifest_id": manifest_id,
+            "argv": list(args.original_argv),
+            "config": config,
+            "seeds": {"seed": getattr(args, "seed", None)},
+            "versions": _versions(),
+            "wall_time_s": time.time() - args.start_time,
+            "outputs": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files},
+            "telemetry": telemetry or {},
+        }
+        out.with_name(out.stem + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:  # an unwritable --out is bad input, like an unreadable manifest
+        raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
 def _boundary(name: str) -> Boundary:
@@ -346,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out(p):
         p.add_argument("--out", type=str, default=None, help="result file (stdout if omitted)")
-        workers_help = "threads for scaling's Markov chains: at 2 or more, one helper draws their uniforms ahead of "
-        workers_help += "the sweeps; results never depend on it, and no other command starts a thread"
-        p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
 
     p = sub.add_parser("lattice-info", help="sites, bonds, corridor cardinalities")
     p.add_argument("--dim", type=int, required=True)
@@ -382,6 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int, default=500)
     p.add_argument("--mcmc-stride", dest="mcmc_stride", type=int, default=2)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: the plot-ready table alone")
+    workers_help = "threads for the Markov chains: at 2 or more, one helper draws their uniforms ahead of the sweeps; "
+    workers_help += "results never depend on it"
+    p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
     common(p)
     p.set_defaults(func=_cmd_scaling)
 

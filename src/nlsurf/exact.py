@@ -1,6 +1,8 @@
 """Exact Boltzmann-Gibbs computations at fixed disorder by full enumeration.
 
-Two paths share the bond-spin conventions:
+`enumerable` is the one size question: every module asks it before it draws
+disorder, and a lattice beyond it raises `SizeCapExceeded`.  Two paths
+share the bond-spin conventions:
 
 * `gibbs_report` loops over the configurations of one coupling field in
   float64 with a streaming-max log-sum-exp, returning log Z and any
@@ -36,6 +38,7 @@ log Z picks up an extra ln 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,12 +59,16 @@ _BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method 
 class SizeCapExceeded(ValueError):
     """Lattice too large for exact enumeration; remedy says what can go beyond it."""
 
-    def __init__(self, n_sites: int, cap: int, remedy: str = _BEYOND_CAP):
+    def __init__(self, n_sites: int, remedy: str = _BEYOND_CAP):
         self.n_sites = n_sites
-        self.cap = cap
         super().__init__(
-            f"{n_sites} sites exceed the enumeration cap of {cap}; exact enumeration needs {cap} sites or fewer, and {remedy}"
+            f"{n_sites} sites exceed the enumeration cap of {ENUMERATION_CAP}; exact enumeration needs {ENUMERATION_CAP} sites or fewer, and {remedy}"
         )
+
+
+def enumerable(lattice: LatticeSpec) -> bool:
+    """Whether exact enumeration covers the lattice: at most ENUMERATION_CAP sites."""
+    return lattice.n_sites <= ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,8 @@ class GibbsReport:
 
 
 def _check_lattice_K(lattice: LatticeSpec, K: CouplingField):
-    if lattice.n_sites > ENUMERATION_CAP:
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
+    if not enumerable(lattice):
+        raise SizeCapExceeded(lattice.n_sites)
     if K.n_bonds != lattice.n_bonds:
         raise ValueError(f"coupling field has {K.n_bonds} bonds, lattice {lattice.n_bonds}")
 
@@ -158,9 +165,6 @@ class BatchGibbs:
     pair: dict
 
 
-_table_cache: dict = {}
-
-
 def _analytic_sites(lattice: LatticeSpec) -> tuple[int, ...]:
     """The independent set A that `batch_gibbs` sums analytically."""
     if lattice.n_sites < _ANALYTIC_MIN_SITES:
@@ -168,6 +172,7 @@ def _analytic_sites(lattice: LatticeSpec) -> tuple[int, ...]:
     return max(colour_classes(lattice), key=lambda c: (len(c), 0 not in c))
 
 
+@functools.cache
 def _engine_tables(lattice: LatticeSpec, dtype):
     """Spin and pattern tables of the batch engine, cached per lattice and dtype.
 
@@ -184,9 +189,6 @@ def _engine_tables(lattice: LatticeSpec, dtype):
     operand [M.T, sign.T of the bonds between enumerated sites] that turns
     the pattern terms and those couplings into configuration energies.
     """
-    key = (lattice.cache_key(), dtype)
-    if key in _table_cache:
-        return _table_cache[key]
     analytic = _analytic_sites(lattice)
     enum = tuple(s for s in range(lattice.n_sites) if s not in analytic)
     n_enum = len(enum)
@@ -225,9 +227,7 @@ def _engine_tables(lattice: LatticeSpec, dtype):
     M = np.zeros((start[-1], n_cfg), dtype=dtype)
     M[col, cfg] = 1.0
     lhs = np.concatenate([M.T, sign[apos < 0].T], axis=1)
-    tables = (sign, apos, S_pat, M, col, start, lhs)
-    _table_cache[key] = tables
-    return tables
+    return sign, apos, S_pat, M, col, start, lhs
 
 
 def _check_queries(lattice: LatticeSpec, bonds, pairs):
@@ -277,8 +277,8 @@ def batch_gibbs(
     Any other batch runs as one pass: the last rows of a pass of another
     width come out of other BLAS edge kernels, and their last bits move.
     """
-    if lattice.n_sites > ENUMERATION_CAP:
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
+    if not enumerable(lattice):
+        raise SizeCapExceeded(lattice.n_sites)
     K_batch = np.asarray(K_batch, dtype=np.float64)
     if K_batch.ndim != 2 or K_batch.shape[1] != lattice.n_bonds:
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")

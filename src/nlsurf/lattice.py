@@ -10,6 +10,7 @@ indexing that all coupling and disorder vectors refer to.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -70,8 +71,9 @@ class LatticeSpec:
             idx = idx * self.side + (c % self.side)
         return idx
 
-    def cache_key(self) -> tuple:
-        return (self.dim, self.side, self.boundary.value)
+    def __hash__(self) -> int:
+        # dim, side and boundary fix the bonds: equal lattices hash alike and share one entry of each per-lattice cache
+        return hash((self.dim, self.side, self.boundary))
 
 
 @dataclass(frozen=True)
@@ -119,22 +121,15 @@ def build_lattice(dim: int, side: int, boundary: Boundary, *, allow_side2: bool 
     return LatticeSpec(dim=dim, side=side, boundary=boundary, n_sites=n_sites, bonds=tuple(bonds))
 
 
-_endpoint_cache: dict = {}
-
-
+@functools.cache
 def bond_endpoints(lattice: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """(site_a, site_b) of every bond as int64 arrays in bond order; cached per lattice."""
-    key = lattice.cache_key()
-    if key not in _endpoint_cache:
-        a = np.fromiter((b.site_a for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
-        b = np.fromiter((b.site_b for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
-        _endpoint_cache[key] = (a, b)
-    return _endpoint_cache[key]
+    a = np.fromiter((b.site_a for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
+    b = np.fromiter((b.site_b for b in lattice.bonds), dtype=np.int64, count=lattice.n_bonds)
+    return a, b
 
 
-_colour_cache: dict = {}
-
-
+@functools.cache
 def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
     """Sites split into independent sets by a greedy DSatur colouring.
 
@@ -143,9 +138,6 @@ def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
     smallest colour its neighbors lack.  DSatur is exact on bipartite graphs,
     so free boxes and even tori get two classes.  Cached per lattice.
     """
-    key = lattice.cache_key()
-    if key in _colour_cache:
-        return _colour_cache[key]
     n = lattice.n_sites
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for b in lattice.bonds:
@@ -167,9 +159,7 @@ def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
             if colour[t] < 0 and c not in seen[t]:
                 seen[t].add(c)
                 heapq.heappush(heap, (-len(seen[t]), -len(nbrs[t]), t))
-    classes = tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
-    _colour_cache[key] = classes
-    return classes
+    return tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
 
 
 def _box_id(lattice: LatticeSpec, site: int, box_side: int) -> tuple[int, ...]:

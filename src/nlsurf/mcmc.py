@@ -34,6 +34,7 @@ two-level estimator beyond the enumeration cap.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -80,9 +81,6 @@ class McmcConfig:
         return len(range(self.burn_in, self.sweeps, self.measure_stride))
 
 
-_nbr_cache: dict = {}
-
-
 def _outside_package_level() -> int:
     """warnings.warn stacklevel, for the function calling this one, that
     names the first stack frame outside the nlsurf package."""
@@ -93,11 +91,9 @@ def _outside_package_level() -> int:
     return level
 
 
+@functools.cache
 def _neighbor_tables(lattice: LatticeSpec):
-    """Padded (site, bond) neighbor arrays; pad entries point at a zero coupling."""
-    key = lattice.cache_key()
-    if key in _nbr_cache:
-        return _nbr_cache[key]
+    """Padded (site, bond) neighbor arrays, cached per lattice; pad entries point at a zero coupling."""
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(lattice.n_sites)]
     for b in lattice.bonds:
         nbrs[b.site_a].append((b.site_b, b.index))
@@ -109,7 +105,6 @@ def _neighbor_tables(lattice: LatticeSpec):
         for d, (ns, nb) in enumerate(v):
             site[s, d] = ns
             bond[s, d] = nb
-    _nbr_cache[key] = (site, bond)
     return site, bond
 
 

@@ -24,7 +24,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import rng
-from .exact import ENUMERATION_CAP, SizeCapExceeded, batch_gibbs
+from .exact import SizeCapExceeded, batch_gibbs, enumerable
 from .lattice import LatticeSpec
 from .model import NishimoriParams
 
@@ -282,8 +282,8 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
     with the lone job at that point.
     """
     lattice = job.lattice
-    if lattice.n_sites > ENUMERATION_CAP:
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
+    if not enumerable(lattice):
+        raise SizeCapExceeded(lattice.n_sites)
     for v in job.variants:
         if v.n_bonds != lattice.n_bonds:
             raise ValueError("variant bond count does not match the lattice")
@@ -291,7 +291,7 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
     for v in job.variants:
         active |= v.x > 0
     x_ref = job.variants[0].x
-    key: tuple = (lattice.cache_key(), job.method)
+    key: tuple = (lattice, job.method)
     if isinstance(job.method, Quadrature):
         key += (active.tobytes(), tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active)))
     return key, active, x_ref

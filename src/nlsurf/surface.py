@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import ENUMERATION_CAP, SizeCapExceeded, batch_gibbs
+from .exact import SizeCapExceeded, batch_gibbs, enumerable
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import McmcConfig, two_level_inner
 from .model import interpolated_params, uniform_params
@@ -132,8 +132,8 @@ def _interpolation_term(
     no direct route and no center bond, and passes workers to the chains.
     """
     need_direct, need_integral = _route_flags(routes)
-    if mcmc is None and lattice.n_sites > ENUMERATION_CAP:  # before any disorder is drawn
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP)
+    if mcmc is None and not enumerable(lattice):  # before any disorder is drawn
+        raise SizeCapExceeded(lattice.n_sites)
     corr_idx = corridor.sorted_indices()
     if not corr_idx:
         raise ValueError("corridor is empty")
@@ -236,14 +236,13 @@ def adjacency_term(
     lattice, corridor = _adjacency_setup(d, L)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
     term = (SurfaceTermKind.ADJACENCY_TL, geometry, lattice, corridor, x, method, t_nodes, "corridor")
-    if lattice.n_sites <= ENUMERATION_CAP:
+    if enumerable(lattice):
         return _interpolation_term(*term, routes=routes, center_bond=_center_corridor_bond(lattice, corridor))
     if routes == "direct":
-        raise SizeCapExceeded(lattice.n_sites, ENUMERATION_CAP, f"at L={L} Markov chains give the integral route only")
+        raise SizeCapExceeded(lattice.n_sites, f"at L={L} Markov chains give the integral route only")
     if not isinstance(method, DisorderMC) or mcmc is None:
         raise SizeCapExceeded(
             lattice.n_sites,
-            ENUMERATION_CAP,
             f"at L={L} the two-level Markov-chain estimator needs a DisorderMC method and an McmcConfig "
             "(CLI: scaling --method mc --mcmc-sweeps N)",
         )
@@ -294,8 +293,8 @@ def surface_pressure_periodic(
     """
     need_direct, need_integral = _route_flags(routes)
     big, decomp = tiling_interfaces(d, L, k)
-    if big.n_sites > ENUMERATION_CAP:  # the kL-torus is the larger lattice of both routes
-        raise SizeCapExceeded(big.n_sites, ENUMERATION_CAP)
+    if not enumerable(big):  # the kL-torus is the larger lattice of both routes
+        raise SizeCapExceeded(big.n_sites)
     direct = integral = None
     tables: dict = {}
     if need_integral:

@@ -142,6 +142,15 @@ def test_bad_worker_count_is_usage_error(capsys):
             assert "--workers" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # exit 1 means a failed verification or rerun; a result that cannot be written is bad input
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "file" / "l.json"):
+        capsys.readouterr()
+        assert run(["lattice-info", "--dim", "1", "--side", "4", "--bc", "free", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def test_size_cap_advice_names_a_reachable_path(capsys):
     # commands without a chain path must not point at the Markov-chain module
     for argv in (

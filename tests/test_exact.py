@@ -16,9 +16,10 @@ from nlsurf.exact import (
     _engine_tables,
     _gibbs_pass,
     batch_gibbs,
+    enumerable,
     gibbs_report,
 )
-from nlsurf.lattice import Boundary, build_lattice, decompose_box, torus_cut
+from nlsurf.lattice import Boundary, build_lattice, colour_classes, decompose_box, torus_cut
 from nlsurf.rng import standard_normals
 
 from oracles import FROZEN, brute_gibbs, graycode_gibbs
@@ -171,6 +172,21 @@ def test_size_cap_error_mentions_mcmc():
     with pytest.raises(SizeCapExceeded) as exc:
         gibbs_report(lat, CouplingField(np.zeros(lat.n_bonds)))
     assert "mcmc" in str(exc.value)
+
+
+def test_enumerable_is_the_size_cap():
+    assert enumerable(build_lattice(1, 24, Boundary.FREE)) and not enumerable(build_lattice(1, 25, Boundary.FREE))
+    with pytest.raises(SizeCapExceeded) as exc:
+        batch_gibbs(build_lattice(1, 25, Boundary.FREE), np.zeros((2, 24)))
+    assert exc.value.n_sites == 25
+
+
+def test_equal_lattices_share_their_tables():
+    # separate but equal lattice objects key one entry of each per-lattice cache
+    a, b = build_lattice(2, 2, Boundary.FREE), build_lattice(2, 2, Boundary.FREE)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _engine_tables(a, np.float64) is _engine_tables(b, np.float64)
+    assert colour_classes(a) is colour_classes(b)
 
 
 def test_invalid_queries():

@@ -325,14 +325,15 @@ def _count_passes(monkeypatch, first_chunk_only=False):
     return calls
 
 
-def _jobs(lat, xs, method=Quadrature(6)):
+def _jobs(lat, xs, method=Quadrature(6), lat2=None):
     """Two jobs with different requests: the first asks for bond moments of
-    variant xs[0], the second for log Z and a pair of variants xs[1], xs[2]."""
+    variant xs[0], the second (on lat2, default lat) for log Z and a pair of
+    variants xs[1], xs[2]."""
     p = [NishimoriParams(x=np.asarray(x, dtype=float)) for x in xs]
     return [
         JointJob(lat, [p[0]], method, {"s": lambda v: v[0].bond[0], "js": lambda v: v[0].j(0) * v[0].bond[0]}, bonds=(0,)),
         JointJob(
-            lat, [p[1], p[2]], method,
+            lat2 or lat, [p[1], p[2]], method,
             {"dz": lambda v: v[0].log_z - v[1].log_z, "pp": lambda v: v[1].pair[(0, 2)] * v[0].bond[2]},
             bonds=(2,), pairs=((0, 2),), need_log_z=True,
         ),
@@ -343,17 +344,19 @@ X3, X12 = [0.3] * 4, [1.2] * 4
 
 
 @pytest.mark.parametrize(
-    "xs, passes",
+    "xs, passes, twin",
     [
-        ([X12, [1.2001] + X12[1:], X12], 2),  # the bump is the second job's reference point: its node scale moves
-        ([X3, [0.3001] + X3[1:], X3], 1),  # node scale 1 either way: one grid, X3 enumerated once
-        ([X3, X3[:3] + [0.0], X3[:3] + [0.0]], 2),  # a zero-x bond is inactive: another grid
-        ([X12, X12, [1.2001] + X12[1:]], 1),  # a bump after the reference point keeps its grid
+        ([X12, [1.2001] + X12[1:], X12], 2, False),  # the bump is the second job's reference point: its node scale moves
+        ([X3, [0.3001] + X3[1:], X3], 1, False),  # node scale 1 either way: one grid, X3 enumerated once
+        ([X3, X3[:3] + [0.0], X3[:3] + [0.0]], 2, False),  # a zero-x bond is inactive: another grid
+        ([X12, X12, [1.2001] + X12[1:]], 1, False),  # a bump after the reference point keeps its grid
+        ([X3, [0.3001] + X3[1:], X3], 1, True),  # the second job on a separate but equal lattice object: still one grid
     ],
+    ids=["xs0-2", "xs1-1", "xs2-2", "xs3-1", "twin-lattice-1"],
 )
-def test_joint_many_one_pass_per_grid(monkeypatch, xs, passes):
+def test_joint_many_one_pass_per_grid(monkeypatch, xs, passes, twin):
     lat = build_lattice(2, 2, Boundary.FREE)
-    jobs = _jobs(lat, xs)
+    jobs = _jobs(lat, xs, lat2=build_lattice(2, 2, Boundary.FREE) if twin else None)
     lone = [quenched_joint_many([j])[0] for j in jobs]
     calls = _count_passes(monkeypatch)
     assert quenched_joint_many(jobs) == lone  # Estimate fields compared with ==, bit for bit

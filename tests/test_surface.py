@@ -5,8 +5,10 @@ import math
 import pytest
 
 from nlsurf.exact import SizeCapExceeded
+from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.mcmc import McmcConfig
-from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error
+from nlsurf.model import uniform_params
+from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, quenched_pressure
 from nlsurf.surface import (
     SurfaceTermKind,
     adjacency_term,
@@ -16,9 +18,12 @@ from nlsurf.surface import (
     surface_pressure_periodic,
 )
 
+from nlsurf.verify import check_le, run_checks
+
 from oracles import FROZEN
 
 Q20 = Quadrature(20)
+BOX5 = build_lattice(2, 5, Boundary.FREE)
 
 
 def test_all_terms_vanish_at_zero_x():
@@ -190,8 +195,11 @@ def test_routes_rejected():
         lambda m: periodic_minus_free(2, 5, 0.5, m, 2),
         lambda m: surface_pressure_free(2, 2, 0.5, 20, m, 2),
         lambda m: surface_pressure_periodic(2, 2, 0.5, 20, m, 2),
+        lambda m: quenched_pressure(BOX5, uniform_params(BOX5, 0.5), m),
+        lambda m: run_checks([check_le(BOX5, uniform_params(BOX5, 0.5), 0, m)]),
+        lambda m: adjacency_term(2, 4, 0.5, Quadrature(6), 2),  # quadrature, and no McmcConfig to go beyond the cap
     ],
-    ids=["torus-diff", "surface-free", "surface-periodic"],
+    ids=["torus-diff", "surface-free", "surface-periodic", "pressure", "run-checks", "adjacency-quadrature"],
 )
 def test_size_cap_checked_before_any_draw(term, monkeypatch):
     # beyond the cap a term must fail before it draws a disorder chunk
