@@ -39,7 +39,7 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v7"
+RESULT_SCHEMA = "nlsurf.result.v8"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
@@ -209,7 +209,8 @@ def _cmd_lattice_info(args) -> int:
 def _cmd_pressure(args) -> int:
     lat = build_lattice(args.dim, args.side, _boundary(args.bc))
     method = _method_from_args(args)
-    est = quenched_pressure(lat, uniform_params(lat, args.x), method)
+    passes: list[dict] = []
+    est = quenched_pressure(lat, uniform_params(lat, args.x), method, telemetry=passes)
     _write_run(
         args,
         "pressure",
@@ -220,6 +221,7 @@ def _cmd_pressure(args) -> int:
             "value": est.value,
             "std_error": est.std_error,
         },
+        telemetry={"passes": passes},
     )
     return EXIT_OK
 
@@ -281,9 +283,10 @@ def _cmd_verify(args) -> int:
     elif args.method == "quadrature" and args.nodes is not None:
         method = Quadrature(nodes_per_bond=args.nodes)
     tol = args.tolerance if args.tolerance is not None else verify_mod.DEFAULT_TOL
-    reports = verify_mod.run_standard_suite(method, tol=tol)
+    passes: list[dict] = []
+    reports = verify_mod.run_standard_suite(method, tol=tol, telemetry=passes)
     payload = verify_mod.suite_report(reports)
-    _write_run(args, "verify", payload)
+    _write_run(args, "verify", payload, telemetry={"passes": passes})
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -427,3 +430,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

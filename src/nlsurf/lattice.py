@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -160,6 +161,44 @@ def colour_classes(lattice: LatticeSpec) -> tuple[tuple[int, ...], ...]:
                 seen[t].add(c)
                 heapq.heappush(heap, (-len(seen[t]), -len(nbrs[t]), t))
     return tuple(tuple(s for s in range(n) if colour[s] == c) for c in range(max(colour) + 1))
+
+
+@functools.cache
+def bond_automorphisms(lattice: LatticeSpec) -> np.ndarray:
+    """Bond permutations of the lattice's symmetries, one row each: row g maps bond b to pi_g[b].
+
+    The site maps are the signed axis permutations of the box (coordinate
+    axis i takes c_s or side - 1 - c_s of an axis s), on a torus composed
+    with every translation; pi_g[b] is the bond whose end sites are the
+    images of b's.  A side-2 torus has two parallel bonds between each
+    neighbouring pair, which their end sites do not tell apart, so it gets
+    the identity alone.  Rows are distinct and sorted, the identity first.
+    Read-only; cached per lattice.
+    """
+    dim, side, n = lattice.dim, lattice.side, lattice.n_sites
+    if lattice.boundary is Boundary.PERIODIC and side == 2:
+        perms = np.arange(lattice.n_bonds)[None, :]
+    else:
+        ea, eb = bond_endpoints(lattice)
+        keys = ea * n + eb
+        order = np.argsort(keys)
+        coords = np.array([lattice.site_coords(s) for s in range(n)])
+        stride = side ** np.arange(dim - 1, -1, -1)
+        shifts = [(0,) * dim]
+        if lattice.boundary is Boundary.PERIODIC:
+            shifts = list(itertools.product(range(side), repeat=dim))
+        found = []
+        for axes in itertools.permutations(range(dim)):
+            for flips in itertools.product((False, True), repeat=dim):
+                c = np.where(flips, side - 1 - coords[:, axes], coords[:, axes])
+                for shift in shifts:
+                    site = ((c + shift) % side) @ stride
+                    a, b = site[ea], site[eb]
+                    image = np.minimum(a, b) * n + np.maximum(a, b)
+                    found.append(order[np.searchsorted(keys, image, sorter=order)])
+        perms = np.unique(np.array(found), axis=0)
+    perms.setflags(write=False)
+    return perms
 
 
 def _box_id(lattice: LatticeSpec, site: int, box_side: int) -> tuple[int, ...]:

@@ -11,11 +11,20 @@ bumps) share the same core - common random numbers by construction.
 `quenched_joint_many` runs many such joint averages (`JointJob`s) at once:
 jobs whose cores coincide share one pass over them, and each distinct variant
 is enumerated once per chunk.
+
+A quadrature grid is invariant under the lattice symmetries that keep its
+active bonds and node scales, so a pass walks one representative point per
+orbit, weighted by w(r) / |Stab r|, and reads every other point of the orbit
+from the engine's results at the representative with the bonds relabelled
+(symmetric cubature, Genz, SIAM J. Numer. Anal. 23, 1273 (1986), over the
+orbits of a finite group).  On the 2x2 box that is 8 points per engine row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -24,8 +33,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import rng
-from .exact import SizeCapExceeded, batch_gibbs, enumerable
-from .lattice import LatticeSpec
+from .exact import SizeCapExceeded, _check_queries, batch_gibbs, enumerable
+from .lattice import LatticeSpec, bond_automorphisms
 from .model import NishimoriParams
 
 QUADRATURE_GRID_CAP = 10**7
@@ -100,6 +109,7 @@ def disorder_cores(
     method: AveragingMethod,
     active: np.ndarray | None = None,
     x_ref: np.ndarray | None = None,
+    group: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield (core, weights) chunks; couplings are j = x + core per variant.
 
@@ -114,9 +124,20 @@ def disorder_cores(
 
     Grid row r takes active bond i's node (r // nodes**(k-1-i)) % nodes, the
     C-order digits of r: each node repeated nodes**(k-1-i) times, with period
-    nodes**(k-i).  A bond whose period fits in a chunk is tiled once per grid
-    and sliced per chunk; a longer period spans a few runs per chunk.  The
-    weights multiply in bond order, as a per-chunk digit walk would.
+    nodes**(k-i).  A bond whose period fits in a chunk has its digits tiled
+    once per grid and sliced per chunk; a longer period spans a few runs per
+    chunk.  Nodes and weights are read through the digits, and the weights
+    multiply in bond order, as a per-chunk digit walk would.
+
+    group holds bond permutations (rows of `lattice.bond_automorphisms`,
+    the identity first) that map the active bonds and their node scales onto
+    themselves; point p's image under pi has p[pi^-1(b)] on bond b.  The walk
+    then yields only the orbit representatives, the point of lowest grid
+    index in each orbit, in grid order and in chunks of _CHUNK rows, with
+    weight w(r) / |Stab r|: summing a function over the images of every
+    representative under the whole group gives its full-grid sum.  Without
+    a group (or with the identity alone) every point is its own
+    representative, and the chunks are the grid's in order.
     """
     n_bonds = lattice.n_bonds
     if isinstance(method, DisorderMC):
@@ -138,41 +159,89 @@ def disorder_cores(
             f"{nodes} nodes on {n_active} active bonds gives {nodes**n_active} grid points "
             f"(cap {QUADRATURE_GRID_CAP}); use DisorderMC for this instance"
         )
-    eps, w = hermegauss(nodes)
-    wnorm = w / math.sqrt(2.0 * math.pi)
+    eps, wnorm = _hermite_rule(nodes)
     scaled: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     total = nodes**n_active
-    walk = []  # (bond, run, period, nodes, weights) of each active bond; nodes and weights tiled for short periods
+    walk = []  # (bond, run, period, digits, nodes, weights) of each active bond; digits tiled for short periods
     for i, b in enumerate(act):
         s = gh_scale(float(x_ref[b])) if x_ref is not None else 1.0
         if s not in scaled:
             scaled[s] = (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)) if s != 1.0 else (eps, wnorm)
-        nd, wt = scaled[s]
         run = nodes ** (n_active - 1 - i)
         period = run * nodes
+        digits = np.arange(nodes)
         if period <= _CHUNK:
             # a chunk starting at lo reads [lo % period, lo % period + rows), never past min(period - 1 + _CHUNK, total)
-            size = min(period - 1 + _CHUNK, total)
-            nd, wt = np.resize(np.repeat(nd, run), size), np.resize(np.repeat(wt, run), size)
-        walk.append((b, run, period, nd, wt))
+            digits = np.resize(np.repeat(digits, run), min(period - 1 + _CHUNK, total))
+        walk.append((b, run, period, digits, *scaled[s]))
+    # row g of `power` turns a point's digits into the grid index of its image under group[g + 1]
+    perms = group[1:] if group is not None else np.empty((0, n_bonds), dtype=np.intp)
+    position = np.zeros(n_bonds, dtype=np.intp)
+    position[act] = np.arange(n_active)
+    power = float(nodes) ** (n_active - 1 - position[perms[:, act]])
+    # representatives not yet yielded: their digits and stabilizer orders.  They
+    # go out in full chunks of _CHUNK rows, as the grid does: a narrower chunk
+    # holds less engine output at once, but repeats the per-chunk work of every
+    # job and group element more often (2048 rows took about 1.25x the time on
+    # the standard quadrature suite)
+    digit, stab = np.empty((n_active, 0), dtype=np.intp), np.empty(0, dtype=np.intp)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        core = np.zeros((n_bonds, hi - lo))
-        weights = np.ones(hi - lo)
-        for b, run, period, nd, wt in walk:
-            if period <= _CHUNK:
-                start = lo % period
-                core[b] = nd[start : start + hi - lo]
-                weights *= wt[start : start + hi - lo]
-            else:
-                first, last = lo // run, (hi - 1) // run
-                digit = np.arange(first, last + 1) % nodes
-                counts = np.full(last + 1 - first, run)
-                counts[0] -= lo - first * run
-                counts[-1] -= (last + 1) * run - hi
-                core[b] = np.repeat(nd[digit], counts)
-                weights *= np.repeat(wt[digit], counts)
-        yield core, weights
+        new, new_stab = _grid_digits(walk, nodes, lo, hi), np.ones(hi - lo, dtype=np.intp)
+        if len(power):
+            new, new_stab = _representatives(new, lo, power)
+        digit, stab = np.concatenate([digit, new], axis=1), np.concatenate([stab, new_stab])
+        while digit.shape[1] >= _CHUNK or (hi == total and digit.shape[1]):
+            out = digit[:, :_CHUNK]
+            core = np.zeros((n_bonds, out.shape[1]))
+            weights = np.ones(out.shape[1])
+            for d, (b, _, _, _, nd, wt) in zip(out, walk):
+                core[b] = nd[d]
+                weights *= wt[d]
+            weights /= stab[:_CHUNK]  # w / 1 is exact: a point that no symmetry fixes keeps its weight's bytes
+            digit, stab = digit[:, _CHUNK:], stab[_CHUNK:]
+            yield core, weights
+
+
+@functools.cache
+def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the N(0, 1) measure, read-only and
+    cached per node count: the rule's eigenvalue solve takes milliseconds at
+    a few hundred nodes, more than a small grid's whole pass."""
+    eps, w = hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    eps.setflags(write=False)
+    w.setflags(write=False)
+    return eps, w
+
+
+def _grid_digits(walk: list[tuple], nodes: int, lo: int, hi: int) -> np.ndarray:
+    """The C-order digits (active bonds, rows) of grid rows [lo, hi), from the walk of `disorder_cores`."""
+    digit = np.empty((len(walk), hi - lo), dtype=np.intp)
+    for i, (_, run, period, digits, _, _) in enumerate(walk):
+        if period <= _CHUNK:
+            start = lo % period
+            digit[i] = digits[start : start + hi - lo]
+        else:
+            first, last = lo // run, (hi - 1) // run
+            counts = np.full(last + 1 - first, run)
+            counts[0] -= lo - first * run
+            counts[-1] -= (last + 1) * run - hi
+            digit[i] = np.repeat(np.arange(first, last + 1) % nodes, counts)
+    return digit
+
+
+def _representatives(digit: np.ndarray, lo: int, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit representatives among grid rows lo, lo + 1, ... (columns of digit) and their stabilizer orders.
+
+    A row represents its orbit when no image has a lower grid index.  The
+    indices come from one product with `power`, exact in float64: they stay
+    below QUADRATURE_GRID_CAP < 2**53.
+    """
+    images = power @ digit
+    index = np.arange(lo, lo + digit.shape[1], dtype=np.float64)
+    keep = np.flatnonzero(images.min(axis=0) >= index)
+    return digit[:, keep], 1 + (images[:, keep] == index[keep]).sum(axis=0)
 
 
 def nishimori_couplings(x: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -244,8 +313,10 @@ class Moments:
 class VariantChunk:
     """Fixed-disorder values for one parameter variant over one chunk.
 
-    j(b) forms bond b's couplings x_b + core[b] on access, so a pass holds
-    one core per chunk rather than one coupling array per variant.
+    j(b) forms bond b's couplings x_b + core[rows[b]] on access, so a pass
+    holds one core per chunk rather than one coupling array per variant;
+    rows relabels the core's bonds for a view at an image of the chunk's
+    points (the identity otherwise).
     """
 
     log_z: np.ndarray | None
@@ -253,9 +324,10 @@ class VariantChunk:
     pair: dict
     x: np.ndarray
     core: np.ndarray
+    rows: Sequence[int]
 
     def j(self, b: int) -> np.ndarray:
-        return self.x[b] + self.core[b]
+        return self.x[b] + self.core[self.rows[b]]
 
 
 @dataclass(frozen=True)
@@ -271,15 +343,20 @@ class JointJob:
     need_log_z: bool = False
 
 
-def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(key, active, x_ref) of a job: jobs with equal keys get equal cores.
+def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(key, active, x_ref, group) of a job: jobs with equal keys get equal cores.
 
     Monte Carlo cores depend on the lattice and the method (its seed) only.
     Quadrature cores also depend on which bonds are active (any variant's
     x_b > 0) and on each active bond's node scale, not on x itself.  The
     scale comes from the job's reference point x_ref = variants[0].x, so a
     finite-difference family (its unperturbed point first) shares one grid
-    with the lone job at that point.
+    with the lone job at that point.  group holds the lattice's bond
+    automorphisms that keep the active bonds and their node scales, under
+    which the grid's weights are invariant; it depends on the key alone.  It
+    is None (no symmetries used) under Monte Carlo, and on a grid of at most
+    one chunk, where fewer rows save nothing: each variant takes one engine
+    call either way, while every functional would run once per group element.
     """
     lattice = job.lattice
     if not enumerable(lattice):
@@ -287,84 +364,193 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray]:
     for v in job.variants:
         if v.n_bonds != lattice.n_bonds:
             raise ValueError("variant bond count does not match the lattice")
+    _check_queries(lattice, job.bonds, job.pairs)  # before the requests are relabelled by the group
     active = np.zeros(lattice.n_bonds, dtype=bool)
     for v in job.variants:
         active |= v.x > 0
     x_ref = job.variants[0].x
     key: tuple = (lattice, job.method)
+    group = None
     if isinstance(job.method, Quadrature):
-        key += (active.tobytes(), tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active)))
-    return key, active, x_ref
+        scales = tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active))
+        key += (active.tobytes(), scales)
+        if job.method.nodes_per_bond ** len(scales) > _CHUNK:
+            label = np.full(lattice.n_bonds, -1.0)  # node scale of an active bond, -1 elsewhere
+            label[active] = scales
+            perms = bond_automorphisms(lattice)
+            group = perms[(label[perms] == label).all(axis=1)]
+    return key, active, x_ref, group
 
 
-def quenched_joint_many(jobs: Sequence[JointJob]) -> list[dict[str, Estimate]]:
+def quenched_joint_many(jobs: Sequence[JointJob], telemetry: list[dict] | None = None) -> list[dict[str, Estimate]]:
     """Run several joint averages with one disorder pass per grid.
 
     Jobs whose disorder cores coincide (see `_grid`: under quadrature the
     node scales come from each job's reference point variants[0], not from
-    the largest x over its variants) share one
-    `disorder_cores` stream, and a parameter variant common to several of
-    them (equal x bytes) is enumerated once per chunk, for the union of the
-    bonds, pairs and log Z its jobs ask for.  Each job keeps its own Moments,
-    and a batch_gibbs row does not depend on what else is requested, so every
-    result equals the job's lone `quenched_joint_many([job])` result bit for bit.
+    the largest x over its variants) share one `disorder_cores` stream, and
+    a parameter variant common to several of them (equal x bytes) is
+    enumerated once per chunk, for the union of the bonds, pairs and log Z
+    its jobs ask for.  Each job keeps its own Moments, and a batch_gibbs row
+    does not depend on what else is requested, so every result equals the
+    job's lone `quenched_joint_many([job])` result bit for bit.
+
+    A quadrature grid with symmetries is walked over its orbit
+    representatives only (see `_joint_pass`).  With telemetry, one record
+    per pass is appended to it: method, nodes (None under Monte Carlo),
+    active_bonds, group_order, grid_points (the sample count under Monte
+    Carlo), representatives, source_variants, engine_rows (the rows that
+    batch_gibbs enumerated), and cores_s, the seconds spent producing the
+    cores (the grid walk and its orbit filter, or the draws).
     """
-    groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]] = {}
     for i, job in enumerate(jobs):
-        key, active, x_ref = _grid(job)
-        groups.setdefault(key, ([], active, x_ref))[0].append(i)
+        key, *grid = _grid(job)
+        groups.setdefault(key, ([], *grid))[0].append(i)
     results: list[dict[str, Estimate]] = [{} for _ in jobs]
-    for members, active, x_ref in groups.values():
-        for i, res in zip(members, _joint_pass([jobs[i] for i in members], active, x_ref)):
+    for members, active, x_ref, group in groups.values():
+        record: dict = {}
+        for i, res in zip(members, _joint_pass([jobs[i] for i in members], active, x_ref, group, record)):
             results[i] = res
+        if telemetry is not None:
+            telemetry.append(record)
     return results
 
 
-def _joint_pass(jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray) -> list[dict[str, Estimate]]:
-    """One disorder pass for jobs that share their grid.
+def _joint_pass(
+    jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray, group: np.ndarray | None, record: dict
+) -> list[dict[str, Estimate]]:
+    """One disorder pass for jobs that share their grid, over the orbit
+    representatives of its group; fills record (see `quenched_joint_many`).
+
+    Variant x at the image g.r of a representative r is the engine's source
+    variant x o pi at r: bond b there reads the source's bond pi^-1(b), and
+    j(b) reads core row pi^-1(b).  So the variants and their requests are
+    closed under the group, the engine runs each source variant once per
+    chunk, and every job's functionals run once per group element, on
+    relabelled views that share the source's arrays (under the identity,
+    the variant's own chunk).  Each functional's mean over the group feeds
+    the job's Moments once per chunk.
 
     Within a chunk the jobs run sorted by their variants, so jobs that share
-    variants run back to back, and a variant's chunk is released once the
+    variants run back to back, and a source's chunk is released once the
     last job using it has read it.  The order cannot change a result: each
-    job's Moments sees its own rows in chunk order.
+    job's Moments sees its own rows in chunk order and group order.
     """
     lattice, method = jobs[0].lattice, jobs[0].method
     precise = isinstance(method, Quadrature)
-    # each variant once, by x bytes: (x, bonds, pairs, need_log_z), the union of its jobs' requests
-    requests: dict[bytes, tuple] = {}
+    # pi^-1 of each group element, as ints; the identity alone without a group
+    inverse = np.argsort(group, axis=1).tolist() if group is not None else [list(range(lattice.n_bonds))]
+    # each job variant once, by x bytes: [x, bonds, pairs, need_log_z], the union of its jobs' requests
+    variants: dict[bytes, list] = {}
     uses = [[v.x.tobytes() for v in job.variants] for job in jobs]
     for job, used in zip(jobs, uses):
         for v, vk in zip(job.variants, used):
-            _, bs, ps, lz = requests.get(vk, (v.x, (), (), False))
-            requests[vk] = (v.x, tuple(sorted({*bs, *job.bonds})), tuple(sorted({*ps, *job.pairs})), lz or job.need_log_z)
-    users = {vk: sum(vk in used for used in uses) for vk in requests}
+            request = variants.setdefault(vk, [v.x, set(), set(), False])
+            request[1].update(job.bonds)
+            request[2].update(job.pairs)
+            request[3] |= job.need_log_z
+    # the source variant of each (element, variant), and each source's requests, relabelled (pairs in increasing order)
+    wanted: dict[bytes, list] = {}
+    source_of: dict[tuple[int, bytes], bytes] = {}
+    for vk, (x, bs, ps, lz) in variants.items():
+        for g, inv in enumerate(inverse):
+            xs = x[group[g]] if g else x
+            sk = source_of[g, vk] = xs.tobytes() if g else vk
+            request = wanted.setdefault(sk, [xs, set(), set(), False])
+            request[1].update([inv[b] for b in bs])
+            request[2].update([(inv[a], inv[b]) if inv[a] < inv[b] else (inv[b], inv[a]) for a, b in ps])
+            request[3] |= lz
+    sources = {sk: (xs, tuple(sorted(bs)), tuple(sorted(ps)), lz) for sk, (xs, bs, ps, lz) in wanted.items()}
+    # the sources a job reads and its own variants, whose views it reads
+    needs = [{*used, *(source_of[g, vk] for g in range(len(inverse)) for vk in used)} for used in uses]
+    readers = {key: sum(key in need for need in needs) for key in {*sources, *variants}}
     order = sorted(range(len(jobs)), key=lambda k: uses[k])
     moments = [Moments() for _ in jobs]
+    n_active = int(active.sum())
+    record.update(
+        method="quadrature" if precise else "disorder_mc",
+        nodes=method.nodes_per_bond if precise else None,
+        active_bonds=n_active,
+        group_order=len(inverse),
+        grid_points=method.nodes_per_bond**n_active if precise else method.samples,
+        representatives=0,
+        source_variants=len(sources),
+        engine_rows=0,
+        cores_s=0.0,
+    )
 
-    for core, weights in disorder_cores(lattice, method, active, x_ref):
-        left = dict(users)
+    cores = disorder_cores(lattice, method, active, x_ref, group)
+    while True:
+        start = time.perf_counter()
+        item = next(cores, None)
+        record["cores_s"] += time.perf_counter() - start
+        if item is None:
+            break
+        core, weights = item
+        record["representatives"] += core.shape[1]
+        left = dict(readers)
         chunk: dict[bytes, VariantChunk] = {}
+        views: dict[tuple[int, bytes], VariantChunk] = {}
         for k in order:
-            for vk in uses[k]:
-                if vk not in chunk:
-                    chunk[vk] = _variant_chunk(lattice, core, *requests[vk], precise)
-            vals = [chunk[vk] for vk in uses[k]]
-            moments[k].add([f(vals) for f in jobs[k].functionals.values()], weights)
-            for vk in set(uses[k]):
-                left[vk] -= 1
-                if not left[vk]:
-                    del chunk[vk]
+            summed: list = []  # each functional's rows, summed over the group
+            for g, inv in enumerate(inverse):
+                vals = []
+                for vk in uses[k]:
+                    if (g, vk) not in views:
+                        sk = source_of[g, vk]
+                        if sk not in chunk:
+                            chunk[sk] = _variant_chunk(lattice, core, *sources[sk], precise)
+                            record["engine_rows"] += core.shape[1]
+                        views[g, vk] = _view(chunk[sk], variants[vk], inv) if g else chunk[sk]
+                    vals.append(views[g, vk])
+                values = [f(vals) for f in jobs[k].functionals.values()]
+                if g == 0:
+                    summed = values
+                elif g == 1:
+                    summed = [s + v for s, v in zip(summed, values)]  # new arrays: a functional may return the engine's own
+                else:
+                    for i, v in enumerate(values):
+                        summed[i] += v
+            # the group mean at each representative, weighted by w(r) / |Stab r|, is the full-grid weighted mean
+            moments[k].add(summed if len(inverse) == 1 else [s / len(inverse) for s in summed], weights)
+            for key in needs[k]:
+                left[key] -= 1
+                if not left[key]:
+                    chunk.pop(key, None)
+                    for g in range(len(inverse)):
+                        views.pop((g, key), None)
     return [dict(zip(job.functionals, mom.estimates())) for job, mom in zip(jobs, moments)]
 
 
 def _variant_chunk(
     lattice: LatticeSpec, core: np.ndarray, x: np.ndarray, bonds: tuple, pairs: tuple, need_log_z: bool, precise: bool
 ) -> VariantChunk:
+    """The engine's values for one source variant; its pairs, requested in increasing order, are read in either order.
+
+    A pair correlation is symmetric, and both orders give the same bytes in
+    the engine, so each pair is computed once.
+    """
     bg = batch_gibbs(lattice, nishimori_couplings(x, core).T, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
-    return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=bg.pair, x=x, core=core)
+    pair = {**bg.pair, **{(b, a): v for (a, b), v in bg.pair.items()}}
+    return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=pair, x=x, core=core, rows=range(lattice.n_bonds))
 
 
-def quenched_pressure(lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod) -> Estimate:
-    """[ln Z] under the product Gaussian with means x_b."""
+def _view(source: VariantChunk, variant: list, inv: list[int]) -> VariantChunk:
+    """Variant (x, bonds, pairs, _) at the image of the chunk's points under pi, read from its source x o pi."""
+    x, bonds, pairs, _ = variant
+    return VariantChunk(
+        log_z=source.log_z,
+        bond={b: source.bond[inv[b]] for b in bonds},
+        pair={(a, b): source.pair[inv[a], inv[b]] for a, b in pairs},
+        x=x,
+        core=source.core,
+        rows=inv,
+    )
+
+
+def quenched_pressure(
+    lattice: LatticeSpec, params: NishimoriParams, method: AveragingMethod, telemetry: list[dict] | None = None
+) -> Estimate:
+    """[ln Z] under the product Gaussian with means x_b; telemetry as in `quenched_joint_many`."""
     job = JointJob(lattice, [params], method, {"pressure": lambda v: v[0].log_z}, need_log_z=True)
-    return quenched_joint_many([job])[0]["pressure"]
+    return quenched_joint_many([job], telemetry=telemetry)[0]["pressure"]

@@ -3,10 +3,11 @@
 Each check evaluates its left and right sides on shared disorder (common
 random numbers) and reports the discrepancy against a tolerance: an absolute
 one under deterministic quadrature, three combined standard errors under
-disorder Monte Carlo.  A check (`check_le` ... `check_idset`) is a `JointJob`
-plus a finisher.  `run_checks` runs checks together, one disorder pass per
-grid (`quenched.quenched_joint_many`), and each check's reports equal, bit
-for bit, those it gives when run alone.
+disorder Monte Carlo.  A check (`check_le` ... `check_idset`) is one
+`JointJob`, or two on one grid for a derivative, plus a finisher.
+`run_checks` runs checks together, one disorder pass per grid
+(`quenched.quenched_joint_many`), and each check's reports equal, bit for
+bit, those it gives when run alone.
 
 Derivatives with respect to x_b are total: the bump moves the Gaussian mean
 and the coupling strength together, i.e. it stays inside the one-parameter
@@ -95,16 +96,25 @@ def _finish(check_id, lattice, params, bonds, lhs, rhs, method, tol, extra_ok=Tr
     )
 
 
-# A check is a (JointJob, finisher) pair: the job says what to average over
-# disorder, the finisher turns the job's estimates into reports.
-Check = tuple[JointJob, Callable[[dict[str, Estimate]], list[VerificationReport]]]
+# A check is a (jobs, finisher) pair: the jobs say what to average over
+# disorder, the finisher turns their estimates, merged into one dict, into
+# reports.  A derivative check has two jobs on one grid, its finite-difference
+# side and its analytic side, so each parameter variant is enumerated for
+# what its own side reads.
+Check = tuple[tuple[JointJob, ...], Callable[[dict[str, Estimate]], list[VerificationReport]]]
 
 
-def run_checks(checks: list[Check]) -> list[VerificationReport]:
+def run_checks(checks: list[Check], telemetry: list[dict] | None = None) -> list[VerificationReport]:
     """Evaluate the checks' jobs together, one disorder pass per grid, and
-    finish the reports in check order."""
-    results = quenched_joint_many([job for job, _ in checks])
-    return [r for (_, finish), res in zip(checks, results) for r in finish(res)]
+    finish the reports in check order; telemetry as in `quenched_joint_many`."""
+    results = iter(quenched_joint_many([job for jobs, _ in checks for job in jobs], telemetry=telemetry))
+    reports = []
+    for jobs, finish in checks:
+        merged: dict[str, Estimate] = {}
+        for _ in jobs:
+            merged.update(next(results))
+        reports += finish(merged)
+    return reports
 
 
 def check_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> Check:
@@ -115,7 +125,7 @@ def check_le(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Aver
         rhs = Estimate(value=float(params.x[b]), std_error=0.0)
         return [_finish(CheckId.LE, lattice, params, (b,), res["lhs"], rhs, method, tol)]
 
-    return job, finish
+    return (job,), finish
 
 
 def check_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: AveragingMethod, tol: float = DEFAULT_TOL) -> Check:
@@ -125,7 +135,7 @@ def check_mq(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Aver
         {"lhs": lambda v: v[0].bond[b], "rhs": lambda v: v[0].bond[b] ** 2},
         bonds=(b,),
     )
-    return job, lambda res: [_finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)]
+    return (job,), lambda res: [_finish(CheckId.MQ, lattice, params, (b,), res["lhs"], res["rhs"], method, tol)]
 
 
 def _bumped(params: NishimoriParams, b: int, delta: float) -> NishimoriParams:
@@ -156,13 +166,9 @@ def check_g1(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Aver
     """dP/dx_b (finite difference) equals x_b [<S_b + 1>], which is >= 0."""
     variants, coef = _fd_variants(params, b)
     xb = float(params.x[b])
-    job = JointJob(
-        lattice, variants, method,
-        {
-            "lhs": lambda v: sum(c * vc.log_z for c, vc in zip(coef, v)),
-            "rhs": lambda v: xb * (1.0 + v[0].bond[b]),
-        },
-        bonds=(b,), need_log_z=True,
+    jobs = (
+        JointJob(lattice, variants, method, {"lhs": lambda v: sum(c * vc.log_z for c, vc in zip(coef, v))}, need_log_z=True),
+        JointJob(lattice, [params], method, {"rhs": lambda v: xb * (1.0 + v[0].bond[b])}, bonds=(b,)),
     )
 
     def finish(res):
@@ -172,7 +178,7 @@ def check_g1(lattice: LatticeSpec, params: NishimoriParams, b: int, method: Aver
         note = "" if ok else f"analytic side negative: {rhs.value:.3e}"
         return [_finish(CheckId.G1, lattice, params, (b,), lhs, rhs, method, tol, extra_ok=ok, note=note)]
 
-    return job, finish
+    return jobs, finish
 
 
 def check_g2(
@@ -188,13 +194,9 @@ def check_g2(
         conn = v[0].pair[(b, b2)] - v[0].bond[b] * v[0].bond[b2]
         return 2.0 * xb2 * conn**2
 
-    job = JointJob(
-        lattice, variants, method,
-        {
-            "lhs": lambda v: sum(c * vc.bond[b] for c, vc in zip(coef, v)),
-            "rhs": rhs_fn,
-        },
-        bonds=(b, b2), pairs=((b, b2),),
+    jobs = (
+        JointJob(lattice, variants, method, {"lhs": lambda v: sum(c * vc.bond[b] for c, vc in zip(coef, v))}, bonds=(b,)),
+        JointJob(lattice, [params], method, {"rhs": rhs_fn}, bonds=(b, b2), pairs=((b, b2),)),
     )
 
     def finish(res):
@@ -202,7 +204,7 @@ def check_g2(
         ok = rhs.value >= 0.0  # an average of squares
         return [_finish(CheckId.G2, lattice, params, (b, b2), lhs, rhs, method, tol, extra_ok=ok)]
 
-    return job, finish
+    return jobs, finish
 
 
 def check_idset(
@@ -241,7 +243,7 @@ def check_idset(
             _finish(CheckId.IDSET_C, lattice, params, p, res["c_l"], res["c_r"], method, tol),
         ]
 
-    return job, finish
+    return (job,), finish
 
 
 STANDARD_X_VALUES = (0.3, 0.7, 1.2)
@@ -277,6 +279,7 @@ def run_standard_suite(
     *,
     tol: float = DEFAULT_TOL,
     checks: tuple[CheckId, ...] | None = None,
+    telemetry: list[dict] | None = None,
 ) -> list[VerificationReport]:
     """All identity and inequality checks over the standard small-instance suite.
 
@@ -285,10 +288,11 @@ def run_standard_suite(
     check position, so the whole suite is reproducible from one seed.
 
     All checks go to one `quenched_joint_many` call: with method=None the 81
-    checks share 8 quadrature grids, one disorder pass each (a finite-
-    difference family shares the grid of its unperturbed point), while under
-    DisorderMC every check has its own seed and so its own pass.  tol bounds
-    the non-derivative quadrature checks and must be finite and >= 0.
+    checks (99 jobs) share 8 quadrature grids, one disorder pass each (a
+    finite-difference family shares the grid of its unperturbed point), while
+    under DisorderMC every check has its own seed and so its own pass.  tol
+    bounds the non-derivative quadrature checks and must be finite and >= 0.
+    telemetry is as in `quenched_joint_many`.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
@@ -320,7 +324,7 @@ def run_standard_suite(
                     pending.append(check_g2(lattice, params, b, b2, mth(lattice, x, True)))
                 if wanted & {CheckId.IDSET_A, CheckId.IDSET_B, CheckId.IDSET_C}:
                     pending.append(check_idset(lattice, params, b, b2, mth(lattice, x), tol))
-    return run_checks(pending)
+    return run_checks(pending, telemetry)
 
 
 def suite_report(reports: list[VerificationReport]) -> dict:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v7"
+    assert data["schema"] == "nlsurf.result.v8"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -185,7 +189,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v7" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v8" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON
@@ -313,3 +317,42 @@ def test_scaling_json_out_csv_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--format csv" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("module", ["nlsurf.cli", "nlsurf"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    # without the console script, python -m runs the same command line: an
+    # --out that is a directory is a usage error, not a silent exit 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", module, "lattice-info", "--dim", "1", "--side", "4", "--bc", "free", "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE and done.stderr.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["pressure", "--dim", "2", "--side", "2", "--bc", "free", "--x", "0.6", "--nodes", "9"], 1),
+        (["verify"], 8),
+        (["verify", "--method", "mc", "--samples", "2"], 81),
+    ],
+    ids=["pressure", "verify-quad", "verify-mc"],
+)
+def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
+    # one record per disorder pass, under the manifest's telemetry alone: the
+    # result carries none, so its bytes and manifest id do not move
+    status, data, _ = _run_json(tmp_path, "t.json", argv)
+    assert status in (EXIT_OK, EXIT_VERIFY_FAILED) and "telemetry" not in data  # 2 samples fail checks
+    records = json.loads((tmp_path / "t.manifest.json").read_text())["telemetry"]["passes"]
+    assert len(records) == passes
+    keys = {"method", "nodes", "active_bonds", "group_order", "grid_points", "representatives", "source_variants", "engine_rows", "cores_s"}
+    assert all(set(r) == keys for r in records)
+    for r in records:
+        assert r["engine_rows"] == r["representatives"] * r["source_variants"] and r["cores_s"] >= 0.0
+        if r["method"] == "quadrature":
+            assert r["grid_points"] == r["nodes"] ** r["active_bonds"] and r["representatives"] <= r["grid_points"]
+        else:
+            assert r["nodes"] is None and r["group_order"] == 1 and r["representatives"] == r["grid_points"] == 2
+    if argv[0] == "pressure":
+        # Burnside's count of the orbits of 9**4 points under the 8 symmetries of the square's edges
+        assert records[0]["group_order"] == 8 and records[0]["representatives"] == (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import (
     Boundary,
+    bond_automorphisms,
     build_lattice,
     decompose_box,
     tiling_interfaces,
@@ -266,3 +267,49 @@ def test_factorization_against_brute_force():
     assert gibbs_report(lat, CouplingField(K)).log_z == pytest.approx(
         brute_gibbs(lat.n_sites, bonds, K)["log_z"], abs=1e-12
     )
+
+
+def _small_lattices():
+    """Every free box and torus of up to 16 sites (side-2 tori with their parallel bonds)."""
+    for dim in (1, 2, 3, 4):
+        for side in range(2, 17):
+            if side**dim > 16:
+                break
+            yield build_lattice(dim, side, Boundary.FREE)
+            yield build_lattice(dim, side, Boundary.PERIODIC, allow_side2=True)
+
+
+@pytest.mark.parametrize("lat", list(_small_lattices()), ids=lambda lat: f"{lat.dim}d-{lat.side}-{lat.boundary.value}")
+def test_bond_automorphisms_are_symmetries(lat):
+    perms = bond_automorphisms(lat)
+    assert perms.shape[1] == lat.n_bonds and not perms.flags.writeable
+    assert (perms[0] == np.arange(lat.n_bonds)).all() and len({p.tobytes() for p in perms}) == len(perms)
+    assert (np.sort(perms, axis=1) == np.arange(lat.n_bonds)).all()  # each a bijection of the bonds
+    gen = np.random.default_rng(lat.n_bonds * 31 + lat.dim)
+    K = gen.normal(0.3, 1.0, lat.n_bonds)
+    ref = gibbs_report(lat, CouplingField(K), bonds=tuple(range(lat.n_bonds)))
+    for pi in perms[gen.choice(len(perms), size=min(len(perms), 8), replace=False)]:
+        inv = np.argsort(pi)
+        assert gibbs_report(lat, CouplingField(K[pi])).log_z == pytest.approx(ref.log_z, rel=1e-12, abs=1e-12)
+        moved = gibbs_report(lat, CouplingField(K[inv]), bonds=tuple(range(lat.n_bonds)))
+        for b in range(lat.n_bonds):  # <S_pi(b)> at K o pi^-1 is <S_b> at K
+            assert moved.correlations[int(pi[b])] == pytest.approx(ref.correlations[b], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, side, boundary, order",
+    [
+        (2, 2, Boundary.FREE, 8),
+        (1, 2, Boundary.FREE, 1),  # a single bond
+        (1, 3, Boundary.FREE, 2),
+        (1, 7, Boundary.FREE, 2),
+        (1, 5, Boundary.PERIODIC, 10),
+        (1, 12, Boundary.PERIODIC, 24),
+        (2, 3, Boundary.PERIODIC, 72),
+        (2, 4, Boundary.FREE, 8),
+        (2, 4, Boundary.PERIODIC, 128),
+        (2, 2, Boundary.PERIODIC, 1),  # parallel bonds: the identity alone
+    ],
+)
+def test_bond_automorphism_group_orders(dim, side, boundary, order):
+    assert len(bond_automorphisms(build_lattice(dim, side, boundary, allow_side2=True))) == order

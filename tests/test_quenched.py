@@ -378,19 +378,129 @@ def _suite_digest(reports):
 
 
 def test_standard_suite_passes(monkeypatch):
-    # 81 one-check jobs share 8 grids (each finite-difference family the grid
-    # of its unperturbed point); cutting each pass to its first chunk
+    # 81 checks (99 jobs) share 8 grids (each finite-difference family the
+    # grid of its unperturbed point); cutting each pass to its first chunk
     # keeps the count and makes the test cheap.  The digest pins the
-    # quadrature digits, node scales and product weights of those chunks;
-    # when it moves on purpose, RESULT_SCHEMA moves with it
+    # quadrature digits, node scales, product weights and orbit
+    # representatives of those chunks; when it moves on purpose,
+    # RESULT_SCHEMA moves with it
     calls = _count_passes(monkeypatch, first_chunk_only=True)
     reports = run_standard_suite()
     assert len(reports) == 117
     assert len(calls) == 8
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v7", "ecdaa2aa27dcc817")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v8", "bb7f349084e42201")
 
 
 def test_standard_suite_mc_bytes_pinned_to_schema():
     # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
     reports = run_standard_suite(DisorderMC(2000, 1))
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v7", "916b8e6b00215d08")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v8", "916b8e6b00215d08")
+
+
+def _orbit_count(lat, nodes, active, group):
+    """Orbits of the grid under the group, by brute force: distinct lowest image indices."""
+    act = np.flatnonzero(active)
+    digits = np.array(np.unravel_index(np.arange(nodes ** len(act)), (nodes,) * len(act)))
+    position = np.zeros(lat.n_bonds, dtype=int)
+    position[act] = np.arange(len(act))
+    lowest = np.full(digits.shape[1], np.iinfo(np.int64).max)
+    for pi in group:  # the image has p[pi^-1(b)] on bond b: digit j lands at position pos(pi(act[j]))
+        image = np.zeros_like(digits)
+        image[position[pi[act]]] = digits
+        lowest = np.minimum(lowest, np.ravel_multi_index(tuple(image), (nodes,) * len(act)))
+    return len(np.unique(lowest))
+
+
+def _bump(x, b, h):
+    x = np.array(x, dtype=float)
+    x[b] += h
+    return NishimoriParams(x=x)
+
+
+def _orbit_jobs(lat, x, family, method):
+    """A finite-difference family that the group maps onto itself, or a lone perturbed variant."""
+    base = uniform_params(lat, x)
+    if family == "fd":
+        variants = [base] + [_bump(base.x, b, s * 1e-3) for b in range(lat.n_bonds) for s in (1, -1)]
+    else:
+        variants = [_bump(base.x, 0, 1e-3)]  # x <= 0.9: node scale 1, so the whole group keeps the grid
+    pairs = ((0, 1), (lat.n_bonds - 1, 0))
+    functionals = {
+        "dz": lambda v: sum((-1) ** i * vc.log_z for i, vc in enumerate(v)),
+        "z": lambda v: v[-1].log_z,
+        "s": lambda v: v[0].bond[0] * v[-1].bond[1],
+        "js": lambda v: v[-1].j(1) * v[-1].bond[1] + v[0].j(0),
+        "pp": lambda v: v[0].pair[pairs[0]] - v[-1].pair[pairs[1]] ** 2,
+    }
+    return [JointJob(lat, variants, method, functionals, bonds=(0, 1), pairs=pairs, need_log_z=True)]
+
+
+_ORBIT_CASES = {  # grids of more than one chunk, the smallest that _grid reduces by the group
+    "box-2x2": (2, 2, Boundary.FREE, 9, 8),
+    "chain-4": (1, 4, Boundary.FREE, 17, 2),
+    "ring-5": (1, 5, Boundary.PERIODIC, 6, 10),
+    "torus-3x3": (2, 3, Boundary.PERIODIC, 2, 72),
+}
+
+
+@pytest.mark.parametrize(
+    "case, family, x",
+    [(case, family, x) for case in _ORBIT_CASES for family, x in (("fd", 1.3), ("lone", 0.6)) if case != "torus-3x3" or family == "lone"],
+)
+def test_orbit_sums_match_full_grid(monkeypatch, case, family, x):
+    # x = 1.3 is pole-scaled (node scale below 1); the lone bumped variant is
+    # not invariant, so its closure under the group adds source variants
+    dim, side, boundary, nodes, order = _ORBIT_CASES[case]
+    lat = build_lattice(dim, side, boundary)
+    jobs = _orbit_jobs(lat, x, family, Quadrature(nodes))
+    rows = []
+    real = quenched.batch_gibbs
+
+    def counting(lattice, K_batch, **kwargs):
+        rows.append(len(K_batch))
+        return real(lattice, K_batch, **kwargs)
+
+    monkeypatch.setattr(quenched, "batch_gibbs", counting)
+    telemetry = []
+    [orbit] = quenched_joint_many(jobs, telemetry=telemetry)
+    group = quenched._grid(jobs[0])[3]
+    assert len(group) == order
+    reps = _orbit_count(lat, nodes, np.ones(lat.n_bonds, dtype=bool), group)
+    sources = {v.x[pi].tobytes() for v in jobs[0].variants for pi in group}
+    assert family == "fd" or len(sources) > len(jobs[0].variants)
+    assert sum(rows) == reps * len(sources)
+    [record] = telemetry
+    assert (record["group_order"], record["representatives"], record["source_variants"]) == (len(group), reps, len(sources))
+    assert (record["grid_points"], record["engine_rows"]) == (nodes**lat.n_bonds, sum(rows))
+
+    identity = np.arange(lat.n_bonds)[None, :]
+    monkeypatch.setattr(quenched, "bond_automorphisms", lambda lattice: identity)
+    rows.clear()
+    [full] = quenched_joint_many(jobs)
+    assert sum(rows) == nodes**lat.n_bonds * len(jobs[0].variants)
+    for name, est in full.items():
+        assert orbit[name].value == pytest.approx(est.value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes, order", [(8, None), (9, 8)])
+def test_grid_of_one_chunk_uses_no_symmetries(nodes, order):
+    # 8**4 points fit one chunk: the 2x2 box's symmetries would only repeat the functionals
+    lat = build_lattice(2, 2, Boundary.FREE)
+    job = JointJob(lat, [uniform_params(lat, 0.5)], Quadrature(nodes), {"z": lambda v: v[0].log_z}, need_log_z=True)
+    group = quenched._grid(job)[3]
+    assert (group if group is None else len(group)) == order
+
+
+@pytest.mark.parametrize("nodes, n_active", [(3, 8), (40, 3), (24, 4)])
+def test_identity_group_walks_the_full_grid(nodes, n_active):
+    # the identity alone leaves every point its own representative: the same
+    # chunks, byte for byte, as the walk without a group
+    lat = build_lattice(2, 4, Boundary.FREE)
+    active = np.zeros(lat.n_bonds, dtype=bool)
+    active[2 * np.arange(n_active) + 1] = True
+    x_ref = np.resize([0.5, 1.2, 2.0], lat.n_bonds)
+    walked = list(disorder_cores(lat, Quadrature(nodes), active, x_ref, np.arange(lat.n_bonds)[None, :]))
+    reference = list(_unravel_walk(lat, nodes, active, x_ref))
+    assert len(walked) == len(reference)
+    for (core, weights), (ref_core, ref_weights) in zip(walked, reference):
+        assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
