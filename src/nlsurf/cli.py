@@ -67,9 +67,10 @@ def _versions() -> dict:
     return {"nlsurf": _package_version(), "numpy": np.__version__, "python": sys.version.split()[0], "blas": blas, "blas_threads": threads}
 
 
-def _method_from_args(args) -> Quadrature | DisorderMC:
+def _method_from_args(args) -> Quadrature | DisorderMC | None:
+    """The averaging method; None under quadrature without --nodes (verify's per-instance node counts)."""
     if args.method == "quadrature":
-        return Quadrature(nodes_per_bond=args.nodes)
+        return Quadrature(nodes_per_bond=args.nodes) if args.nodes is not None else None
     return DisorderMC(samples=args.samples, seed=args.seed)
 
 
@@ -277,11 +278,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    method = None
-    if args.method == "mc":
-        method = DisorderMC(samples=args.samples, seed=args.seed)
-    elif args.method == "quadrature" and args.nodes is not None:
-        method = Quadrature(nodes_per_bond=args.nodes)
+    method = _method_from_args(args)
     tol = args.tolerance if args.tolerance is not None else verify_mod.DEFAULT_TOL
     passes: list[dict] = []
     reports = verify_mod.run_standard_suite(method, tol=tol, telemetry=passes)

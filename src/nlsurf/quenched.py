@@ -9,8 +9,10 @@ so several nearby parameter sets (interpolation nodes, finite-difference
 bumps) share the same core - common random numbers by construction.
 
 `quenched_joint_many` runs many such joint averages (`JointJob`s) at once:
-jobs whose cores coincide share one pass over them, and each distinct variant
-is enumerated once per chunk.
+jobs whose cores coincide share one pass over them, and each distinct source
+(a variant's x, relabelled by a grid symmetry) is enumerated once per chunk.
+A functional sees only what its own job requests, so a job's result does
+not depend on the jobs that share its pass.
 
 A quadrature grid is invariant under the lattice symmetries that keep its
 active bonds and node scales, so a pass walks one representative point per
@@ -33,11 +35,12 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import rng
-from .exact import SizeCapExceeded, _check_queries, batch_gibbs, enumerable
+from .exact import BatchGibbs, SizeCapExceeded, _check_queries, batch_gibbs, enumerable
 from .lattice import LatticeSpec, bond_automorphisms
 from .model import NishimoriParams
 
 QUADRATURE_GRID_CAP = 10**7
+QUADRATURE_NODE_CAP = 256  # numpy's Hermite rule loses its weights past ~370 nodes; the suite uses at most 200
 _CHUNK = 4096  # rows per disorder chunk, a multiple of 512, so batch_gibbs runs a full chunk in cache-sized passes
 
 
@@ -50,8 +53,8 @@ class Quadrature:
     nodes_per_bond: int = 20
 
     def __post_init__(self):
-        if self.nodes_per_bond < 2:
-            raise ValueError("nodes_per_bond must be >= 2")
+        if not 2 <= self.nodes_per_bond <= QUADRATURE_NODE_CAP:
+            raise ValueError(f"nodes_per_bond must be in [2, {QUADRATURE_NODE_CAP}], got {self.nodes_per_bond}")
 
 
 @dataclass(frozen=True)
@@ -311,12 +314,13 @@ class Moments:
 
 @dataclass
 class VariantChunk:
-    """Fixed-disorder values for one parameter variant over one chunk.
+    """Fixed-disorder values for one parameter variant over one chunk, as one job sees them.
 
-    j(b) forms bond b's couplings x_b + core[rows[b]] on access, so a pass
-    holds one core per chunk rather than one coupling array per variant;
-    rows relabels the core's bonds for a view at an image of the chunk's
-    points (the identity otherwise).
+    log_z, bond and pair hold the job's own requests only (log_z is None
+    without need_log_z), keyed as the job asked for them.  j(b) forms bond
+    b's couplings x_b + core[rows[b]] on access, so a pass holds one core
+    per chunk rather than one coupling array per variant; rows relabels the
+    core's bonds for a view at an image of the chunk's points.
     """
 
     log_z: np.ndarray | None
@@ -343,7 +347,7 @@ class JointJob:
     need_log_z: bool = False
 
 
-def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray | None]:
+def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     """(key, active, x_ref, group) of a job: jobs with equal keys get equal cores.
 
     Monte Carlo cores depend on the lattice and the method (its seed) only.
@@ -354,9 +358,9 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray | No
     with the lone job at that point.  group holds the lattice's bond
     automorphisms that keep the active bonds and their node scales, under
     which the grid's weights are invariant; it depends on the key alone.  It
-    is None (no symmetries used) under Monte Carlo, and on a grid of at most
-    one chunk, where fewer rows save nothing: each variant takes one engine
-    call either way, while every functional would run once per group element.
+    is the identity alone under Monte Carlo, and on a grid of at most one
+    chunk, where fewer rows save nothing: each variant takes one engine call
+    either way, while every functional would run once per group element.
     """
     lattice = job.lattice
     if not enumerable(lattice):
@@ -370,7 +374,7 @@ def _grid(job: JointJob) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray | No
         active |= v.x > 0
     x_ref = job.variants[0].x
     key: tuple = (lattice, job.method)
-    group = None
+    group = np.arange(lattice.n_bonds)[None]  # the identity alone
     if isinstance(job.method, Quadrature):
         scales = tuple(gh_scale(float(x_ref[b])) for b in np.flatnonzero(active))
         key += (active.tobytes(), scales)
@@ -388,11 +392,14 @@ def quenched_joint_many(jobs: Sequence[JointJob], telemetry: list[dict] | None =
     Jobs whose disorder cores coincide (see `_grid`: under quadrature the
     node scales come from each job's reference point variants[0], not from
     the largest x over its variants) share one `disorder_cores` stream, and
-    a parameter variant common to several of them (equal x bytes) is
+    a source common to several of them (equal x bytes, see `_joint_pass`) is
     enumerated once per chunk, for the union of the bonds, pairs and log Z
-    its jobs ask for.  Each job keeps its own Moments, and a batch_gibbs row
-    does not depend on what else is requested, so every result equals the
-    job's lone `quenched_joint_many([job])` result bit for bit.
+    its readers ask for.  A functional sees only its own job's bonds, pairs
+    and log Z (log_z is None unless the job sets need_log_z; reading an
+    unrequested bond or pair raises KeyError, alone or joint).  Each job
+    keeps its own Moments, and a batch_gibbs row does not depend on what
+    else is requested, so every result equals the job's lone
+    `quenched_joint_many([job])` result bit for bit.
 
     A quadrature grid with symmetries is walked over its orbit
     representatives only (see `_joint_pass`).  With telemetry, one record
@@ -402,7 +409,7 @@ def quenched_joint_many(jobs: Sequence[JointJob], telemetry: list[dict] | None =
     batch_gibbs enumerated), and cores_s, the seconds spent producing the
     cores (the grid walk and its orbit filter, or the draws).
     """
-    groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]] = {}
+    groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray, np.ndarray]] = {}
     for i, job in enumerate(jobs):
         key, *grid = _grid(job)
         groups.setdefault(key, ([], *grid))[0].append(i)
@@ -417,54 +424,47 @@ def quenched_joint_many(jobs: Sequence[JointJob], telemetry: list[dict] | None =
 
 
 def _joint_pass(
-    jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray, group: np.ndarray | None, record: dict
+    jobs: list[JointJob], active: np.ndarray, x_ref: np.ndarray, group: np.ndarray, record: dict
 ) -> list[dict[str, Estimate]]:
     """One disorder pass for jobs that share their grid, over the orbit
     representatives of its group; fills record (see `quenched_joint_many`).
 
-    Variant x at the image g.r of a representative r is the engine's source
-    variant x o pi at r: bond b there reads the source's bond pi^-1(b), and
-    j(b) reads core row pi^-1(b).  So the variants and their requests are
-    closed under the group, the engine runs each source variant once per
-    chunk, and every job's functionals run once per group element, on
-    relabelled views that share the source's arrays (under the identity,
-    the variant's own chunk).  Each functional's mean over the group feeds
-    the job's Moments once per chunk.
+    Variant x at the image g.r of a representative r is read from the
+    engine's source x o pi at r: bond b there is the source's bond pi^-1(b),
+    and j(b) reads core row pi^-1(b).  A source is keyed by its x bytes and
+    asks the engine, once per chunk, for the relabelled union of what its
+    readers request.  Every job's functionals run once per group element
+    (the identity first) on views built from the engine's results, holding
+    only the job's own bonds, pairs and log Z: a functional sees nothing its
+    job did not request, whatever shares its pass.  Each functional's mean
+    over the group feeds the job's Moments once per chunk.
 
     Within a chunk the jobs run sorted by their variants, so jobs that share
-    variants run back to back, and a source's chunk is released once the
-    last job using it has read it.  The order cannot change a result: each
-    job's Moments sees its own rows in chunk order and group order.
+    sources run back to back, and a source's results are released once the
+    last job reading them has read them.  The order cannot change a result:
+    each job's Moments sees its own rows in chunk order and group order.
     """
     lattice, method = jobs[0].lattice, jobs[0].method
     precise = isinstance(method, Quadrature)
-    # pi^-1 of each group element, as ints; the identity alone without a group
-    inverse = np.argsort(group, axis=1).tolist() if group is not None else [list(range(lattice.n_bonds))]
-    # each job variant once, by x bytes: [x, bonds, pairs, need_log_z], the union of its jobs' requests
-    variants: dict[bytes, list] = {}
-    uses = [[v.x.tobytes() for v in job.variants] for job in jobs]
-    for job, used in zip(jobs, uses):
-        for v, vk in zip(job.variants, used):
-            request = variants.setdefault(vk, [v.x, set(), set(), False])
-            request[1].update(job.bonds)
-            request[2].update(job.pairs)
-            request[3] |= job.need_log_z
-    # the source variant of each (element, variant), and each source's requests, relabelled (pairs in increasing order)
+    inverse = np.argsort(group, axis=1).tolist()  # pi^-1 of each group element, as ints
+    # each source x o pi once, by its bytes: [x o pi, bonds, pairs, need_log_z], its readers' requests relabelled
     wanted: dict[bytes, list] = {}
-    source_of: dict[tuple[int, bytes], bytes] = {}
-    for vk, (x, bs, ps, lz) in variants.items():
-        for g, inv in enumerate(inverse):
-            xs = x[group[g]] if g else x
-            sk = source_of[g, vk] = xs.tobytes() if g else vk
-            request = wanted.setdefault(sk, [xs, set(), set(), False])
-            request[1].update([inv[b] for b in bs])
-            request[2].update([(inv[a], inv[b]) if inv[a] < inv[b] else (inv[b], inv[a]) for a, b in ps])
-            request[3] |= lz
+    reads = [[] for _ in jobs]  # reads[k][g]: the source of each of job k's variants under group element g
+    for job, job_reads in zip(jobs, reads):
+        for pi, inv in zip(group, inverse):
+            keys = []
+            for v in job.variants:
+                xs = v.x[pi]
+                keys.append(xs.tobytes())
+                request = wanted.setdefault(keys[-1], [xs, set(), set(), False])
+                request[1].update(inv[b] for b in job.bonds)
+                request[2].update(_pair(inv, p) for p in job.pairs)
+                request[3] |= job.need_log_z
+            job_reads.append(keys)
     sources = {sk: (xs, tuple(sorted(bs)), tuple(sorted(ps)), lz) for sk, (xs, bs, ps, lz) in wanted.items()}
-    # the sources a job reads and its own variants, whose views it reads
-    needs = [{*used, *(source_of[g, vk] for g in range(len(inverse)) for vk in used)} for used in uses]
-    readers = {key: sum(key in need for need in needs) for key in {*sources, *variants}}
-    order = sorted(range(len(jobs)), key=lambda k: uses[k])
+    needs = [{sk for keys in job_reads for sk in keys} for job_reads in reads]
+    readers = {sk: sum(sk in need for need in needs) for sk in sources}
+    order = sorted(range(len(jobs)), key=lambda k: reads[k][0])
     moments = [Moments() for _ in jobs]
     n_active = int(active.sum())
     record.update(
@@ -489,21 +489,22 @@ def _joint_pass(
         core, weights = item
         record["representatives"] += core.shape[1]
         left = dict(readers)
-        chunk: dict[bytes, VariantChunk] = {}
-        views: dict[tuple[int, bytes], VariantChunk] = {}
+        chunk: dict[bytes, BatchGibbs] = {}
         for k in order:
+            job = jobs[k]
             summed: list = []  # each functional's rows, summed over the group
             for g, inv in enumerate(inverse):
-                vals = []
-                for vk in uses[k]:
-                    if (g, vk) not in views:
-                        sk = source_of[g, vk]
-                        if sk not in chunk:
-                            chunk[sk] = _variant_chunk(lattice, core, *sources[sk], precise)
-                            record["engine_rows"] += core.shape[1]
-                        views[g, vk] = _view(chunk[sk], variants[vk], inv) if g else chunk[sk]
-                    vals.append(views[g, vk])
-                values = [f(vals) for f in jobs[k].functionals.values()]
+                views = []
+                for v, sk in zip(job.variants, reads[k][g]):
+                    if sk not in chunk:
+                        xs, bs, ps, lz = sources[sk]
+                        chunk[sk] = batch_gibbs(lattice, nishimori_couplings(xs, core).T, bonds=bs, pairs=ps, need_log_z=lz, precise=precise)
+                        record["engine_rows"] += core.shape[1]
+                    bg = chunk[sk]
+                    bond = {b: bg.bond[inv[b]] for b in job.bonds}
+                    pair = {p: bg.pair[_pair(inv, p)] for p in job.pairs}
+                    views.append(VariantChunk(bg.log_z if job.need_log_z else None, bond, pair, v.x, core, inv))
+                values = [f(views) for f in job.functionals.values()]
                 if g == 0:
                     summed = values
                 elif g == 1:
@@ -513,39 +514,21 @@ def _joint_pass(
                         summed[i] += v
             # the group mean at each representative, weighted by w(r) / |Stab r|, is the full-grid weighted mean
             moments[k].add(summed if len(inverse) == 1 else [s / len(inverse) for s in summed], weights)
-            for key in needs[k]:
-                left[key] -= 1
-                if not left[key]:
-                    chunk.pop(key, None)
-                    for g in range(len(inverse)):
-                        views.pop((g, key), None)
+            for sk in needs[k]:
+                left[sk] -= 1
+                if not left[sk]:
+                    del chunk[sk]
     return [dict(zip(job.functionals, mom.estimates())) for job, mom in zip(jobs, moments)]
 
 
-def _variant_chunk(
-    lattice: LatticeSpec, core: np.ndarray, x: np.ndarray, bonds: tuple, pairs: tuple, need_log_z: bool, precise: bool
-) -> VariantChunk:
-    """The engine's values for one source variant; its pairs, requested in increasing order, are read in either order.
+def _pair(inv: list[int], p: tuple[int, int]) -> tuple[int, int]:
+    """Pair p at an image under pi, as its source requests it: (pi^-1(a), pi^-1(b)) in increasing order.
 
-    A pair correlation is symmetric, and both orders give the same bytes in
-    the engine, so each pair is computed once.
+    A pair correlation is symmetric, and the engine gives both orders the
+    same bytes, so each pair is requested in one order only.
     """
-    bg = batch_gibbs(lattice, nishimori_couplings(x, core).T, bonds=bonds, pairs=pairs, need_log_z=need_log_z, precise=precise)
-    pair = {**bg.pair, **{(b, a): v for (a, b), v in bg.pair.items()}}
-    return VariantChunk(log_z=bg.log_z, bond=bg.bond, pair=pair, x=x, core=core, rows=range(lattice.n_bonds))
-
-
-def _view(source: VariantChunk, variant: list, inv: list[int]) -> VariantChunk:
-    """Variant (x, bonds, pairs, _) at the image of the chunk's points under pi, read from its source x o pi."""
-    x, bonds, pairs, _ = variant
-    return VariantChunk(
-        log_z=source.log_z,
-        bond={b: source.bond[inv[b]] for b in bonds},
-        pair={(a, b): source.pair[inv[a], inv[b]] for a, b in pairs},
-        x=x,
-        core=source.core,
-        rows=inv,
-    )
+    a, b = inv[p[0]], inv[p[1]]
+    return (a, b) if a < b else (b, a)
 
 
 def quenched_pressure(

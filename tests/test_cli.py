@@ -127,6 +127,9 @@ def test_exit_codes(tmp_path, capsys):
         ["rerun", "--manifest", str(tmp_path / "int-digest.json")],
         ["rerun", "--manifest", str(looped)],
         *(["verify", "--method", "quadrature", "--nodes", "4", "--tolerance", t] for t in ("-1", "nan", "inf")),
+        # a node count past the cap is bad input, not a NaN value from numpy's Hermite weights
+        ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5", "--nodes", "400"],
+        ["verify", "--method", "quadrature", "--nodes", "400"],
     ):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")

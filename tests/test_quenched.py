@@ -482,13 +482,41 @@ def test_orbit_sums_match_full_grid(monkeypatch, case, family, x):
         assert orbit[name].value == pytest.approx(est.value, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("nodes, order", [(8, None), (9, 8)])
+@pytest.mark.parametrize("nodes, order", [(8, 1), (9, 8)])
 def test_grid_of_one_chunk_uses_no_symmetries(nodes, order):
-    # 8**4 points fit one chunk: the 2x2 box's symmetries would only repeat the functionals
+    # 8**4 points fit one chunk: the 2x2 box's symmetries would only repeat
+    # the functionals, so the grid keeps the identity alone
     lat = build_lattice(2, 2, Boundary.FREE)
     job = JointJob(lat, [uniform_params(lat, 0.5)], Quadrature(nodes), {"z": lambda v: v[0].log_z}, need_log_z=True)
     group = quenched._grid(job)[3]
-    assert (group if group is None else len(group)) == order
+    assert len(group) == order and (group[0] == np.arange(lat.n_bonds)).all()
+
+
+@pytest.mark.parametrize("method", [Quadrature(8), DisorderMC(100, 1)], ids=["quadrature", "mc"])
+def test_job_sees_only_its_own_requests(method):
+    # a functional that reads bond 1 while its job requests bond 0 fails
+    # alone, and still fails when a job on the same variant requests bond 1
+    lat = build_lattice(1, 3, Boundary.FREE)
+    p = uniform_params(lat, 0.5)
+    greedy = JointJob(lat, [p], method, {"s": lambda v: v[0].bond[1]}, bonds=(0,))
+    neighbour = JointJob(lat, [p], method, {"s": lambda v: v[0].bond[1], "z": lambda v: v[0].log_z}, bonds=(1,), need_log_z=True)
+    for jobs in ([greedy], [greedy, neighbour], [neighbour, greedy]):
+        with pytest.raises(KeyError):
+            quenched_joint_many(jobs)
+    # log Z is a request too: a job without need_log_z reads None beside one with it
+    blind = JointJob(lat, [p], method, {"none": lambda v: np.full(v[0].core.shape[1], float(v[0].log_z is None))}, bonds=(0,))
+    assert quenched_joint_many([blind, neighbour])[0]["none"].value == pytest.approx(1.0)
+
+
+def test_node_count_is_capped():
+    # numpy's Hermite rule returns non-finite weights from 372 nodes
+    with pytest.raises(ValueError, match="nodes_per_bond"):
+        Quadrature(400)
+    with pytest.raises(ValueError, match="nodes_per_bond"):
+        Quadrature(quenched.QUADRATURE_NODE_CAP + 1)
+    eps, w = quenched._hermite_rule(quenched.QUADRATURE_NODE_CAP)
+    assert np.isfinite(eps).all() and np.isfinite(w).all() and (w > 0).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("nodes, n_active", [(3, 8), (40, 3), (24, 4)])
