@@ -1,6 +1,8 @@
 """Gaussian Edwards-Anderson model on the Nishimori line: surface terms,
 exact engines, quenched averaging, and executable identity checks."""
 
+__version__ = "0.1.0"  # the version in pyproject.toml; run manifests record it
+
 from .exact import (
     ENUMERATION_CAP,
     CouplingField,
@@ -47,5 +49,3 @@ from .surface import (
     surface_pressure_periodic,
 )
 from .verify import CheckId, VerificationReport, run_standard_suite, suite_report
-
-__version__ = "0.1.0"

@@ -18,11 +18,11 @@ import json
 import os
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import verify as verify_mod
 from .exact import SizeCapExceeded
 from .lattice import Boundary, build_lattice, decompose_box, tiling_interfaces, torus_cut
@@ -39,20 +39,13 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v8"
+RESULT_SCHEMA = "nlsurf.result.v9"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("nlsurf")
-    except metadata.PackageNotFoundError:  # running from a source tree
-        return "0.1.0+src"
 
 
 def _versions() -> dict:
@@ -64,7 +57,7 @@ def _versions() -> dict:
     except (TypeError, KeyError):  # numpy before show_config(mode=)
         blas = "unknown"
     threads = {v: os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v in os.environ}
-    return {"nlsurf": _package_version(), "numpy": np.__version__, "python": sys.version.split()[0], "blas": blas, "blas_threads": threads}
+    return {"nlsurf": __version__, "numpy": np.__version__, "python": sys.version.split()[0], "blas": blas, "blas_threads": threads}
 
 
 def _method_from_args(args) -> Quadrature | DisorderMC | None:
@@ -265,14 +258,16 @@ def _cmd_scaling(args) -> int:
         "terms": [_term_dict(r) for r in results],
     }
     telemetry = {"workers": args.workers}
-    if mcmc is not None:
+    chains = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
+    if chains:  # the chain engine enters the result only when a chain ran
         payload["method"]["mcmc"] = {
             "engine": CHAIN_ENGINE,
             "sweeps": mcmc.sweeps,
             "burn_in": mcmc.burn_in,
             "measure_stride": mcmc.measure_stride,
         }
-        telemetry["chains"] = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
+    if mcmc is not None:
+        telemetry["chains"] = chains
     _write_run(args, "scaling", payload, csv_text=emit_sweep(results), telemetry=telemetry)
     return EXIT_OK
 
@@ -380,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int, default=500)
     p.add_argument("--mcmc-stride", dest="mcmc_stride", type=int, default=2)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: the plot-ready table alone")
-    workers_help = "threads for the Markov chains: at 2 or more, one helper draws their uniforms ahead of the sweeps; "
-    workers_help += "results never depend on it"
+    workers_help = "threads for the Markov chains: at 2 or more, one helper thread for the whole kernel call draws "
+    workers_help += "their uniforms ahead of the sweeps; results never depend on it"
     p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
     common(p)
     p.set_defaults(func=_cmd_scaling)

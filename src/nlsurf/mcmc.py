@@ -18,12 +18,13 @@ lockstep and never decorrelate.
 Every chain draws from its own Philox stream, `rng.spawn_generator(seed)`, in
 blocks of BLOCK_SWEEPS sweeps with a fixed layout per sweep: one uniform per
 site.  A chain's result is therefore a function of its seed and couplings
-alone, whatever other chains share its batch.  Under workers > 1 a helper
-thread draws the next block's uniforms and thresholds while the sweeps of
-this one run; the streams are read in the same order, so the bytes do not
-change.  That overlap pays on large batches, such as 64 chains on the 8x8
-box; on small ones, such as 12 chains there or one chain of 4 sites, the
-helper only contends for the GIL, so workers = 1 draws in line.
+alone, whatever other chains share its batch.  Under workers > 1 one
+helper thread for the whole kernel call draws the next block's uniforms and
+thresholds while the sweeps of this one run; the streams are read in the
+same order, so the bytes do not change.  That overlap pays on large
+batches, such as 64 chains on the 8x8 box; on small ones, such as 12 chains
+there or one chain of 4 sites, the helper only contends for the GIL, so
+workers = 1 draws in line.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
@@ -38,7 +39,6 @@ import functools
 import math
 import os
 import sys
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -136,46 +136,26 @@ def blocked_estimate(v: np.ndarray) -> tuple[float, float, float, float]:
     return float(v.mean()), se, tau, ess
 
 
-class _Call(threading.Thread):
-    """fn(item) on a thread of its own; result() joins it, then returns or raises."""
-
-    def __init__(self, fn, item):
-        super().__init__()
-        self._fn, self._item, self._error = fn, item, None
-        self.start()
-
-    def run(self):
-        try:
-            self._value = self._fn(self._item)
-        except BaseException as exc:
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def _ahead(fn, items):
-    """map(fn, items), with fn of the next item computed on a helper thread
-    while the caller works on this one.  The calls run one at a time and in
-    item order, so fn may read stateful generators; an error in fn is raised
-    in the caller, and no helper outlives the iteration."""
-    call = None  # the call in flight
-    try:
+    """map(fn, items), with fn of the next item computed on one helper thread
+    for the whole kernel call while the caller works on this one.  The calls
+    run one at a time and in item order, so fn may read stateful generators;
+    an error in fn is raised in the caller after the helper has been joined,
+    and no helper outlives the iteration."""
+    # imported here: only chain runs at workers >= 2 pay the few ms it costs at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None  # the call in flight
         for item in items:
-            if call is None:
-                call = _Call(fn, item)
+            if pending is None:
+                pending = helper.submit(fn, item)
                 continue
-            value = call.result()
-            call = _Call(fn, item)
+            value = pending.result()  # read before the next call is queued: one block in flight, none after an error
+            pending = helper.submit(fn, item)
             yield value
-        if call is not None:
-            yield call.result()
-    finally:
-        if call is not None:
-            call.join()
+        if pending is not None:
+            yield pending.result()
 
 
 def run_chains(
@@ -190,11 +170,12 @@ def run_chains(
     """Advance one chain per row of kvecs, chain c on stream seeds[c].
 
     Spins are stored with the colour classes contiguous, so each class update
-    works on a slice.  With workers > 1 a helper thread draws each block's
-    uniforms and thresholds while this thread runs the sweeps of the block
-    before; the streams are read in the same order, so the outputs are the
-    same bytes.  Returns (bond series (C, measurements, len(track)), encoded
-    states (C, measurements) or None, flips (C,), proposals (C,)).
+    works on a slice.  With workers > 1 one helper thread for the whole
+    kernel call draws each block's uniforms and thresholds while this thread
+    runs the sweeps of the block before; the streams are read in the same
+    order, so the outputs are the same bytes.  Returns (bond series (C,
+    measurements, len(track)), encoded states (C, measurements) or None,
+    flips (C,), proposals (C,)).
     """
     C, n = len(seeds), lattice.n_sites
     if np.shape(kvecs) != (C, lattice.n_bonds):
@@ -277,9 +258,9 @@ def two_level_inner(
     rng.derive_seed(config.seed, s, i).  Chains run CHAIN_BATCH at a time and
     each batch is reduced to per-chain scalars before the next one starts,
     which bounds memory, not results.  workers > 1 draws each block of a
-    batch's uniforms on a helper thread (see run_chains), with the same
-    bytes; it pays on large batches only, since on small ones the helper
-    just contends for the GIL.  Returns the (samples, variants) chain
+    batch's uniforms on one helper thread for the whole kernel call (see
+    run_chains), with the same bytes; it pays on large batches only, since
+    on small ones the helper just contends for the GIL.  Returns the (samples, variants) chain
     means of the corridor average (blocked_estimate of each chain's series), and
     the chain telemetry for the manifest (count, site-sweeps, time, mean
     acceptance, worst ESS, warning count).  The caller,

@@ -506,6 +506,12 @@ def _joint_pass(
                     views.append(VariantChunk(bg.log_z if job.need_log_z else None, bond, pair, v.x, core, inv))
                 values = [f(views) for f in job.functionals.values()]
                 if g == 0:
+                    for key, v in zip(job.functionals, values):
+                        if not (isinstance(v, np.ndarray) and v.shape == (core.shape[1],)):
+                            raise ValueError(
+                                f"functional {key!r} returned {type(v).__name__} of shape {np.shape(v)}, "
+                                f"not a 1-d array with one value per row ({core.shape[1]})"
+                            )
                     summed = values
                 elif g == 1:
                     summed = [s + v for s, v in zip(summed, values)]  # new arrays: a functional may return the engine's own

@@ -328,11 +328,12 @@ def scaling_sweep(
     enumeration cap, the two-level estimator (DisorderMC plus McmcConfig)
     beyond it.  Finite-L values only; no thermodynamic limit is claimed.
     `workers` (at least 1) counts the threads of the two-level chains: at 2
-    or more a helper thread draws each block of chain uniforms while the
-    sweeps of the block before run.  Results never depend on it.  It pays on
-    large chain batches, such as 64 chains per size on the 8x8 box; it does
-    not help the exact engine, which starts no thread, nor a few small
-    chains, where the helper only contends for the GIL.
+    or more one helper thread for the whole kernel call draws each block of
+    chain uniforms while the sweeps of the block before run.  Results never
+    depend on it.  It pays on large chain batches, such as 64 chains per
+    size on the 8x8 box; it does not help the exact engine, which starts no
+    thread, nor a few small chains, where the helper only contends for the
+    GIL.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -3,13 +3,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nlsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, emit_sweep, run
+import nlsurf
+from nlsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _versions, emit_sweep, run
 from nlsurf.mcmc import CHAIN_ENGINE, PoorMixingWarning
 from nlsurf.quenched import Quadrature
 from nlsurf.surface import scaling_sweep
@@ -28,7 +30,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v8"
+    assert data["schema"] == "nlsurf.result.v9"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -192,7 +194,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v8" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v9" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON
@@ -228,6 +230,17 @@ def test_scaling_chain_telemetry_in_manifest_only(tmp_path):
     exact, chained = data["terms"]
     assert exact["routes"]["direct"] is not None and exact["integrand_tables"]["center_bond"]
     assert chained["routes"]["direct"] is None
+
+
+def test_scaling_without_chains_records_no_chain_engine(tmp_path):
+    # L=2 enumerates although chains are configured: the result carries no
+    # chain engine, so its bytes do not move when CHAIN_ENGINE does
+    argv = ["scaling", "--dim", "2", "--L-list", "2", "--x", "0.5", "--method", "mc", "--samples", "64",
+            "--t-nodes", "2", "--mcmc-sweeps", "40", "--mcmc-burn-in", "8"]
+    status, data, _ = _run_json(tmp_path, "s.json", argv)
+    assert status == EXIT_OK
+    assert "mcmc" not in data["method"]
+    assert json.loads((tmp_path / "s.manifest.json").read_text())["telemetry"]["chains"] == {}
 
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
@@ -330,6 +343,26 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     argv = [sys.executable, "-m", module, "lattice-info", "--dim", "1", "--side", "4", "--bc", "free", "--out", str(tmp_path)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_USAGE and done.stderr.startswith("error: cannot write")
+
+
+def test_manifest_version_is_the_project_version():
+    # one version literal: the package's, which is the one in pyproject.toml
+    # (read with a regex, since Python 3.10 has no tomllib)
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+    assert _versions()["nlsurf"] == nlsurf.__version__ == version
+
+
+def test_cli_import_loads_no_metadata_or_executor():
+    # importlib.metadata pulls in email, socket and calendar, and the chain
+    # helper's executor is imported by the chain runs that use it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; before = set(sys.modules); import nlsurf.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert "nlsurf.cli" in loaded
+    assert not {"importlib.metadata", "concurrent.futures"} & loaded
 
 
 @pytest.mark.parametrize(

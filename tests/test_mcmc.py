@@ -265,6 +265,31 @@ def test_pipelined_draw_error_reaches_the_caller(monkeypatch):
         assert all((t is threading.main_thread()) == (workers == 1) for t in calls)
 
 
+def test_one_helper_thread_per_chain_run(monkeypatch):
+    # 200 sweeps are 7 blocks: at two workers every block is drawn on the same
+    # helper thread, which is not the calling thread and is joined on return
+    lat = build_lattice(2, 2, Boundary.FREE)
+    cfg = McmcConfig(sweeps=200, burn_in=10, seed=0)
+    calls = []  # the thread of each draw
+    spawn = nlrng.spawn_generator
+
+    class RecordingStream:
+        def __init__(self, seed):
+            self.g = spawn(seed)
+            self.integers = self.g.integers
+
+        def random(self, *args, **kwargs):
+            calls.append(threading.current_thread())
+            return self.g.random(*args, **kwargs)
+
+    monkeypatch.setattr(nlrng, "spawn_generator", RecordingStream)
+    before = threading.active_count()
+    run_chains(lat, np.full((2, lat.n_bonds), 0.3), [1, 2], cfg, (0,), workers=2)
+    assert len(calls) == 2 * 7
+    assert len(set(calls)) == 1 and calls[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
 def test_poor_mixing_warning_names_the_caller():
     from nlsurf.mcmc import PoorMixingWarning
     from nlsurf.surface import scaling_sweep

@@ -388,13 +388,13 @@ def test_standard_suite_passes(monkeypatch):
     reports = run_standard_suite()
     assert len(reports) == 117
     assert len(calls) == 8
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v8", "bb7f349084e42201")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v9", "bb7f349084e42201")
 
 
 def test_standard_suite_mc_bytes_pinned_to_schema():
     # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
     reports = run_standard_suite(DisorderMC(2000, 1))
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v8", "916b8e6b00215d08")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v9", "916b8e6b00215d08")
 
 
 def _orbit_count(lat, nodes, active, group):
@@ -506,6 +506,19 @@ def test_job_sees_only_its_own_requests(method):
     # log Z is a request too: a job without need_log_z reads None beside one with it
     blind = JointJob(lat, [p], method, {"none": lambda v: np.full(v[0].core.shape[1], float(v[0].log_z is None))}, bonds=(0,))
     assert quenched_joint_many([blind, neighbour])[0]["none"].value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("method", [Quadrature(8), DisorderMC(100, 1)], ids=["quadrature", "mc"])
+@pytest.mark.parametrize(
+    "functional", [lambda v: v[0].log_z, lambda v: 0.5], ids=["log-z-not-requested", "float"]
+)
+def test_functional_without_one_value_per_row_is_named(method, functional):
+    # None (log Z that the job did not request) or a scalar is not a row of
+    # per-sample values: the error names the functional
+    lat = build_lattice(1, 3, Boundary.FREE)
+    job = JointJob(lat, [uniform_params(lat, 0.5)], method, {"bad": functional}, bonds=(0,))
+    with pytest.raises(ValueError, match="functional 'bad' returned"):
+        quenched_joint_many([job])
 
 
 def test_node_count_is_capped():
