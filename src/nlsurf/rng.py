@@ -6,9 +6,10 @@ the two indices, and the 128-bit output is turned into one normal deviate by
 Box-Muller.  Draws can therefore be generated in any order, in chunks of any
 size, and on any number of workers with bit-identical results.
 `standard_normals` uses that to evaluate a large draw in blocks of at most
-`_BLOCK` = 2^14 counters: the Philox rounds hold about twelve uint64
-temporaries of the evaluated size, 1.5 MiB at 2^14 counters, so they stay
-in a 2 MiB L2 cache however large the draw.
+`_BLOCK` = 2^14 counters.  A block runs the Philox rounds in place on four
+(2, n) uint64 arrays (the state and two scratch buffers) and Box-Muller on
+one (2, n) float64 array, about 1.25 MiB at 2^14 counters, so they stay in
+a 2 MiB L2 cache however large the draw, and no round allocates.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
+_M = np.array([[_M0], [_M1]])  # multipliers of the state rows (c0, c2)
+_W = np.array([[_W0], [_W1]])  # key increments of the rows (k0, k1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ROUNDS = 10
-_BLOCK = 1 << 14  # counters per Philox evaluation in standard_normals
+_R = np.arange(_ROUNDS, dtype=np.uint64)[:, None, None]  # round numbers
+_BLOCK = 1 << 14  # counters per Philox evaluation in standard_normals: 1.25 MiB of buffers
 
 # Stream tags keep draws for different purposes disjoint under one seed.
 TAG_DISORDER = 1
@@ -33,7 +37,9 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     """Philox4x32-10 block function, vectorized over counter arrays.
 
     All inputs hold 32-bit values in uint64 arrays (or scalars); returns the
-    four 32-bit output words as uint64 arrays of the broadcast shape.
+    four 32-bit output words as uint64 arrays of the broadcast shape.  Each
+    round allocates its results, which costs little on the scalars of seed
+    derivation; `_rounds` is the same function in place, for draw blocks.
     """
     c0 = np.asarray(c0, dtype=np.uint64) & _MASK32
     c1 = np.asarray(c1, dtype=np.uint64) & _MASK32
@@ -57,17 +63,24 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
+def _rounds(x, y, k0, k1):
+    """The ten Philox rounds in place on x = (c0, c2) and y = (c1, c3), each (2, n) uint64."""
+    p = np.empty_like(x)
+    h = np.empty_like(x)
+    p_swap, h_swap = p[::-1], h[::-1]
+    for k in (np.array([[k0], [k1]], dtype=np.uint64) + _R * _W) & _MASK32:  # the round keys
+        np.multiply(x, _M, out=p)  # (M0 c0, M1 c2), exact in 64 bits
+        np.right_shift(p, _SHIFT32, out=h)
+        np.bitwise_xor(h_swap, y, out=x)  # c0 = hi1 ^ c1, c2 = hi0 ^ c3
+        x ^= k
+        np.bitwise_and(p_swap, _MASK32, out=y)  # c1 = lo1, c3 = lo0
+
+
 def _key_words(seed: int, tag: int) -> tuple[np.uint64, np.uint64]:
     s = np.uint64(seed)
     k0 = s & _MASK32
     k1 = ((s >> _SHIFT32) ^ (np.uint64(tag) * _W0)) & _MASK32
     return k0, k1
-
-
-def _to_unit_interval(hi, lo):
-    # 53 random bits -> (0, 1), endpoints excluded so log() is safe.
-    u = ((hi << _SHIFT32) | lo) >> np.uint64(11)
-    return (u.astype(np.float64) + 0.5) * (0.5 ** 53)
 
 
 def standard_normals(seed: int, index_a, index_b, tag: int = TAG_DISORDER) -> np.ndarray:
@@ -94,10 +107,28 @@ def standard_normals(seed: int, index_a, index_b, tag: int = TAG_DISORDER) -> np
 
 
 def _normals(a, b, k0, k1):
-    w0, w1, w2, w3 = philox4x32(a & _MASK32, a >> _SHIFT32, b & _MASK32, b >> _SHIFT32, k0, k1)
-    u1 = _to_unit_interval(w0, w1)
-    u2 = _to_unit_interval(w2, w3)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    shape, n = a.shape, a.size
+    x = np.empty((2, n), dtype=np.uint64)
+    y = np.empty((2, n), dtype=np.uint64)
+    np.bitwise_and(a, _MASK32, out=x[0].reshape(shape))
+    np.right_shift(a, _SHIFT32, out=y[0].reshape(shape))
+    np.bitwise_and(b, _MASK32, out=x[1].reshape(shape))
+    np.right_shift(b, _SHIFT32, out=y[1].reshape(shape))
+    _rounds(x, y, k0, k1)
+    # 53 random bits of each word pair -> (0, 1), endpoints excluded so log() is safe
+    x <<= _SHIFT32
+    x |= y
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u += 0.5
+    u *= 0.5**53
+    # Box-Muller: sqrt(-2 log u1) cos(2 pi u2)
+    np.log(u[0], out=u[0])
+    u[0] *= -2.0
+    np.sqrt(u[0], out=u[0])
+    u[1] *= 2.0 * np.pi
+    np.cos(u[1], out=u[1])
+    return np.multiply(u[0].reshape(shape), u[1].reshape(shape))
 
 
 def _derivation_words(seed: int, indices: tuple[int, ...]):

@@ -1,9 +1,11 @@
 """Counter-based generator: reference vectors, stream statistics, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from nlsurf.rng import TAG_DISORDER, _BLOCK, _key_words, derive_seed, philox4x32, spawn_generator, standard_normals
+from nlsurf.rng import TAG_DISORDER, _BLOCK, _key_words, _rounds, derive_seed, philox4x32, spawn_generator, standard_normals
 
 # Published Philox4x32-10 reference vectors (counter, key, output words).
 KAT = [
@@ -21,6 +23,57 @@ KAT = [
 def test_philox_known_answers(ctr, key, expect):
     got = tuple(int(w) for w in philox4x32(*ctr, *key))
     assert got == expect
+
+
+@pytest.mark.parametrize("ctr,key,expect", KAT)
+def test_block_rounds_known_answers(ctr, key, expect):
+    # the in-place kernel of standard_normals, state x = (c0, c2), y = (c1, c3)
+    x = np.array([[ctr[0]], [ctr[2]]], dtype=np.uint64)
+    y = np.array([[ctr[1]], [ctr[3]]], dtype=np.uint64)
+    _rounds(x, y, np.uint64(key[0]), np.uint64(key[1]))
+    assert (x[0, 0], y[0, 0], x[1, 0], y[1, 0]) == expect
+
+
+@pytest.mark.parametrize("key", [key for _, key, _ in KAT])
+def test_philox_lanes_match_scalar_calls(key):
+    # the three KAT counters as the lanes of one vectorized call
+    words = np.array([ctr for ctr, _, _ in KAT], dtype=np.uint64).T
+    lanes = np.stack(philox4x32(*words, *key))
+    for j, (ctr, _, _) in enumerate(KAT):
+        assert tuple(lanes[:, j]) == tuple(int(w) for w in philox4x32(*ctr, *key))
+    # bits above 32 in the counter words and key are masked off
+    high = words | (np.uint64(0xABCD) << np.uint64(32))
+    hk = tuple(k | (0x1234 << 32) for k in key)
+    assert np.array_equal(np.stack(philox4x32(*high, *hk)), lanes)
+
+
+# sha256 prefixes of standard_normals(...).tobytes(); every disorder-MC
+# result rests on these bytes, so they stay frozen
+NORMAL_DIGESTS = [
+    ((2024, np.arange(48)[:, None], np.arange(4096)[None, :]), "25404e02c2543e96"),
+    (
+        (2024, np.arange(3)[:, None], (2**32 - 8 + np.arange(2 * _BLOCK + 3, dtype=np.uint64))[None, :]),
+        "26e0a21d76be8f3c",
+    ),
+    ((7, np.uint64(2**32 + 5), np.arange(100)), "321d40dd56e26327"),
+    ((2**64 - 1, 3, 9), "191f8763da8a99a8"),
+]
+
+
+@pytest.mark.parametrize("args,digest", NORMAL_DIGESTS, ids=["48x4096", "samples-past-2^32", "bond-past-2^32", "0-d"])
+def test_normals_bytes_frozen(args, digest):
+    got = standard_normals(*args)
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("samples", [100, 3 * _BLOCK + 1], ids=["one-block", "blocked"])
+def test_normals_return_fresh_arrays(samples):
+    # callers keep each chunk's core, so no kernel buffer may reach the output
+    a = standard_normals(3, np.arange(4)[:, None], np.arange(samples)[None, :])
+    b = standard_normals(3, np.arange(4)[:, None], np.arange(samples)[None, :])
+    assert not np.shares_memory(a, b)
+    for z in (a, b):
+        assert z.flags.c_contiguous and z.flags.writeable
 
 
 def test_normals_deterministic_and_order_free():
