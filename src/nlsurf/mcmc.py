@@ -1,12 +1,13 @@
 """Metropolis single-flip sampling of fixed-disorder expectations.
 
-For lattices beyond the enumeration cap the fixed-disorder expectations are
-estimated by Markov chains.  One kernel advances a batch of independent
+The inner engine beside `exact` beyond the enumeration cap: expectations at
+fixed couplings, estimated by Markov chains on the disorder stream the caller
+hands in; it draws no disorder.  One kernel advances a batch of independent
 chains held as a (chains, sites) spin array.  Sites are split into the
-classes of a greedy (DSatur) colouring, `lattice.colour_classes`:
-same-colour sites do not interact, so updating a whole class at once is a
-product of single-flip Metropolis kernels.  Free boxes and even tori get
-their two sublattices; odd tori such as the 3x3 get 3 classes.
+classes of a greedy (DSatur) colouring, `lattice.colour_classes`: same-colour
+sites do not interact, so updating a whole class at once is a product of
+single-flip Metropolis kernels.  Free boxes and even tori get their two
+sublattices; odd tori such as the 3x3 get 3 classes.
 
 Each site update reads one uniform u and flips iff u < 1/2 min(1, e^D), with
 D the log weight change of the flip.  This is a proposal with probability 1/2
@@ -47,12 +48,12 @@ import numpy as np
 
 from . import rng
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
-from .quenched import DisorderMC, disorder_cores, nishimori_couplings
+from .model import nishimori_couplings
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
 CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
 BLOCK_SWEEPS = 32  # sweeps of uniforms drawn per stream call
-CHAIN_BATCH = 256  # chains advanced together; bounds memory, not results
+CHAIN_BATCH = 256  # chains per kernel call, in whole realizations (at least one); bounds memory, not results
 
 
 class PoorMixingWarning(UserWarning):
@@ -244,7 +245,7 @@ def run_chains(
 def two_level_inner(
     lattice: LatticeSpec,
     x_at,
-    disorder: DisorderMC,
+    cores,
     *,
     corridor: Corridor,
     config: McmcConfig,
@@ -252,40 +253,40 @@ def two_level_inner(
 ) -> tuple[np.ndarray, dict]:
     """Inner values of the two-level estimator: one chain per (realization, variant).
 
-    Realization s takes its normal core g from quenched.disorder_cores (the
-    disorder stream keyed by (disorder.seed, bond, s)); variant i runs the
-    couplings x (x + g) with x = x_at[i] on stream
-    rng.derive_seed(config.seed, s, i).  Chains run CHAIN_BATCH at a time and
-    each batch is reduced to per-chain scalars before the next one starts,
-    which bounds memory, not results.  workers > 1 draws each block of a
-    batch's uniforms on one helper thread for the whole kernel call (see
-    run_chains), with the same bytes; it pays on large batches only, since
-    on small ones the helper just contends for the GIL.  Returns the (samples, variants) chain
-    means of the corridor average (blocked_estimate of each chain's series), and
-    the chain telemetry for the manifest (count, site-sweeps, time, mean
-    acceptance, worst ESS, warning count).  The caller,
-    surface._interpolation_term, reduces the columns over realizations with
-    quenched.Moments, like every other disorder average.  Warns
-    PoorMixingWarning, attributed to the first caller outside this package,
-    when the worst ESS falls below MIN_INNER_ESS.
+    cores is the term's disorder stream of (core, weights) chunks, as from
+    quenched.disorder_cores; a weighted (quadrature) chunk raises ValueError.
+    Realization s, the s-th core column of the stream, runs variant i with
+    couplings x (x + g), x = x_at[i], on stream rng.derive_seed(config.seed,
+    s, i).  The stream is read a chunk at a time; each kernel call takes
+    max(1, CHAIN_BATCH // len(x_at)) of the chunk's realizations and is
+    reduced to per-chain scalars before the next, which bounds memory, not
+    results.  workers > 1 draws each block of a call's uniforms on one helper
+    thread (see run_chains), with the same bytes; it pays on large calls
+    only.  Returns the (samples, variants) chain means of the corridor
+    average (blocked_estimate of each chain's series), and the chain
+    telemetry for the manifest (count, site-sweeps, time, mean acceptance,
+    worst ESS, warning count).  The caller, surface._interpolation_term,
+    reduces the columns over realizations with quenched.Moments, like every
+    other disorder average.  Warns PoorMixingWarning, attributed to the first
+    caller outside this package, when the worst ESS falls below MIN_INNER_ESS.
     """
-    g = np.concatenate([core for core, _ in disorder_cores(lattice, disorder)], axis=1)  # (bonds, samples)
-    K = nishimori_couplings(np.asarray(x_at, dtype=np.float64), g)  # (variants, bonds, samples)
-    kvecs = K.transpose(2, 0, 1).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
-    seeds = [rng.derive_seed(config.seed, s, i) for s in range(disorder.samples) for i in range(len(x_at))]
-    track = corridor.sorted_indices()
+    per_call = max(1, CHAIN_BATCH // len(x_at))  # realizations per kernel call
     values, ess, acceptance = [], [], []
     t0 = time.perf_counter()
-    for lo in range(0, len(seeds), CHAIN_BATCH):
-        batch = seeds[lo : lo + CHAIN_BATCH]
-        series, _, flips, proposals = run_chains(
-            lattice, kvecs[lo : lo + len(batch)], batch, config, track, workers=workers
-        )
-        for c in range(len(batch)):
-            mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
-            values.append(mean)
-            ess.append(chain_ess)
-            acceptance.append(float(flips[c] / max(proposals[c], 1)))
+    for core, weights in cores:
+        if weights is not None:
+            raise ValueError("the two-level estimator needs an unweighted (Monte Carlo) disorder stream")
+        for lo in range(0, core.shape[1], per_call):
+            K = nishimori_couplings(np.asarray(x_at), core[:, lo : lo + per_call])  # (variants, bonds, realizations)
+            kvecs = K.transpose(2, 0, 1).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
+            s0 = len(values) // len(x_at)  # stream index of the call's first realization
+            seeds = [rng.derive_seed(config.seed, s0 + s, i) for s in range(K.shape[2]) for i in range(len(x_at))]
+            series, _, flips, proposals = run_chains(lattice, kvecs, seeds, config, corridor.sorted_indices(), workers=workers)
+            for c in range(len(seeds)):
+                mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
+                values.append(mean)
+                ess.append(chain_ess)
+                acceptance.append(float(flips[c] / max(proposals[c], 1)))
     chain_s = time.perf_counter() - t0
     min_ess = min(ess)
     poor = min_ess < MIN_INNER_ESS
@@ -296,9 +297,9 @@ def two_level_inner(
             PoorMixingWarning,
             stacklevel=_outside_package_level(),
         )
-    site_sweeps = len(seeds) * lattice.n_sites * config.sweeps
+    site_sweeps = len(values) * lattice.n_sites * config.sweeps
     telemetry = {
-        "chains": len(seeds),
+        "chains": len(values),
         "site_sweeps": site_sweeps,
         "chain_s": chain_s,
         "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
@@ -306,5 +307,4 @@ def two_level_inner(
         "min_ess": min_ess,
         "poor_mixing_warnings": int(poor),
     }
-    return np.array(values).reshape(disorder.samples, len(x_at)), telemetry
-
+    return np.array(values).reshape(-1, len(x_at)), telemetry

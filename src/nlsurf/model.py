@@ -3,8 +3,8 @@
 On the line beta_b = x_b / sigma_b, mu_b = sigma_b * x_b the quenched pressure
 depends on the couplings only through the nonnegative numbers x_b, so the
 public API works in x throughout.  Physical (beta, mu, sigma) triples enter
-only at the boundary via nl_from_physical.  The disorder itself, j_b = x_b + g_b
-with a standard-normal core g, is drawn by `quenched.disorder_cores`.
+only at the boundary via nl_from_physical.  `nishimori_couplings` gives both
+inner engines K = x (x + g), for a core g from `quenched.disorder_cores`.
 """
 
 from __future__ import annotations
@@ -113,3 +113,14 @@ def interpolated_params(lattice: LatticeSpec, corridor: Corridor, base_x: float,
     x = np.full(lattice.n_bonds, float(base_x))
     x[idx] = float(base_x) * math.sqrt(t)
     return NishimoriParams(x=x)
+
+
+def nishimori_couplings(x: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Nishimori-line couplings K = beta J = x (x + core): beta = x / sigma, J = sigma (x + core).
+
+    x holds per-bond means on its last axis and core is bond-major
+    (bonds, rows), so K has x's shape followed by rows, formed on contiguous
+    rows of the core.
+    """
+    x = x[..., None]
+    return x * (x + core)

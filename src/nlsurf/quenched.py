@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from . import rng
 from .exact import BatchGibbs, SizeCapExceeded, _check_queries, batch_gibbs, enumerable
 from .lattice import LatticeSpec, bond_automorphisms
-from .model import NishimoriParams
+from .model import NishimoriParams, nishimori_couplings
 
 QUADRATURE_GRID_CAP = 10**7
 QUADRATURE_NODE_CAP = 256  # numpy's Hermite rule loses its weights past ~370 nodes; the suite uses at most 200
@@ -245,17 +245,6 @@ def _representatives(digit: np.ndarray, lo: int, power: np.ndarray) -> tuple[np.
     index = np.arange(lo, lo + digit.shape[1], dtype=np.float64)
     keep = np.flatnonzero(images.min(axis=0) >= index)
     return digit[:, keep], 1 + (images[:, keep] == index[keep]).sum(axis=0)
-
-
-def nishimori_couplings(x: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Nishimori-line couplings K = beta J = x (x + core): beta = x / sigma, J = sigma (x + core).
-
-    x holds per-bond means on its last axis and core is bond-major
-    (bonds, rows), so K has x's shape followed by rows, formed on contiguous
-    rows of the core.
-    """
-    x = x[..., None]
-    return x * (x + core)
 
 
 class Moments:

@@ -83,18 +83,18 @@ def _key_words(seed: int, tag: int) -> tuple[np.uint64, np.uint64]:
     return k0, k1
 
 
-def standard_normals(seed: int, index_a, index_b, tag: int = TAG_DISORDER) -> np.ndarray:
+def standard_normals(seed: int, index_a, index_b) -> np.ndarray:
     """One standard normal per (index_a, index_b) pair, broadcast together.
 
     index_a is the bond index and index_b the realization index in disorder
     sampling; both may be arrays.  The value depends only on
-    (seed, index_a, index_b, tag).  A draw of more than `_BLOCK` counters
-    is evaluated in slices of the longest axis of the broadcast shape.
+    (seed, index_a, index_b) under TAG_DISORDER.  A draw of more than `_BLOCK`
+    counters is evaluated in slices of the longest axis of the broadcast shape.
     """
     a = np.asarray(index_a, dtype=np.uint64)
     b = np.asarray(index_b, dtype=np.uint64)
     a, b = np.broadcast_arrays(a, b)
-    k0, k1 = _key_words(seed, tag)
+    k0, k1 = _key_words(seed, TAG_DISORDER)
     if a.size <= _BLOCK:
         return _normals(a, b, k0, k1)
     axis = int(np.argmax(a.shape))

@@ -12,8 +12,8 @@ Direct and integral routes share the disorder cores (common random numbers),
 and the Monte Carlo error of the t-integral is computed from the per-sample
 quadrature combination, never from independently-averaged nodes.  The inner
 engine is exact enumeration within the cap, or one Markov chain per
-(realization, t-node) beyond it (adjacency term only); either way the rows
-reduce through one quenched.Moments.
+(realization, t-node) beyond it (adjacency term only); both read the term's
+one disorder stream, and the rows reduce through one quenched.Moments.
 
 One function, `_interpolation_term`, builds every corridor term and runs
 only the routes asked for: each term function takes routes="direct",
@@ -33,7 +33,7 @@ import numpy as np
 from .exact import SizeCapExceeded, batch_gibbs, enumerable
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import McmcConfig, two_level_inner
-from .model import interpolated_params, uniform_params
+from .model import interpolated_params, nishimori_couplings, uniform_params
 from .quenched import (
     AveragingMethod,
     DisorderMC,
@@ -43,7 +43,6 @@ from .quenched import (
     combined_std_error,
     disorder_cores,
     legendre_nodes_01,
-    nishimori_couplings,
     quenched_pressure,
 )
 
@@ -127,9 +126,9 @@ def _interpolation_term(
     the accumulator gets the rows [direct], the corridor mean at each t-node,
     their t-quadrature combination per sample, and [the center bond at each
     t-node].  With an McmcConfig (two-level estimator, DisorderMC only) the
-    corridor means come from one Markov chain per (realization, t-node) on
-    stream derive_seed(mcmc.seed, s, i) and go in as one chunk; that path has
-    no direct route and no center bond, and passes workers to the chains.
+    corridor means come from one Markov chain per (realization, t-node) of the
+    same disorder stream, on derive_seed(mcmc.seed, s, i), as one chunk; that
+    path has no direct route and no center bond, and passes workers on.
     """
     need_direct, need_integral = _route_flags(routes)
     if mcmc is None and not enumerable(lattice):  # before any disorder is drawn
@@ -145,11 +144,12 @@ def _interpolation_term(
 
     moments = Moments()
     telemetry = None
+    cores = disorder_cores(lattice, method, x_one > 0, x_one)
     if mcmc is not None:
-        node_vals, telemetry = two_level_inner(lattice, x_at, method, corridor=corridor, config=mcmc, workers=workers)
+        node_vals, telemetry = two_level_inner(lattice, x_at, cores, corridor=corridor, config=mcmc, workers=workers)
         moments.add(list(node_vals.T) + [node_vals @ tw], None)
     else:
-        for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
+        for core, weights in cores:
             rows = []
             if need_direct:
                 lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core).T, need_log_z=True, precise=precise).log_z

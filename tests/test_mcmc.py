@@ -8,10 +8,20 @@ import threading
 import numpy as np
 import pytest
 
+from nlsurf import mcmc as nlmcmc
 from nlsurf import rng as nlrng
 from nlsurf.exact import CouplingField, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
-from nlsurf.mcmc import BLOCK_SWEEPS, CHAIN_ENGINE, McmcConfig, blocked_estimate, colour_classes, run_chains
+from nlsurf.mcmc import (
+    BLOCK_SWEEPS,
+    CHAIN_BATCH,
+    CHAIN_ENGINE,
+    McmcConfig,
+    blocked_estimate,
+    colour_classes,
+    run_chains,
+    two_level_inner,
+)
 from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01
 from nlsurf.surface import Geometry, SurfaceTermKind, _adjacency_setup, _interpolation_term, adjacency_term
 
@@ -328,3 +338,54 @@ def test_two_level_bytes_pinned_to_engine_version():
     values += [r.chain_telemetry[k] for k in ("chains", "site_sweeps", "min_ess", "mean_acceptance", "poor_mixing_warnings")]
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()[:16]
     assert (CHAIN_ENGINE, digest) == ("metropolis-batched-3", "f6d82ebb2997d3ea")
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
+def test_two_level_regrouped_calls_pinned_to_engine_version():
+    # 100 realizations x 3 t-nodes = 300 chains on the 8x8 box: calls of whole
+    # realizations (85 a call) do not cut them where CHAIN_BATCH would, so this
+    # pins that the grouping of chains into kernel calls moves no byte
+    r = adjacency_term(2, 4, 0.5, DisorderMC(100, seed=5), 3, McmcConfig(sweeps=6, burn_in=2, seed=7))
+    values = [v for p in r.integrand_tables["corridor"] for v in (p.value, p.std_error)]
+    values.append(r.chain_telemetry["chains"])
+    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()[:16]
+    assert (CHAIN_ENGINE, r.chain_telemetry["chains"], digest) == ("metropolis-batched-3", 300, "a9183fe802501522")
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
+def test_two_level_reads_the_stream_a_chunk_at_a_time(monkeypatch):
+    # each kernel call takes whole realizations of the chunk in hand, at most
+    # CHAIN_BATCH chains, and runs before the next chunk is drawn; realization
+    # indices run on across chunks, so two chunks give the bytes of one
+    lattice, corridor = _adjacency_setup(2, 2)
+    x_at = [np.full(lattice.n_bonds, x) for x in (0.3, 0.5, 0.7)]
+    cfg = McmcConfig(sweeps=4, burn_in=0, seed=3)
+    bonds = np.arange(lattice.n_bonds)[:, None]
+    drawn, calls = [], []  # chunks yielded so far; (chains, chunks drawn) per kernel call
+
+    def stream(sizes):
+        lo = 0
+        for n in sizes:
+            drawn.append(n)
+            yield nlrng.standard_normals(1, bonds, np.arange(lo, lo + n)[None, :]), None
+            lo += n
+
+    kernel = nlmcmc.run_chains
+
+    def counted(lattice, kvecs, seeds, *args, **kwargs):
+        calls.append((len(seeds), len(drawn)))
+        return kernel(lattice, kvecs, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(nlmcmc, "run_chains", counted)
+    split, telemetry = two_level_inner(lattice, x_at, stream([100, 7]), corridor=corridor, config=cfg)
+    assert calls == [(255, 1), (45, 1), (21, 2)] and max(c for c, _ in calls) <= CHAIN_BATCH
+    assert telemetry["chains"] == 321 and split.shape == (107, 3)
+    drawn.clear()
+    whole, _ = two_level_inner(lattice, x_at, stream([107]), corridor=corridor, config=cfg)
+    assert whole.tobytes() == split.tobytes()
+
+
+def test_two_level_rejects_a_weighted_stream():
+    # chains average realizations with equal weight; a quadrature stream is refused
+    with pytest.raises(ValueError, match="unweighted"):
+        _corridor_term(1, 2, 0.8, Quadrature(4), 2, McmcConfig(sweeps=20, burn_in=4, seed=1))
