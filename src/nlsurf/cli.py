@@ -39,7 +39,7 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v9"
+RESULT_SCHEMA = "nlsurf.result.v10"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=20, help="quadrature nodes per bond")
         p.add_argument("--samples", type=int, default=100_000, help="disorder MC samples")
         p.add_argument("--seed", type=int, default=2024, help="disorder seed")
-        p.add_argument("--t-nodes", dest="t_nodes", type=int, default=16)
         out(p)
 
     def out(p):
@@ -365,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name.startswith("surface-"):
             p.add_argument("--k", type=int, default=2, help="magnification (reported, not extrapolated)")
         p.add_argument("--routes", choices=ROUTES, default="both", help="compute only these routes")
+        p.add_argument("--t-nodes", dest="t_nodes", type=int, default=16)
         common(p)
         p.set_defaults(func=_cmd_term)
 
@@ -378,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     workers_help = "threads for the Markov chains: at 2 or more, one helper thread for the whole kernel call draws "
     workers_help += "their uniforms ahead of the sweeps; results never depend on it"
     p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
+    p.add_argument("--t-nodes", dest="t_nodes", type=int, default=16)
     common(p)
     p.set_defaults(func=_cmd_scaling)
 

@@ -256,13 +256,15 @@ class Moments:
     squares shifted by the row's first sample, so the variance does not
     cancel when a mean is large against its spread, and give the sample mean
     with its std error (realizations are i.i.d., so no batching is needed).
-    Each row is reduced on its own, in chunk order.
+    Each row is reduced on its own, in chunk order and group order; a chunk's
+    arrays are only read.
     """
 
     def __init__(self):
         self.count = 0
         self.wsum = 0.0
         self.weighted = False
+        self._weights: tuple = (None, 0.0)  # the last weights added and their sum
         self.shifts: list[float] = []
         self.sums: list[float] = []
         self.sqsums: list[float] = []
@@ -276,16 +278,17 @@ class Moments:
             self.shifts = [float(r[0]) for r in rows]
             self.sums = [0.0] * len(rows)
             self.sqsums = [0.0] * len(rows)
-        for i, r in enumerate(rows):
-            if weights is None:
-                c = r - self.shifts[i]
-                self.sums[i] += float(c.sum())
-                self.sqsums[i] += float(c @ c)
-            else:
-                self.sums[i] += float(weights @ r)
         self.count += len(rows[0])
         if weights is not None:
-            self.wsum += float(weights.sum())
+            self.sums = [total + float(weights.dot(r)) for total, r in zip(self.sums, rows)]
+            if weights is not self._weights[0]:  # an orbit pass adds a chunk's weights once per group element
+                self._weights = (weights, float(weights.sum()))
+            self.wsum += self._weights[1]
+            return
+        for i, r in enumerate(rows):
+            c = r - self.shifts[i]
+            self.sums[i] += float(c.sum())
+            self.sqsums[i] += float(c @ c)
 
     def estimates(self) -> list[Estimate]:
         """One Estimate per row, in row order."""
@@ -425,12 +428,13 @@ def _joint_pass(
     readers request.  Every job's functionals run once per group element
     (the identity first) on views built from the engine's results, holding
     only the job's own bonds, pairs and log Z: a functional sees nothing its
-    job did not request, whatever shares its pass.  Each functional's mean
-    over the group feeds the job's Moments once per chunk.
+    job did not request, whatever shares its pass.  An image g.r is one more
+    grid point: its values go straight to the job's Moments with weight
+    w(r) / |Stab r|, which over the group gives each orbit point its w(r).
 
     Within a chunk the jobs run sorted by their variants, so jobs that share
-    sources run back to back, and a source's results are released once the
-    last job reading them has read them.  The order cannot change a result:
+    sources run back to back, and a source's results are released after the
+    last job in that order that reads them.  The order cannot change a result:
     each job's Moments sees its own rows in chunk order and group order.
     """
     lattice, method = jobs[0].lattice, jobs[0].method
@@ -451,9 +455,8 @@ def _joint_pass(
                 request[3] |= job.need_log_z
             job_reads.append(keys)
     sources = {sk: (xs, tuple(sorted(bs)), tuple(sorted(ps)), lz) for sk, (xs, bs, ps, lz) in wanted.items()}
-    needs = [{sk for keys in job_reads for sk in keys} for job_reads in reads]
-    readers = {sk: sum(sk in need for need in needs) for sk in sources}
     order = sorted(range(len(jobs)), key=lambda k: reads[k][0])
+    last = {sk: k for k in order for keys in reads[k] for sk in keys}  # the last job in order that reads each source
     moments = [Moments() for _ in jobs]
     n_active = int(active.sum())
     record.update(
@@ -477,14 +480,12 @@ def _joint_pass(
             break
         core, weights = item
         record["representatives"] += core.shape[1]
-        left = dict(readers)
         chunk: dict[bytes, BatchGibbs] = {}
         for k in order:
             job = jobs[k]
-            summed: list = []  # each functional's rows, summed over the group
-            for g, inv in enumerate(inverse):
+            for keys, inv in zip(reads[k], inverse):
                 views = []
-                for v, sk in zip(job.variants, reads[k][g]):
+                for v, sk in zip(job.variants, keys):
                     if sk not in chunk:
                         xs, bs, ps, lz = sources[sk]
                         chunk[sk] = batch_gibbs(lattice, nishimori_couplings(xs, core).T, bonds=bs, pairs=ps, need_log_z=lz, precise=precise)
@@ -494,25 +495,15 @@ def _joint_pass(
                     pair = {p: bg.pair[_pair(inv, p)] for p in job.pairs}
                     views.append(VariantChunk(bg.log_z if job.need_log_z else None, bond, pair, v.x, core, inv))
                 values = [f(views) for f in job.functionals.values()]
-                if g == 0:
-                    for key, v in zip(job.functionals, values):
-                        if not (isinstance(v, np.ndarray) and v.shape == (core.shape[1],)):
-                            raise ValueError(
-                                f"functional {key!r} returned {type(v).__name__} of shape {np.shape(v)}, "
-                                f"not a 1-d array with one value per row ({core.shape[1]})"
-                            )
-                    summed = values
-                elif g == 1:
-                    summed = [s + v for s, v in zip(summed, values)]  # new arrays: a functional may return the engine's own
-                else:
-                    for i, v in enumerate(values):
-                        summed[i] += v
-            # the group mean at each representative, weighted by w(r) / |Stab r|, is the full-grid weighted mean
-            moments[k].add(summed if len(inverse) == 1 else [s / len(inverse) for s in summed], weights)
-            for sk in needs[k]:
-                left[sk] -= 1
-                if not left[sk]:
-                    del chunk[sk]
+                for key, v in zip(job.functionals, values):
+                    if not (isinstance(v, np.ndarray) and v.shape == (core.shape[1],)):
+                        raise ValueError(
+                            f"functional {key!r} returned {type(v).__name__} of shape {np.shape(v)}, "
+                            f"not a 1-d array with one value per row ({core.shape[1]})"
+                        )
+                moments[k].add(values, weights)
+            for sk in [sk for sk in chunk if last[sk] == k]:
+                del chunk[sk]
     return [dict(zip(job.functionals, mom.estimates())) for job, mom in zip(jobs, moments)]
 
 

@@ -128,10 +128,16 @@ def _interpolation_term(
     t-node].  With an McmcConfig (two-level estimator, DisorderMC only) the
     corridor means come from one Markov chain per (realization, t-node) of the
     same disorder stream, on derive_seed(mcmc.seed, s, i), as one chunk; that
-    path has no direct route and no center bond, and passes workers on.
+    path takes routes="integral", no center bond and DisorderMC only (else
+    ValueError, before any draw), and passes workers on.
     """
     need_direct, need_integral = _route_flags(routes)
-    if mcmc is None and not enumerable(lattice):  # before any disorder is drawn
+    if mcmc is not None:  # the chain path's contract, checked before any disorder is drawn
+        if routes != "integral" or center_bond is not None:
+            raise ValueError(f"Markov chains give the corridor integral alone, got routes={routes!r}, center_bond={center_bond}")
+        if not isinstance(method, DisorderMC):
+            raise ValueError(f"Markov chains need an unweighted (DisorderMC) disorder stream, got method={method!r}")
+    elif not enumerable(lattice):  # before any disorder is drawn
         raise SizeCapExceeded(lattice.n_sites)
     corr_idx = corridor.sorted_indices()
     if not corr_idx:

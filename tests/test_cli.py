@@ -30,7 +30,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v9"
+    assert data["schema"] == "nlsurf.result.v10"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -194,7 +194,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v9" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v10" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON
@@ -311,6 +311,17 @@ def test_result_references_manifest(tmp_path):
     assert data["manifest_id"] == manifest["manifest_id"]
     assert manifest["outputs"][out.name] == __import__("hashlib").sha256(out.read_bytes()).hexdigest()
 
+
+def test_pressure_takes_no_t_nodes(tmp_path, capsys):
+    # a pressure has no t-integral: --t-nodes is a usage error there, and the
+    # config snapshot (so the manifest id) carries no t_nodes
+    argv = ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5"]
+    assert run(argv + ["--t-nodes", "4"]) == EXIT_USAGE
+    assert "--t-nodes" in capsys.readouterr().err
+    status, _, _ = _run_json(tmp_path, "p.json", argv)
+    assert status == EXIT_OK
+    config = json.loads((tmp_path / "p.manifest.json").read_text())["config"]
+    assert config["command"] == "pressure" and "t_nodes" not in config
 
 def test_manifest_keys(tmp_path):
     # the manifest's top-level keys are its schema: pinned exactly

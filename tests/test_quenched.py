@@ -388,13 +388,13 @@ def test_standard_suite_passes(monkeypatch):
     reports = run_standard_suite()
     assert len(reports) == 117
     assert len(calls) == 8
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v9", "bb7f349084e42201")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v10", "136f1cf21f170e63")
 
 
 def test_standard_suite_mc_bytes_pinned_to_schema():
     # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
     reports = run_standard_suite(DisorderMC(2000, 1))
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v9", "916b8e6b00215d08")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v10", "916b8e6b00215d08")
 
 
 def _orbit_count(lat, nodes, active, group):
@@ -545,3 +545,25 @@ def test_identity_group_walks_the_full_grid(nodes, n_active):
     assert len(walked) == len(reference)
     for (core, weights), (ref_core, ref_weights) in zip(walked, reference):
         assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
+
+
+def test_orbit_pass_never_writes_into_engine_output(monkeypatch):
+    # a functional may hand back the engine's own array; every image of a
+    # representative reaches Moments as it is, so read-only engine output
+    # runs through an orbit-reduced pass and gives the same estimate
+    lat = build_lattice(2, 2, Boundary.FREE)
+    job = JointJob(lat, [uniform_params(lat, 0.5)], Quadrature(9), {"s0": lambda v: v[0].bond[0]}, bonds=(0,))
+    expected = quenched_joint_many([job])
+    engine = quenched.batch_gibbs
+
+    def read_only(*args, **kwargs):
+        bg = engine(*args, **kwargs)
+        for a in [bg.log_z, *bg.bond.values(), *bg.pair.values()]:
+            if a is not None:
+                a.setflags(write=False)
+        return bg
+
+    monkeypatch.setattr(quenched, "batch_gibbs", read_only)
+    telemetry = []
+    assert quenched_joint_many([job], telemetry=telemetry) == expected
+    assert telemetry[0]["group_order"] == 8

@@ -1,6 +1,7 @@
 """Surface terms: frozen oracles, route equality, signs, sweeps."""
 
 import math
+import re
 
 import pytest
 
@@ -10,7 +11,10 @@ from nlsurf.mcmc import McmcConfig
 from nlsurf.model import uniform_params
 from nlsurf.quenched import DisorderMC, Quadrature, combined_std_error, quenched_pressure
 from nlsurf.surface import (
+    Geometry,
     SurfaceTermKind,
+    _adjacency_setup,
+    _interpolation_term,
     adjacency_term,
     periodic_minus_free,
     scaling_sweep,
@@ -213,3 +217,31 @@ def test_size_cap_checked_before_any_draw(term, monkeypatch):
     monkeypatch.setattr(nlsurf.quenched, "disorder_cores", no_draw)
     with pytest.raises(SizeCapExceeded):
         term(DisorderMC(4096, seed=1))
+
+
+@pytest.mark.parametrize(
+    "kwargs, offender",
+    [
+        ({"routes": "both"}, "routes='both'"),
+        ({"routes": "direct"}, "routes='direct'"),
+        ({"routes": "integral", "center_bond": 1}, "center_bond=1"),
+        ({"routes": "integral", "method": Quadrature(4)}, "method=Quadrature"),
+    ],
+    ids=["both", "direct", "center-bond", "quadrature"],
+)
+def test_chain_contract_checked_before_any_draw(kwargs, offender, monkeypatch):
+    # the chain path gives the integral route alone, no center bond, and
+    # averages unweighted realizations: anything else is refused by name
+    # before the term's disorder stream is opened
+    import nlsurf.surface
+
+    opened = []
+    monkeypatch.setattr(nlsurf.surface, "disorder_cores", lambda *a, **k: opened.append(a))
+    lattice, corridor = _adjacency_setup(1, 2)
+    geometry = Geometry(dim=1, L=2, k=None, corridor_size=corridor.cardinality)
+    method = kwargs.pop("method", DisorderMC(8, seed=1))
+    cfg = McmcConfig(sweeps=20, burn_in=4, seed=1)
+    term = (SurfaceTermKind.ADJACENCY_TL, geometry, lattice, corridor, 0.8, method, 2, "corridor")
+    with pytest.raises(ValueError, match=re.escape(offender)):
+        _interpolation_term(*term, mcmc=cfg, **kwargs)
+    assert opened == []
