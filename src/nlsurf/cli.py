@@ -39,7 +39,7 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v10"
+RESULT_SCHEMA = "nlsurf.result.v11"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
@@ -111,9 +111,12 @@ def emit_sweep(results: list[SurfaceTermResult]) -> str:
 
 
 def _config_snapshot(args, command: str) -> dict:
-    # only the physics/method parameters enter: the snapshot must be identical
-    # across reruns so the manifest id (and the result bytes) reproduce
+    # only the physics/method parameters the run reads enter: the snapshot must be
+    # identical across reruns so the manifest id (and the result bytes) reproduce
     skip = {"out", "format", "workers", "func", "manifest", "original_argv", "start_time"}
+    skip |= {"nodes", "tolerance"} if getattr(args, "method", None) == "mc" else {"samples", "seed"}
+    if getattr(args, "mcmc_sweeps", None) is None:
+        skip |= {"mcmc_burn_in", "mcmc_stride"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None and not callable(v)}
     cfg["command"] = command
     return cfg
@@ -318,10 +321,13 @@ def _cmd_rerun(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def _worker_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def integer(text: str) -> int:  # argparse names the flag, and a ValueError here reads "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name.startswith("surface-"):
             p.add_argument("--k", type=int, default=2, help="magnification (reported, not extrapolated)")
         p.add_argument("--routes", choices=ROUTES, default="both", help="compute only these routes")
-        p.add_argument("--t-nodes", dest="t_nodes", type=int, default=16)
+        p.add_argument("--t-nodes", dest="t_nodes", type=_int_at_least(2), default=16)
         common(p)
         p.set_defaults(func=_cmd_term)
 
@@ -377,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: the plot-ready table alone")
     workers_help = "threads for the Markov chains: at 2 or more, one helper thread for the whole kernel call draws "
     workers_help += "their uniforms ahead of the sweeps; results never depend on it"
-    p.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
-    p.add_argument("--t-nodes", dest="t_nodes", type=int, default=16)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help=workers_help)
+    p.add_argument("--t-nodes", dest="t_nodes", type=_int_at_least(2), default=16)
     common(p)
     p.set_defaults(func=_cmd_scaling)
 

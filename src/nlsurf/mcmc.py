@@ -30,8 +30,8 @@ workers = 1 draws in line.
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
 realizations are independent.  `run_chains` (the kernel) and
-`blocked_estimate` are composed by `two_level_inner`, the inner level of the
-two-level estimator beyond the enumeration cap.
+`blocked_estimate` are composed by `TwoLevelInner`, the inner engine beyond
+the enumeration cap, which answers one disorder chunk at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import nishimori_couplings
 
 MIN_INNER_ESS = 32  # two-level estimates are flagged below this
-CHAIN_ENGINE = "metropolis-batched-3"  # recorded with two-level results; changes whenever their bytes do
+CHAIN_ENGINE = "metropolis-batched-4"  # recorded with two-level results; changes whenever their bytes do
 BLOCK_SWEEPS = 32  # sweeps of uniforms drawn per stream call
 CHAIN_BATCH = 256  # chains per kernel call, in whole realizations (at least one); bounds memory, not results
 
@@ -242,69 +242,65 @@ def run_chains(
     return series, states, flips.sum(axis=1), proposals
 
 
-def two_level_inner(
-    lattice: LatticeSpec,
-    x_at,
-    cores,
-    *,
-    corridor: Corridor,
-    config: McmcConfig,
-    workers: int = 1,
-) -> tuple[np.ndarray, dict]:
-    """Inner values of the two-level estimator: one chain per (realization, variant).
-
-    cores is the term's disorder stream of (core, weights) chunks, as from
-    quenched.disorder_cores; a weighted (quadrature) chunk raises ValueError.
-    Realization s, the s-th core column of the stream, runs variant i with
-    couplings x (x + g), x = x_at[i], on stream rng.derive_seed(config.seed,
-    s, i).  The stream is read a chunk at a time; each kernel call takes
-    max(1, CHAIN_BATCH // len(x_at)) of the chunk's realizations and is
-    reduced to per-chain scalars before the next, which bounds memory, not
-    results.  workers > 1 draws each block of a call's uniforms on one helper
-    thread (see run_chains), with the same bytes; it pays on large calls
-    only.  Returns the (samples, variants) chain means of the corridor
-    average (blocked_estimate of each chain's series), and the chain
-    telemetry for the manifest (count, site-sweeps, time, mean acceptance,
-    worst ESS, warning count).  The caller, surface._interpolation_term,
-    reduces the columns over realizations with quenched.Moments, like every
-    other disorder average.  Warns PoorMixingWarning, attributed to the first
-    caller outside this package, when the worst ESS falls below MIN_INNER_ESS.
+class TwoLevelInner:
+    """The inner engine of the two-level estimator, beside exact.batch_gibbs:
+    one chain per (realization, variant) of each unweighted (bonds, rows) core
+    chunk it is handed.  Realization s, counted across the chunks seen, runs
+    variant i with couplings x (x + g), x = x_at[i], on stream
+    rng.derive_seed(config.seed, s, i).  A kernel call takes max(1,
+    CHAIN_BATCH // len(x_at)) whole realizations and is reduced to per-chain
+    scalars before the next, which bounds memory, not results; workers > 1
+    draws each block of uniforms on one helper thread (see run_chains), with
+    the same bytes.
     """
-    per_call = max(1, CHAIN_BATCH // len(x_at))  # realizations per kernel call
-    values, ess, acceptance = [], [], []
-    t0 = time.perf_counter()
-    for core, weights in cores:
-        if weights is not None:
-            raise ValueError("the two-level estimator needs an unweighted (Monte Carlo) disorder stream")
+
+    def __init__(self, lattice: LatticeSpec, x_at, *, corridor: Corridor, config: McmcConfig, workers: int = 1):
+        self.lattice, self.x_at, self.track = lattice, np.asarray(x_at), corridor.sorted_indices()
+        self.config, self.workers = config, workers
+        self.realizations, self.chain_s = 0, 0.0
+        self.ess, self.acceptance = [], []  # per chain, across chunks
+
+    def means(self, core: np.ndarray) -> np.ndarray:
+        """(variants, rows) chain means of the corridor average: blocked_estimate of each chain's series."""
+        t0 = time.perf_counter()
+        per_call = max(1, CHAIN_BATCH // len(self.x_at))  # realizations per kernel call
+        values = []
         for lo in range(0, core.shape[1], per_call):
-            K = nishimori_couplings(np.asarray(x_at), core[:, lo : lo + per_call])  # (variants, bonds, realizations)
-            kvecs = K.transpose(2, 0, 1).reshape(-1, lattice.n_bonds)  # row s * len(x_at) + i
-            s0 = len(values) // len(x_at)  # stream index of the call's first realization
-            seeds = [rng.derive_seed(config.seed, s0 + s, i) for s in range(K.shape[2]) for i in range(len(x_at))]
-            series, _, flips, proposals = run_chains(lattice, kvecs, seeds, config, corridor.sorted_indices(), workers=workers)
+            K = nishimori_couplings(self.x_at, core[:, lo : lo + per_call])  # (variants, bonds, realizations)
+            kvecs = K.transpose(2, 0, 1).reshape(-1, self.lattice.n_bonds)  # row s * len(x_at) + i
+            s0 = self.realizations + lo  # stream index of the call's first realization
+            seeds = [rng.derive_seed(self.config.seed, s0 + s, i) for s in range(K.shape[2]) for i in range(len(K))]
+            series, _, flips, proposals = run_chains(self.lattice, kvecs, seeds, self.config, self.track, workers=self.workers)
             for c in range(len(seeds)):
                 mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
                 values.append(mean)
-                ess.append(chain_ess)
-                acceptance.append(float(flips[c] / max(proposals[c], 1)))
-    chain_s = time.perf_counter() - t0
-    min_ess = min(ess)
-    poor = min_ess < MIN_INNER_ESS
-    if poor:
-        warnings.warn(
-            f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
-            "treat this estimate as under-resolved",
-            PoorMixingWarning,
-            stacklevel=_outside_package_level(),
-        )
-    site_sweeps = len(values) * lattice.n_sites * config.sweeps
-    telemetry = {
-        "chains": len(values),
-        "site_sweeps": site_sweeps,
-        "chain_s": chain_s,
-        "ns_per_site_sweep": 1e9 * chain_s / site_sweeps,
-        "mean_acceptance": float(np.mean(acceptance)),
-        "min_ess": min_ess,
-        "poor_mixing_warnings": int(poor),
-    }
-    return np.array(values).reshape(-1, len(x_at)), telemetry
+                self.ess.append(chain_ess)
+            self.acceptance += list(flips / np.maximum(proposals, 1))
+        self.realizations += core.shape[1]
+        self.chain_s += time.perf_counter() - t0
+        return np.array(values).reshape(-1, len(self.x_at)).T
+
+    def telemetry(self) -> dict:
+        """After the last chunk: the chain telemetry for the manifest (count,
+        site-sweeps, time in the chains, not the draws, mean acceptance, worst
+        ESS, warning count).  Warns PoorMixingWarning, attributed to the first
+        caller outside this package, when the worst ESS falls below MIN_INNER_ESS."""
+        min_ess = min(self.ess)
+        poor = min_ess < MIN_INNER_ESS
+        if poor:
+            warnings.warn(
+                f"inner chains reached an effective sample size of {min_ess:.0f} (< {MIN_INNER_ESS}); "
+                "treat this estimate as under-resolved",
+                PoorMixingWarning,
+                stacklevel=_outside_package_level(),
+            )
+        site_sweeps = len(self.ess) * self.lattice.n_sites * self.config.sweeps
+        return {
+            "chains": len(self.ess),
+            "site_sweeps": site_sweeps,
+            "chain_s": self.chain_s,
+            "ns_per_site_sweep": 1e9 * self.chain_s / site_sweeps,
+            "mean_acceptance": float(np.mean(self.acceptance)),
+            "min_ess": min_ess,
+            "poor_mixing_warnings": int(poor),
+        }

@@ -12,8 +12,9 @@ Direct and integral routes share the disorder cores (common random numbers),
 and the Monte Carlo error of the t-integral is computed from the per-sample
 quadrature combination, never from independently-averaged nodes.  The inner
 engine is exact enumeration within the cap, or one Markov chain per
-(realization, t-node) beyond it (adjacency term only); both read the term's
-one disorder stream, and the rows reduce through one quenched.Moments.
+(realization, t-node) beyond it (adjacency term only); either answers one
+chunk of the term's one disorder stream at a time, and one chunk loop forms
+the t-quadrature row and feeds one quenched.Moments.
 
 One function, `_interpolation_term`, builds every corridor term and runs
 only the routes asked for: each term function takes routes="direct",
@@ -32,7 +33,7 @@ import numpy as np
 
 from .exact import SizeCapExceeded, batch_gibbs, enumerable
 from .lattice import Boundary, Corridor, LatticeSpec, build_lattice, decompose_box, tiling_interfaces, torus_cut
-from .mcmc import McmcConfig, two_level_inner
+from .mcmc import McmcConfig, TwoLevelInner
 from .model import interpolated_params, nishimori_couplings, uniform_params
 from .quenched import (
     AveragingMethod,
@@ -125,10 +126,9 @@ def _interpolation_term(
     center bond, that bond's mean as table "center_bond".  Per disorder chunk
     the accumulator gets the rows [direct], the corridor mean at each t-node,
     their t-quadrature combination per sample, and [the center bond at each
-    t-node].  With an McmcConfig (two-level estimator, DisorderMC only) the
-    corridor means come from one Markov chain per (realization, t-node) of the
-    same disorder stream, on derive_seed(mcmc.seed, s, i), as one chunk; that
-    path takes routes="integral", no center bond and DisorderMC only (else
+    t-node].  With an McmcConfig (two-level estimator) the chunk's corridor
+    means come from mcmc.TwoLevelInner in place of batch_gibbs; that path
+    takes routes="integral", no center bond and DisorderMC only (else
     ValueError, before any draw), and passes workers on.
     """
     need_direct, need_integral = _route_flags(routes)
@@ -148,31 +148,27 @@ def _interpolation_term(
     x_at = [interpolated_params(lattice, corridor, x, t).x for t in tn]
     precise = isinstance(method, Quadrature)
 
+    chains = None if mcmc is None else TwoLevelInner(lattice, x_at, corridor=corridor, config=mcmc, workers=workers)
     moments = Moments()
-    telemetry = None
-    cores = disorder_cores(lattice, method, x_one > 0, x_one)
-    if mcmc is not None:
-        node_vals, telemetry = two_level_inner(lattice, x_at, cores, corridor=corridor, config=mcmc, workers=workers)
-        moments.add(list(node_vals.T) + [node_vals @ tw], None)
-    else:
-        for core, weights in cores:
-            rows = []
-            if need_direct:
-                lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core).T, need_log_z=True, precise=precise).log_z
-                lz0 = batch_gibbs(lattice, nishimori_couplings(x_zero, core).T, need_log_z=True, precise=precise).log_z
-                rows.append(lz1 - lz0)
-            if need_integral:
-                node_rows, center_rows = [], []
-                f_chunk = np.zeros(core.shape[1])
-                for xt, w in zip(x_at, tw):
+    for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
+        rows = []
+        if need_direct:
+            lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core).T, need_log_z=True, precise=precise).log_z
+            lz0 = batch_gibbs(lattice, nishimori_couplings(x_zero, core).T, need_log_z=True, precise=precise).log_z
+            rows.append(lz1 - lz0)
+        if need_integral:
+            node_rows, center_rows = [], []
+            if chains is not None:
+                node_rows = list(chains.means(core))
+            else:
+                for xt in x_at:
                     bg = batch_gibbs(lattice, nishimori_couplings(xt, core).T, bonds=corr_idx, precise=precise)
-                    sc = np.mean([bg.bond[b] for b in corr_idx], axis=0)
-                    f_chunk += w * sc
-                    node_rows.append(sc)
+                    node_rows.append(np.mean([bg.bond[b] for b in corr_idx], axis=0))
                     if center_bond is not None:
                         center_rows.append(bg.bond[center_bond])
-                rows += node_rows + [f_chunk] + center_rows
-            moments.add(rows, weights)
+            f_chunk = sum((w * sc for w, sc in zip(tw, node_rows)), np.zeros(core.shape[1]))  # t-quadrature per sample
+            rows += node_rows + [f_chunk] + center_rows
+        moments.add(rows, weights)
 
     est = moments.estimates()
     direct = _scaled(est.pop(0), scale) if need_direct else None
@@ -184,6 +180,7 @@ def _interpolation_term(
         tables[table] = _curve(tn, est[:n])
         if center_bond is not None:
             tables["center_bond"] = _curve(tn, est[n + 1 :])
+    telemetry = None if chains is None else chains.telemetry()
     return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables, chain_telemetry=telemetry)
 
 

@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import nlsurf
-from nlsurf.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _versions, emit_sweep, run
+from nlsurf.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    _config_snapshot,
+    _versions,
+    build_parser,
+    emit_sweep,
+    run,
+)
 from nlsurf.mcmc import CHAIN_ENGINE, PoorMixingWarning
 from nlsurf.quenched import Quadrature
 from nlsurf.surface import scaling_sweep
@@ -30,7 +40,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v10"
+    assert data["schema"] == "nlsurf.result.v11"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -151,6 +161,64 @@ def test_bad_worker_count_is_usage_error(capsys):
             assert "--workers" in capsys.readouterr().err
 
 
+def test_t_nodes_below_two_is_usage_error(capsys):
+    # a t-rule needs two nodes: below that every term command and scaling
+    # refuse the value by flag, a direct-only route included
+    for t_nodes in ("0", "1", "-3"):
+        for argv in (
+            "adjacency --dim 1 --L 2 --x 0.5 --nodes 4",
+            "adjacency --dim 1 --L 2 --x 0.5 --nodes 4 --routes direct",
+            "torus-diff --dim 1 --L 2 --x 0.5 --nodes 4",
+            "surface-free --dim 1 --L 2 --x 0.5 --nodes 4",
+            "surface-periodic --dim 1 --L 2 --x 0.5 --nodes 4",
+            "scaling --dim 1 --L-list 2 --x 0.5 --nodes 4",
+        ):
+            capsys.readouterr()
+            assert run(argv.split() + ["--t-nodes", t_nodes]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "--t-nodes" in err and "at least 2" in err
+
+
+def test_config_snapshot_keys_per_method():
+    # the snapshot (so the manifest id) holds only what the method reads:
+    # --nodes (and verify's --tolerance) under quadrature, --samples and --seed
+    # under disorder MC, the chain options only with --mcmc-sweeps
+    def keys(argv):
+        args = build_parser().parse_args(argv.split())
+        return set(_config_snapshot(args, args.command))
+
+    pressure = {"command", "dim", "side", "bc", "x", "method"}
+    assert keys("pressure --dim 1 --side 2 --bc free --x 0.5 --seed 3") == pressure | {"nodes"}
+    assert keys("pressure --dim 1 --side 2 --bc free --x 0.5 --method mc --nodes 8") == pressure | {"samples", "seed"}
+    term = {"command", "dim", "L", "x", "method", "routes", "t_nodes"}
+    assert keys("adjacency --dim 1 --L 2 --x 0.5 --samples 9") == term | {"nodes"}
+    assert keys("surface-free --dim 1 --L 2 --x 0.5 --method mc") == term | {"k", "samples", "seed"}
+    sweep = {"command", "dim", "L_list", "x", "method", "t_nodes"}
+    assert keys("scaling --dim 2 --L-list 4 --x 0.5 --mcmc-burn-in 9") == sweep | {"nodes"}
+    assert keys("scaling --dim 2 --L-list 4 --x 0.5 --method mc --mcmc-stride 3") == sweep | {"samples", "seed"}
+    chains = sweep | {"samples", "seed", "mcmc_sweeps", "mcmc_burn_in", "mcmc_stride"}
+    assert keys("scaling --dim 2 --L-list 4 --x 0.5 --method mc --mcmc-sweeps 40 --workers 2") == chains
+    assert keys("verify --seed 5 --tolerance 1e-3") == {"command", "method", "suite", "tolerance"}
+    assert keys("verify --method mc --nodes 8 --tolerance 1e-3") == {"command", "method", "suite", "samples", "seed"}
+
+
+def test_unread_options_leave_the_bytes(tmp_path):
+    # runs that differ only in an option their method never reads write the
+    # same bytes, manifest id included
+    quadrature = ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5", "--nodes", "6"]
+    mc = ["adjacency", "--dim", "1", "--L", "2", "--x", "0.5", "--method", "mc", "--samples", "64", "--t-nodes", "2"]
+    for name, base, variants in (
+        ("q", quadrature, (["--seed", "1"], ["--seed", "2"], ["--samples", "7"])),
+        ("mc", mc, (["--nodes", "8"], ["--nodes", "20"])),
+    ):
+        outputs = []
+        for i, extra in enumerate(variants):
+            status, _, out = _run_json(tmp_path, f"{name}{i}.json", base + extra)
+            assert status == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert len(set(outputs)) == 1
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     # exit 1 means a failed verification or rerun; a result that cannot be written is bad input
     (tmp_path / "file").write_text("")
@@ -194,7 +262,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v10" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v11" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON

@@ -299,7 +299,7 @@ def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pa
     # enumerated sites and pairs with tanh ends); the 4096-row cases run in
     # 4 and 8 passes; when a digest moves on purpose, RESULT_SCHEMA moves with it
     _, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows)
-    assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v10", pinned)
+    assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v11", pinned)
 
 
 @_PINNED_ENGINES

@@ -17,10 +17,10 @@ from nlsurf.mcmc import (
     CHAIN_BATCH,
     CHAIN_ENGINE,
     McmcConfig,
+    TwoLevelInner,
     blocked_estimate,
     colour_classes,
     run_chains,
-    two_level_inner,
 )
 from nlsurf.quenched import DisorderMC, Moments, Quadrature, combined_std_error, legendre_nodes_01
 from nlsurf.surface import Geometry, SurfaceTermKind, _adjacency_setup, _interpolation_term, adjacency_term
@@ -324,7 +324,7 @@ def test_chain_kernel_bytes_pinned_to_engine_version():
         series, _, flips, proposals = run_chains(lat, kvecs, [101, 202], cfg, tuple(range(lat.n_bonds)))
         for a in (series, flips, proposals):
             digest.update(a.tobytes())
-    assert (CHAIN_ENGINE, digest.hexdigest()[:16]) == ("metropolis-batched-3", "8e59a320c3399ccc")
+    assert (CHAIN_ENGINE, digest.hexdigest()[:16]) == ("metropolis-batched-4", "8e59a320c3399ccc")
 
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
@@ -337,7 +337,7 @@ def test_two_level_bytes_pinned_to_engine_version():
     values += [v for p in r.integrand_tables["corridor"] for v in (p.value, p.std_error)]
     values += [r.chain_telemetry[k] for k in ("chains", "site_sweeps", "min_ess", "mean_acceptance", "poor_mixing_warnings")]
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()[:16]
-    assert (CHAIN_ENGINE, digest) == ("metropolis-batched-3", "f6d82ebb2997d3ea")
+    assert (CHAIN_ENGINE, digest) == ("metropolis-batched-4", "f6d82ebb2997d3ea")
 
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
@@ -349,26 +349,27 @@ def test_two_level_regrouped_calls_pinned_to_engine_version():
     values = [v for p in r.integrand_tables["corridor"] for v in (p.value, p.std_error)]
     values.append(r.chain_telemetry["chains"])
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()[:16]
-    assert (CHAIN_ENGINE, r.chain_telemetry["chains"], digest) == ("metropolis-batched-3", 300, "a9183fe802501522")
+    assert (CHAIN_ENGINE, r.chain_telemetry["chains"], digest) == ("metropolis-batched-4", 300, "a9183fe802501522")
 
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
 def test_two_level_reads_the_stream_a_chunk_at_a_time(monkeypatch):
-    # each kernel call takes whole realizations of the chunk in hand, at most
-    # CHAIN_BATCH chains, and runs before the next chunk is drawn; realization
-    # indices run on across chunks, so two chunks give the bytes of one
+    # the inner engine answers one chunk at a time: each kernel call takes
+    # whole realizations of the chunk in hand, at most CHAIN_BATCH chains;
+    # realization indices run on across chunks, so two chunks give the bytes of one
     lattice, corridor = _adjacency_setup(2, 2)
     x_at = [np.full(lattice.n_bonds, x) for x in (0.3, 0.5, 0.7)]
     cfg = McmcConfig(sweeps=4, burn_in=0, seed=3)
     bonds = np.arange(lattice.n_bonds)[:, None]
-    drawn, calls = [], []  # chunks yielded so far; (chains, chunks drawn) per kernel call
+    drawn, calls = [], []  # chunks handed over so far; (chains, chunks handed over) per kernel call
 
-    def stream(sizes):
-        lo = 0
+    def chunked(sizes):
+        inner, means, lo = TwoLevelInner(lattice, x_at, corridor=corridor, config=cfg), [], 0
         for n in sizes:
             drawn.append(n)
-            yield nlrng.standard_normals(1, bonds, np.arange(lo, lo + n)[None, :]), None
+            means.append(inner.means(nlrng.standard_normals(1, bonds, np.arange(lo, lo + n)[None, :])))
             lo += n
+        return np.concatenate(means, axis=1), inner.telemetry()
 
     kernel = nlmcmc.run_chains
 
@@ -377,11 +378,11 @@ def test_two_level_reads_the_stream_a_chunk_at_a_time(monkeypatch):
         return kernel(lattice, kvecs, seeds, *args, **kwargs)
 
     monkeypatch.setattr(nlmcmc, "run_chains", counted)
-    split, telemetry = two_level_inner(lattice, x_at, stream([100, 7]), corridor=corridor, config=cfg)
+    split, telemetry = chunked([100, 7])
     assert calls == [(255, 1), (45, 1), (21, 2)] and max(c for c, _ in calls) <= CHAIN_BATCH
-    assert telemetry["chains"] == 321 and split.shape == (107, 3)
+    assert telemetry["chains"] == 321 and split.shape == (3, 107)
     drawn.clear()
-    whole, _ = two_level_inner(lattice, x_at, stream([107]), corridor=corridor, config=cfg)
+    whole, _ = chunked([107])
     assert whole.tobytes() == split.tobytes()
 
 
