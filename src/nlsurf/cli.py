@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from . import verify as verify_mod
-from .exact import SizeCapExceeded
+from .exact import BATCH_GIBBS_COUNTS, SizeCapExceeded, engine_threads
 from .lattice import Boundary, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import CHAIN_ENGINE, McmcConfig
 from .model import uniform_params
-from .quenched import DisorderMC, GridTooLarge, Quadrature, quenched_pressure
+from .quenched import STREAM_COUNTS, DisorderMC, GridTooLarge, Quadrature, quenched_pressure
 from .surface import (
     ROUTES,
     SurfaceTermResult,
@@ -39,7 +39,7 @@ from .surface import (
     surface_pressure_periodic,
 )
 
-RESULT_SCHEMA = "nlsurf.result.v11"
+RESULT_SCHEMA = "nlsurf.result.v12"
 MANIFEST_SCHEMA = "nlsurf.manifest.v1"
 
 EXIT_OK = 0
@@ -80,11 +80,11 @@ def _estimate_dict(e) -> dict | None:
 
 
 def _term_dict(r: SurfaceTermResult) -> dict:
-    return {
+    """A term's payload; t_nodes only where an integral route read it."""
+    payload = {
         "kind": r.kind.value,
         "geometry": {"dim": r.geometry.dim, "L": r.geometry.L, "k": r.geometry.k, "corridor_size": r.geometry.corridor_size},
         "x": r.x,
-        "t_nodes": r.t_nodes,
         "routes": {
             "direct": _estimate_dict(r.direct),
             "integral": _estimate_dict(r.integral),
@@ -95,6 +95,9 @@ def _term_dict(r: SurfaceTermResult) -> dict:
             for name, table in r.integrand_tables.items()
         },
     }
+    if r.integral is not None:
+        payload["t_nodes"] = r.t_nodes
+    return payload
 
 
 def emit_sweep(results: list[SurfaceTermResult]) -> str:
@@ -117,6 +120,8 @@ def _config_snapshot(args, command: str) -> dict:
     skip |= {"nodes", "tolerance"} if getattr(args, "method", None) == "mc" else {"samples", "seed"}
     if getattr(args, "mcmc_sweeps", None) is None:
         skip |= {"mcmc_burn_in", "mcmc_stride"}
+    if getattr(args, "routes", None) == "direct":
+        skip.add("t_nodes")
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None and not callable(v)}
     cfg["command"] = command
     return cfg
@@ -172,6 +177,15 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
         raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
+def _counts() -> dict:
+    """The disorder chunks and rows streamed and the batch_gibbs calls and rows per dtype, so far in this process."""
+    return {**STREAM_COUNTS, "batch_gibbs": {dt: dict(c) for dt, c in BATCH_GIBBS_COUNTS.items()}}
+
+
+def _since(before: dict, now: dict) -> dict:
+    return {k: _since(v, now[k]) if isinstance(v, dict) else now[k] - v for k, v in before.items()}
+
+
 def _boundary(name: str) -> Boundary:
     return Boundary.FREE if name == "free" else Boundary.PERIODIC
 
@@ -218,7 +232,7 @@ def _cmd_pressure(args) -> int:
             "value": est.value,
             "std_error": est.std_error,
         },
-        telemetry={"passes": passes},
+        telemetry={"engine_threads": engine_threads(), "passes": passes},
     )
     return EXIT_OK
 
@@ -233,13 +247,18 @@ _TERMS = {
 
 def _cmd_term(args) -> int:
     """Every term command: only the requested routes are computed, and a
-    single-route payload keeps exactly that route's key."""
+    single-route payload keeps exactly that route's key.  The telemetry
+    counts the disorder chunks and rows the term streamed (both pressures of
+    a direct surface-periodic route included) and its batch_gibbs calls and
+    rows per dtype."""
     method = _method_from_args(args)
+    before = _counts()
     payload = _term_dict(_TERMS[args.command](args, method))
+    telemetry = {"engine_threads": engine_threads(), **_since(before, _counts())}
     if args.routes != "both":
         payload["routes"] = {args.routes: payload["routes"][args.routes]}
     payload["method"] = _method_dict(method)
-    _write_run(args, args.command, payload)
+    _write_run(args, args.command, payload, telemetry=telemetry)
     return EXIT_OK
 
 
@@ -260,7 +279,7 @@ def _cmd_scaling(args) -> int:
         "x": args.x,
         "terms": [_term_dict(r) for r in results],
     }
-    telemetry = {"workers": args.workers}
+    telemetry = {"workers": args.workers, "engine_threads": engine_threads()}
     chains = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
     if chains:  # the chain engine enters the result only when a chain ran
         payload["method"]["mcmc"] = {
@@ -281,7 +300,7 @@ def _cmd_verify(args) -> int:
     passes: list[dict] = []
     reports = verify_mod.run_standard_suite(method, tol=tol, telemetry=passes)
     payload = verify_mod.suite_report(reports)
-    _write_run(args, "verify", payload, telemetry={"passes": passes})
+    _write_run(args, "verify", payload, telemetry={"engine_threads": engine_threads(), "passes": passes})
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 

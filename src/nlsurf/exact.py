@@ -29,7 +29,10 @@ share the bond-spin conventions:
   A batch whose row count is a multiple of 512 runs in cache-sized passes
   of row blocks with the bytes of one pass (see `batch_gibbs`); any other
   batch, and a 4096-row chunk on lattices of up to 16 configurations in
-  float64 or 32 in float32, is one pass.
+  float64 or 32 in float32, is one pass.  When the environment pins the
+  BLAS to one thread and the process may use two CPUs (`engine_threads`),
+  the caller runs the first half of a call's passes and one helper thread
+  the second half, with the same bytes.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,7 @@ _CONFIG_CHUNK = 1 << 15
 _ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
 _PASS_BYTES = 1 << 19  # energy table per batch_gibbs pass: 512 KiB, a quarter of a 2 MiB L2
 _PASS_ROWS = 512  # the fewest rows per pass (256 ran slower); only a multiple of it is split into passes
+BATCH_GIBBS_COUNTS = {dt: {"calls": 0, "rows": 0} for dt in ("f32", "f64")}  # per process, read by run telemetry
 _BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
 
 
@@ -276,6 +281,13 @@ def batch_gibbs(
     full width, so the passes give the bytes of one pass over the batch.
     Any other batch runs as one pass: the last rows of a pass of another
     width come out of other BLAS edge kernels, and their last bits move.
+
+    At engine_threads() == 2 a call of two or more passes runs the first
+    half of them (the larger, for an odd count) itself and hands the second
+    half to the process's one helper thread, which runs `_gibbs_pass` alone;
+    the caller joins it before joining the passes in row order, so every
+    pass keeps its width and its bytes.  An error in a helper pass is raised
+    here, after the join.
     """
     if not enumerable(lattice):
         raise SizeCapExceeded(lattice.n_sites)
@@ -283,18 +295,59 @@ def batch_gibbs(
     if K_batch.ndim != 2 or K_batch.shape[1] != lattice.n_bonds:
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
     _check_queries(lattice, bonds, pairs)
+    counts = BATCH_GIBBS_COUNTS["f64" if precise else "f32"]
+    counts["calls"] += 1
+    counts["rows"] += len(K_batch)
     dtype = np.float64 if precise else np.float32
     tables = _engine_tables(lattice, dtype)
     lhs = tables[-1]  # (n_cfg, ...)
     step = max(_PASS_ROWS, _PASS_BYTES // (len(lhs) * lhs.itemsize))
     if len(K_batch) <= step or len(K_batch) % _PASS_ROWS:
         return _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype)
-    passes = [_gibbs_pass(tables, K_batch[lo : lo + step], bonds, pairs, need_log_z, dtype) for lo in range(0, len(K_batch), step)]
+
+    def run(starts):  # the passes that start at these rows, in order
+        return [_gibbs_pass(tables, K_batch[lo : lo + step], bonds, pairs, need_log_z, dtype) for lo in starts]
+
+    starts = range(0, len(K_batch), step)
+    if engine_threads() == 1:
+        passes = run(starts)
+    else:
+        half = (len(starts) + 1) // 2
+        pending = _helper().submit(run, starts[half:])
+        try:
+            passes = run(starts[:half])
+        finally:
+            pending.exception()  # the join, also when this half raised
+        passes += pending.result()
     return BatchGibbs(
         log_z=np.concatenate([g.log_z for g in passes]) if need_log_z else None,
         bond={b: np.concatenate([g.bond[b] for g in passes]) for b in bonds},
         pair={p: np.concatenate([g.pair[p] for g in passes]) for p in pairs},
     )
+
+
+def engine_threads() -> int:
+    """The threads a multi-pass `batch_gibbs` call runs on: 2 when the
+    environment pins the BLAS to one thread (OPENBLAS_NUM_THREADS is "1", or
+    it is unset and OMP_NUM_THREADS is "1") and the process may run on two
+    or more CPUs, else 1.  The BLAS thread count in effect cannot be read
+    without threadpoolctl, and next to a multithreaded BLAS the helper only
+    oversubscribes the cores, so an unknown count keeps one thread."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return 2 if blas == "1" and cpus >= 2 else 1
+
+
+@functools.cache
+def _helper():
+    """The engine's one helper thread, started by the first call that uses it."""
+    from concurrent.futures import ThreadPoolExecutor  # imported here: single-pass runs never load it
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="batch_gibbs")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child starts a helper of its own
 
 
 def _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype) -> BatchGibbs:
@@ -303,16 +356,23 @@ def _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype) -> BatchGibbs:
     inner = apos < 0  # bonds between two enumerated sites
     Kc = np.ascontiguousarray(K_batch.T, dtype=dtype)  # bond-major (bonds, rows)
     Hp = S_pat.T @ Kc  # pattern fields (n_pat, rows)
-    aH = np.abs(Hp)
-    # one product: sum_a ln(2 cosh h_a) through M, plus K_b s s' of the bonds between enumerated sites
-    T = lhs @ np.concatenate([aH + np.log1p(np.exp(-2.0 * aH)), Kc[inner]])
-    tH = np.tanh(Hp) if bonds or pairs else None
+    # the product operand [ln 2cosh Hp = |Hp| + log1p(e^-2|Hp|); K_b of the bonds between enumerated sites],
+    # built in place; one product then gives sum_a ln(2 cosh h_a) through M plus K_b s s'
+    rhs = np.empty((lhs.shape[1], Kc.shape[1]), dtype=dtype)
+    aH = np.abs(Hp, out=rhs[: len(Hp)])
+    e = np.multiply(aH, -2.0)
+    aH += np.log1p(np.exp(e, out=e), out=e)
+    rhs[len(Hp) :] = Kc[inner]
+    T = lhs @ rhs
+    tH = np.tanh(Hp, out=Hp) if bonds or pairs else None
     m = T.max(axis=0)
     T -= m
     P = np.exp(np.maximum(T, _EXP_FLOOR, out=T), out=T)
     Z = P.sum(axis=0, dtype=np.float64)
     log_z = _LN2 + m.astype(np.float64) + np.log(Z) if need_log_z else None
     Q = M @ P if any(apos[b] >= 0 for b in bonds) else None
+    if Q is not None:
+        Q *= tH  # Q_p tanh Hp_p, the bytes of the per-bond slices' products
     P64 = None  # P in float64, cast on first use by a spins-only moment
 
     def moment(bs):
@@ -326,10 +386,17 @@ def _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype) -> BatchGibbs:
             if P64 is None:
                 P64 = P.astype(np.float64, copy=False)
             return v.astype(np.float64) @ P64 / Z
-        w = v[:, None]
-        for a in ends:
-            w = tH[col[a]] * w
-        return (P * w).sum(axis=0, dtype=np.float64) / Z
+        # in column blocks of one cache-sized table, the last taking the remainder: the
+        # temporaries stay small, and a block of 2 or more columns sums each column as the whole would
+        width = _PASS_BYTES // (len(P) * P.itemsize)
+        edges = [*range(0, max(P.shape[1] - width, 0) + 1, width), P.shape[1]]
+        out = np.empty(P.shape[1])
+        for lo, hi in zip(edges, edges[1:]):
+            w = v[:, None]
+            for a in ends:
+                w = tH[col[a], lo:hi] * w
+            out[lo:hi] = (P[:, lo:hi] * w).sum(axis=0, dtype=np.float64)
+        return out / Z
 
     bond = {}
     for b in bonds:
@@ -338,5 +405,5 @@ def _gibbs_pass(tables, K_batch, bonds, pairs, need_log_z, dtype) -> BatchGibbs:
             bond[b] = moment((b,))
         else:  # sum_p Q_p s_e(p) tanh Hp_p over a's own patterns
             sl = slice(start[a], start[a + 1])
-            bond[b] = (Q[sl] * tH[sl] * S_pat[b, sl, None]).sum(axis=0, dtype=np.float64) / Z
+            bond[b] = (Q[sl] * S_pat[b, sl, None]).sum(axis=0, dtype=np.float64) / Z
     return BatchGibbs(log_z=log_z, bond=bond, pair={p: moment(p) for p in pairs})

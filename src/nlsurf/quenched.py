@@ -42,6 +42,7 @@ from .model import NishimoriParams, nishimori_couplings
 QUADRATURE_GRID_CAP = 10**7
 QUADRATURE_NODE_CAP = 256  # numpy's Hermite rule loses its weights past ~370 nodes; the suite uses at most 200
 _CHUNK = 4096  # rows per disorder chunk, a multiple of 512, so batch_gibbs runs a full chunk in cache-sized passes
+STREAM_COUNTS = {"chunks": 0, "rows": 0}  # the chunks and rows `disorder_cores` yielded in this process, for run telemetry
 
 
 class GridTooLarge(ValueError):
@@ -149,7 +150,7 @@ def disorder_cores(
             hi = min(lo + _CHUNK, method.samples)
             samples = np.arange(lo, hi, dtype=np.uint64)
             core = rng.standard_normals(method.seed, bond_idx[:, None], samples[None, :])
-            yield core, None
+            yield _counted(core, None)
         return
 
     if active is None:
@@ -203,7 +204,13 @@ def disorder_cores(
                 weights *= wt[d]
             weights /= stab[:_CHUNK]  # w / 1 is exact: a point that no symmetry fixes keeps its weight's bytes
             digit, stab = digit[:, _CHUNK:], stab[_CHUNK:]
-            yield core, weights
+            yield _counted(core, weights)
+
+
+def _counted(core: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    STREAM_COUNTS["chunks"] += 1
+    STREAM_COUNTS["rows"] += core.shape[1]
+    return core, weights
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nlsurf
+from nlsurf import exact, surface
 from nlsurf.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -22,6 +23,7 @@ from nlsurf.cli import (
     emit_sweep,
     run,
 )
+from nlsurf.exact import batch_gibbs
 from nlsurf.mcmc import CHAIN_ENGINE, PoorMixingWarning
 from nlsurf.quenched import Quadrature
 from nlsurf.surface import scaling_sweep
@@ -40,7 +42,7 @@ def test_pressure_free_spins(tmp_path):
     )
     assert status == EXIT_OK
     assert data["value"] == pytest.approx(4 * math.log(2.0), abs=1e-12)
-    assert data["schema"] == "nlsurf.result.v11"
+    assert data["schema"] == "nlsurf.result.v12"
     assert {"command", "geometry", "method", "manifest_id"} <= set(data)
 
 
@@ -193,6 +195,7 @@ def test_config_snapshot_keys_per_method():
     term = {"command", "dim", "L", "x", "method", "routes", "t_nodes"}
     assert keys("adjacency --dim 1 --L 2 --x 0.5 --samples 9") == term | {"nodes"}
     assert keys("surface-free --dim 1 --L 2 --x 0.5 --method mc") == term | {"k", "samples", "seed"}
+    assert keys("torus-diff --dim 1 --L 2 --x 0.5 --routes direct --t-nodes 8") == term - {"t_nodes"} | {"nodes"}
     sweep = {"command", "dim", "L_list", "x", "method", "t_nodes"}
     assert keys("scaling --dim 2 --L-list 4 --x 0.5 --mcmc-burn-in 9") == sweep | {"nodes"}
     assert keys("scaling --dim 2 --L-list 4 --x 0.5 --method mc --mcmc-stride 3") == sweep | {"samples", "seed"}
@@ -203,13 +206,15 @@ def test_config_snapshot_keys_per_method():
 
 
 def test_unread_options_leave_the_bytes(tmp_path):
-    # runs that differ only in an option their method never reads write the
+    # runs that differ only in an option their method or route never reads write the
     # same bytes, manifest id included
     quadrature = ["pressure", "--dim", "1", "--side", "2", "--bc", "free", "--x", "0.5", "--nodes", "6"]
     mc = ["adjacency", "--dim", "1", "--L", "2", "--x", "0.5", "--method", "mc", "--samples", "64", "--t-nodes", "2"]
+    direct = ["adjacency", "--dim", "1", "--L", "2", "--x", "0.5", "--nodes", "4", "--routes", "direct"]
     for name, base, variants in (
         ("q", quadrature, (["--seed", "1"], ["--seed", "2"], ["--samples", "7"])),
         ("mc", mc, (["--nodes", "8"], ["--nodes", "20"])),
+        ("d", direct, (["--t-nodes", "4"], ["--t-nodes", "8"])),
     ):
         outputs = []
         for i, extra in enumerate(variants):
@@ -262,7 +267,7 @@ def test_scaling_json_schema(tmp_path):
     )
     assert status == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == "nlsurf.result.v11" and data["command"] == "scaling"
+    assert data["schema"] == "nlsurf.result.v12" and data["command"] == "scaling"
     term = data["terms"][0]
     assert {"kind", "geometry", "routes", "integrand_tables"} <= set(term)
     assert (tmp_path / "s.csv").exists()  # sweep CSV emitted alongside the JSON
@@ -471,3 +476,53 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
     if argv[0] == "pressure":
         # Burnside's count of the orbits of 9**4 points under the 8 symmetries of the square's edges
         assert records[0]["group_order"] == 8 and records[0]["representatives"] == (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8
+
+
+_TERM_TELEMETRY = {"engine_threads", "chunks", "rows", "batch_gibbs"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        ("adjacency --dim 1 --L 2 --x 0.5 --nodes 4 --t-nodes 2", _TERM_TELEMETRY),
+        ("torus-diff --dim 1 --L 4 --x 0.5 --method mc --samples 64 --t-nodes 2", _TERM_TELEMETRY),
+        ("surface-free --dim 1 --L 2 --x 0.5 --method mc --samples 64 --t-nodes 2", _TERM_TELEMETRY),
+        ("surface-periodic --dim 1 --L 2 --x 0.5 --nodes 4 --t-nodes 2", _TERM_TELEMETRY),
+        ("pressure --dim 1 --side 2 --bc free --x 0.5 --nodes 4", {"engine_threads", "passes"}),
+        ("verify --method mc --samples 2", {"engine_threads", "passes"}),
+        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads"}),
+        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "chains"}),
+        ("lattice-info --dim 1 --side 4 --bc free", set()),
+    ],
+    ids=["adjacency", "torus-diff", "surface-free", "surface-periodic", "pressure", "verify", "scaling", "scaling-chains", "lattice-info"],
+)
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")  # the chain case runs 40 sweeps
+def test_telemetry_keys_per_command(tmp_path, argv, keys):
+    status, data, _ = _run_json(tmp_path, "t.json", argv.split())
+    assert status in (EXIT_OK, EXIT_VERIFY_FAILED) and "telemetry" not in data  # 2 samples fail checks
+    telemetry = json.loads((tmp_path / "t.manifest.json").read_text())["telemetry"]
+    assert set(telemetry) == keys
+    if "engine_threads" in keys:
+        assert telemetry["engine_threads"] == exact.engine_threads() in (1, 2)
+    if "batch_gibbs" in keys:
+        assert set(telemetry["batch_gibbs"]) == {"f32", "f64"}
+        assert all(set(c) == {"calls", "rows"} for c in telemetry["batch_gibbs"].values())
+
+
+def test_term_telemetry_counts_every_engine_call(tmp_path, monkeypatch):
+    # the bench's adj-mc command: 2 chunks of 4096 samples, each enumerated for
+    # 2 endpoint log Z and 16 t-nodes, so 36 float32 calls over 147,456 rows,
+    # as a wrapper around the engine counts them too
+    calls = []
+
+    def counting(lattice, K_batch, **kwargs):
+        calls.append(("f64" if kwargs.get("precise", True) else "f32", len(K_batch)))
+        return batch_gibbs(lattice, K_batch, **kwargs)
+
+    monkeypatch.setattr(surface, "batch_gibbs", counting)
+    argv = "adjacency --dim 2 --L 2 --x 0.8 --method mc --t-nodes 16 --samples 8192 --seed 1".split()
+    status, _, _ = _run_json(tmp_path, "am.json", argv)
+    telemetry = json.loads((tmp_path / "am.manifest.json").read_text())["telemetry"]
+    assert status == EXIT_OK and (telemetry["chunks"], telemetry["rows"]) == (2, 8192)
+    assert len(calls) == 36 and sum(rows for _, rows in calls) == 147_456 and {dt for dt, _ in calls} == {"f32"}
+    assert telemetry["batch_gibbs"] == {"f32": {"calls": 36, "rows": 147_456}, "f64": {"calls": 0, "rows": 0}}

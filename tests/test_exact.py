@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsurf import exact
 from nlsurf.cli import RESULT_SCHEMA
 from nlsurf.exact import (
     CouplingField,
@@ -299,7 +303,7 @@ def test_engine_bytes_pinned_to_schema(dim, side, bc, precise, corridor_only, pa
     # enumerated sites and pairs with tanh ends); the 4096-row cases run in
     # 4 and 8 passes; when a digest moves on purpose, RESULT_SCHEMA moves with it
     _, digest = _pinned_batch(dim, side, bc, precise, corridor_only, pairs, rows)
-    assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v11", pinned)
+    assert (RESULT_SCHEMA, digest) == ("nlsurf.result.v12", pinned)
 
 
 @_PINNED_ENGINES
@@ -376,3 +380,129 @@ def test_batch_peak_memory_is_cache_sized(dim, side, bc, precise):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+_HELPER_LATTICES = pytest.mark.parametrize(
+    "dim,side,bc",
+    [(2, 4, Boundary.FREE), (2, 4, Boundary.PERIODIC), (2, 3, Boundary.PERIODIC), (1, 24, Boundary.FREE)],
+    ids=["4x4-box", "4x4-torus", "3x3-torus", "24-chain"],
+)
+
+
+@_HELPER_LATTICES
+@pytest.mark.parametrize("precise", [False, True], ids=["f32", "f64"])
+def test_helper_thread_gives_the_bytes_of_one_thread(monkeypatch, dim, side, bc, precise):
+    # at 1024, 1536 and 4096 rows a call runs in 1-8 passes of 512 or 1024
+    # rows (3 on the 3x3 torus, the 24-chain and the 4x4 lattices in float64
+    # at 1536); with the helper, log Z, every bond and two pairs keep their
+    # bytes, and the passes past the first half ran on the helper thread
+    lat = build_lattice(dim, side, bc)
+    bonds, pairs = tuple(range(lat.n_bonds)), ((0, lat.n_bonds - 1), (0, 1))
+    K = 0.8 * (0.8 + standard_normals(13, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
+    threads = []
+
+    def recording_pass(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return _gibbs_pass(*args)
+
+    monkeypatch.setattr(exact, "_gibbs_pass", recording_pass)
+    for rows in (1024, 1536, 4096):
+        out = {}
+        for n in (1, 2):
+            monkeypatch.setattr(exact, "engine_threads", lambda n=n: n)
+            threads.clear()
+            bg = batch_gibbs(lat, K[:rows], bonds=bonds, pairs=pairs, need_log_z=True, precise=precise)
+            out[n] = [v.tobytes() for v in _outputs(bg, bonds, pairs)]
+        assert out[1] == out[2]
+        half = (len(threads) + 1) // 2 if len(threads) > 1 else 1
+        assert (threads.count(True), threads.count(False)) == (half, len(threads) - half)
+    assert len(threads) > 2 or (dim, precise) == (2, False)  # the largest width ran in several passes
+
+
+def test_helper_pass_error_reaches_the_caller(monkeypatch):
+    lat = build_lattice(2, 4, Boundary.FREE)
+    K = 0.8 * (0.8 + standard_normals(3, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
+
+    def failing_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper pass failed")
+        return _gibbs_pass(*args)
+
+    monkeypatch.setattr(exact, "engine_threads", lambda: 2)
+    monkeypatch.setattr(exact, "_gibbs_pass", failing_off_the_main_thread)
+    with pytest.raises(RuntimeError, match="helper pass failed"):
+        batch_gibbs(lat, K, need_log_z=True, precise=False)
+    monkeypatch.setattr(exact, "_gibbs_pass", _gibbs_pass)  # the helper survives its error
+    helped = batch_gibbs(lat, K, need_log_z=True, precise=False).log_z
+    monkeypatch.setattr(exact, "engine_threads", lambda: 1)
+    assert helped.tobytes() == batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes()
+
+
+@pytest.mark.parametrize(
+    "openblas, omp, cpus, threads",
+    [
+        (None, None, 2, 1),
+        ("2", None, 2, 1),
+        ("4", None, 2, 1),
+        ("2", "1", 2, 1),
+        ("1", None, 1, 1),
+        ("1", None, 2, 2),
+        (None, "1", 2, 2),
+        ("1", "4", 4, 2),
+    ],
+)
+def test_engine_threads_gate(monkeypatch, openblas, omp, cpus, threads):
+    # the helper runs only where the environment pins the BLAS to one thread
+    # (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) and two CPUs are available
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert exact.engine_threads() == threads
+
+
+def test_single_pass_calls_start_no_thread(monkeypatch):
+    # a call of one pass (a narrow batch, a width that is not a multiple of
+    # 512, a lattice of few configurations) never asks for the helper
+    def no_helper():
+        raise AssertionError("a single-pass call asked for the helper thread")
+
+    monkeypatch.setattr(exact, "engine_threads", lambda: 2)
+    monkeypatch.setattr(exact, "_helper", no_helper)
+    before = threading.active_count()
+    for lat, rows, precise in (
+        (build_lattice(2, 4, Boundary.FREE), 1024, False),
+        (build_lattice(2, 4, Boundary.FREE), 4059, True),
+        (build_lattice(2, 2, Boundary.FREE), 4096, True),
+    ):
+        K = 0.8 * (0.8 + standard_normals(5, np.arange(lat.n_bonds)[None, :], np.arange(rows)[:, None]))
+        batch_gibbs(lat, K, bonds=(0,), need_log_z=True, precise=precise)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "dim,side,bc,precise", [(1, 24, Boundary.FREE, False), (1, 23, Boundary.PERIODIC, True)], ids=["24-chain-f32", "23-ring-f64"]
+)
+def test_batch_peak_memory_is_cache_sized_with_the_helper(monkeypatch, dim, side, bc, precise):
+    # two passes live at once stay under the bound of one thread's call:
+    # moments with analytic ends run in column blocks of one cache-sized table
+    monkeypatch.setattr(exact, "engine_threads", lambda: 2)
+    test_batch_peak_memory_is_cache_sized(dim, side, bc, precise)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    # a child forked after the helper started would otherwise queue its
+    # passes on a thread that did not survive the fork, and wait forever
+    lat = build_lattice(2, 4, Boundary.FREE)
+    K = 0.8 * (0.8 + standard_normals(3, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
+    monkeypatch.setattr(exact, "engine_threads", lambda: 2)
+    ref = batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover (the child)
+        signal.alarm(60)
+        os._exit(0 if batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes() == ref else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

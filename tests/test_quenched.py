@@ -388,13 +388,13 @@ def test_standard_suite_passes(monkeypatch):
     reports = run_standard_suite()
     assert len(reports) == 117
     assert len(calls) == 8
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v11", "136f1cf21f170e63")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v12", "136f1cf21f170e63")
 
 
 def test_standard_suite_mc_bytes_pinned_to_schema():
     # the Monte Carlo core path: keyed draws, float32 engine and shifted sums
     reports = run_standard_suite(DisorderMC(2000, 1))
-    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v11", "916b8e6b00215d08")
+    assert (RESULT_SCHEMA, _suite_digest(reports)) == ("nlsurf.result.v12", "916b8e6b00215d08")
 
 
 def _orbit_count(lat, nodes, active, group):
