@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from . import verify as verify_mod
-from .exact import BATCH_GIBBS_COUNTS, SizeCapExceeded, engine_threads
+from .exact import SizeCapExceeded, engine_threads
 from .lattice import Boundary, build_lattice, decompose_box, tiling_interfaces, torus_cut
 from .mcmc import CHAIN_ENGINE, McmcConfig
 from .model import uniform_params
-from .quenched import STREAM_COUNTS, DisorderMC, GridTooLarge, Quadrature, quenched_pressure
+from .quenched import DisorderMC, GridTooLarge, Quadrature, quenched_pressure
 from .surface import (
     ROUTES,
     SurfaceTermResult,
@@ -177,15 +177,6 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
         raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
-def _counts() -> dict:
-    """The disorder chunks and rows streamed and the batch_gibbs calls and rows per dtype, so far in this process."""
-    return {**STREAM_COUNTS, "batch_gibbs": {dt: dict(c) for dt, c in BATCH_GIBBS_COUNTS.items()}}
-
-
-def _since(before: dict, now: dict) -> dict:
-    return {k: _since(v, now[k]) if isinstance(v, dict) else now[k] - v for k, v in before.items()}
-
-
 def _boundary(name: str) -> Boundary:
     return Boundary.FREE if name == "free" else Boundary.PERIODIC
 
@@ -248,17 +239,16 @@ _TERMS = {
 def _cmd_term(args) -> int:
     """Every term command: only the requested routes are computed, and a
     single-route payload keeps exactly that route's key.  The telemetry
-    counts the disorder chunks and rows the term streamed (both pressures of
-    a direct surface-periodic route included) and its batch_gibbs calls and
-    rows per dtype."""
+    holds the term's disorder pass records, as `pressure` and `verify`
+    write them (both pressures of a direct surface-periodic route
+    included)."""
     method = _method_from_args(args)
-    before = _counts()
-    payload = _term_dict(_TERMS[args.command](args, method))
-    telemetry = {"engine_threads": engine_threads(), **_since(before, _counts())}
+    result = _TERMS[args.command](args, method)
+    payload = _term_dict(result)
     if args.routes != "both":
         payload["routes"] = {args.routes: payload["routes"][args.routes]}
     payload["method"] = _method_dict(method)
-    _write_run(args, args.command, payload, telemetry=telemetry)
+    _write_run(args, args.command, payload, telemetry={"engine_threads": engine_threads(), "passes": list(result.passes)})
     return EXIT_OK
 
 
@@ -279,7 +269,7 @@ def _cmd_scaling(args) -> int:
         "x": args.x,
         "terms": [_term_dict(r) for r in results],
     }
-    telemetry = {"workers": args.workers, "engine_threads": engine_threads()}
+    telemetry = {"workers": args.workers, "engine_threads": engine_threads(), "passes": [p for r in results for p in r.passes]}
     chains = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
     if chains:  # the chain engine enters the result only when a chain ran
         payload["method"]["mcmc"] = {

@@ -57,7 +57,6 @@ _CONFIG_CHUNK = 1 << 15
 _ANALYTIC_MIN_SITES = 10  # smaller lattices enumerate every site
 _PASS_BYTES = 1 << 19  # energy table per batch_gibbs pass: 512 KiB, a quarter of a 2 MiB L2
 _PASS_ROWS = 512  # the fewest rows per pass (256 ran slower); only a multiple of it is split into passes
-BATCH_GIBBS_COUNTS = {dt: {"calls": 0, "rows": 0} for dt in ("f32", "f64")}  # per process, read by run telemetry
 _BEYOND_CAP = "only the scaling sweep with an McmcConfig (CLI: scaling --method mc --mcmc-sweeps N) goes beyond it"
 
 
@@ -295,9 +294,6 @@ def batch_gibbs(
     if K_batch.ndim != 2 or K_batch.shape[1] != lattice.n_bonds:
         raise ValueError(f"K_batch must have shape (samples, {lattice.n_bonds})")
     _check_queries(lattice, bonds, pairs)
-    counts = BATCH_GIBBS_COUNTS["f64" if precise else "f32"]
-    counts["calls"] += 1
-    counts["rows"] += len(K_batch)
     dtype = np.float64 if precise else np.float32
     tables = _engine_tables(lattice, dtype)
     lhs = tables[-1]  # (n_cfg, ...)

@@ -42,7 +42,6 @@ from .model import NishimoriParams, nishimori_couplings
 QUADRATURE_GRID_CAP = 10**7
 QUADRATURE_NODE_CAP = 256  # numpy's Hermite rule loses its weights past ~370 nodes; the suite uses at most 200
 _CHUNK = 4096  # rows per disorder chunk, a multiple of 512, so batch_gibbs runs a full chunk in cache-sized passes
-STREAM_COUNTS = {"chunks": 0, "rows": 0}  # the chunks and rows `disorder_cores` yielded in this process, for run telemetry
 
 
 class GridTooLarge(ValueError):
@@ -114,6 +113,7 @@ def disorder_cores(
     active: np.ndarray | None = None,
     x_ref: np.ndarray | None = None,
     group: np.ndarray | None = None,
+    record: dict | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield (core, weights) chunks; couplings are j = x + core per variant.
 
@@ -142,19 +142,47 @@ def disorder_cores(
     representative under the whole group gives its full-grid sum.  Without
     a group (or with the identity alone) every point is its own
     representative, and the chunks are the grid's in order.
-    """
-    n_bonds = lattice.n_bonds
-    if isinstance(method, DisorderMC):
-        bond_idx = np.arange(n_bonds, dtype=np.uint64)
-        for lo in range(0, method.samples, _CHUNK):
-            hi = min(lo + _CHUNK, method.samples)
-            samples = np.arange(lo, hi, dtype=np.uint64)
-            core = rng.standard_normals(method.seed, bond_idx[:, None], samples[None, :])
-            yield _counted(core, None)
-        return
 
-    if active is None:
-        active = np.ones(n_bonds, dtype=bool)
+    record, if given, is filled as the chunks go out: method, nodes (None
+    under Monte Carlo), active_bonds, group_order (1 without a group),
+    grid_points (the sample count under Monte Carlo), chunks,
+    representatives (the rows yielded) and cores_s, the seconds from each
+    resume to its yield (the draws, or the grid walk and its orbit filter).
+    """
+    mc = isinstance(method, DisorderMC)
+    active = np.ones(lattice.n_bonds, dtype=bool) if active is None else active
+    n_active = int(np.count_nonzero(active))
+    record = {} if record is None else record
+    record.update(
+        method="disorder_mc" if mc else "quadrature",
+        nodes=None if mc else method.nodes_per_bond,
+        active_bonds=n_active,
+        group_order=1 if group is None else len(group),
+        grid_points=method.samples if mc else method.nodes_per_bond**n_active,
+        chunks=0, representatives=0, cores_s=0.0,
+    )
+    start = time.perf_counter()
+    for core, weights in _mc_cores(lattice, method) if mc else _grid_cores(lattice, method, active, x_ref, group):
+        record["chunks"] += 1
+        record["representatives"] += core.shape[1]
+        record["cores_s"] += time.perf_counter() - start
+        yield core, weights
+        start = time.perf_counter()
+
+
+def _mc_cores(lattice: LatticeSpec, method: DisorderMC) -> Iterator[tuple[np.ndarray, None]]:
+    """The Monte Carlo chunks of `disorder_cores`."""
+    bond_idx = np.arange(lattice.n_bonds, dtype=np.uint64)
+    for lo in range(0, method.samples, _CHUNK):
+        samples = np.arange(lo, min(lo + _CHUNK, method.samples), dtype=np.uint64)
+        yield rng.standard_normals(method.seed, bond_idx[:, None], samples[None, :]), None
+
+
+def _grid_cores(
+    lattice: LatticeSpec, method: Quadrature, active: np.ndarray, x_ref: np.ndarray | None, group: np.ndarray | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The quadrature chunks of `disorder_cores`: the grid walk and its orbit filter."""
+    n_bonds = lattice.n_bonds
     act = np.flatnonzero(active)
     n_active = len(act)
     nodes = method.nodes_per_bond
@@ -204,13 +232,7 @@ def disorder_cores(
                 weights *= wt[d]
             weights /= stab[:_CHUNK]  # w / 1 is exact: a point that no symmetry fixes keeps its weight's bytes
             digit, stab = digit[:, _CHUNK:], stab[_CHUNK:]
-            yield _counted(core, weights)
-
-
-def _counted(core: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    STREAM_COUNTS["chunks"] += 1
-    STREAM_COUNTS["rows"] += core.shape[1]
-    return core, weights
+            yield core, weights
 
 
 @functools.cache
@@ -402,11 +424,9 @@ def quenched_joint_many(jobs: Sequence[JointJob], telemetry: list[dict] | None =
 
     A quadrature grid with symmetries is walked over its orbit
     representatives only (see `_joint_pass`).  With telemetry, one record
-    per pass is appended to it: method, nodes (None under Monte Carlo),
-    active_bonds, group_order, grid_points (the sample count under Monte
-    Carlo), representatives, source_variants, engine_rows (the rows that
-    batch_gibbs enumerated), and cores_s, the seconds spent producing the
-    cores (the grid walk and its orbit filter, or the draws).
+    per pass is appended to it: the record `disorder_cores` fills, plus
+    source_variants, the sources enumerated per chunk, and engine_rows, the
+    rows that batch_gibbs enumerated.
     """
     groups: dict[tuple, tuple[list[int], np.ndarray, np.ndarray, np.ndarray]] = {}
     for i, job in enumerate(jobs):
@@ -465,28 +485,8 @@ def _joint_pass(
     order = sorted(range(len(jobs)), key=lambda k: reads[k][0])
     last = {sk: k for k in order for keys in reads[k] for sk in keys}  # the last job in order that reads each source
     moments = [Moments() for _ in jobs]
-    n_active = int(active.sum())
-    record.update(
-        method="quadrature" if precise else "disorder_mc",
-        nodes=method.nodes_per_bond if precise else None,
-        active_bonds=n_active,
-        group_order=len(inverse),
-        grid_points=method.nodes_per_bond**n_active if precise else method.samples,
-        representatives=0,
-        source_variants=len(sources),
-        engine_rows=0,
-        cores_s=0.0,
-    )
-
-    cores = disorder_cores(lattice, method, active, x_ref, group)
-    while True:
-        start = time.perf_counter()
-        item = next(cores, None)
-        record["cores_s"] += time.perf_counter() - start
-        if item is None:
-            break
-        core, weights = item
-        record["representatives"] += core.shape[1]
+    record.update(source_variants=len(sources), engine_rows=0)
+    for core, weights in disorder_cores(lattice, method, active, x_ref, group, record):
         chunk: dict[bytes, BatchGibbs] = {}
         for k in order:
             job = jobs[k]

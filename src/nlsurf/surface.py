@@ -87,6 +87,7 @@ class SurfaceTermResult:
     t_nodes: int
     integrand_tables: dict
     chain_telemetry: dict | None = field(default=None, compare=False)  # manifest only, never the result
+    passes: tuple[dict, ...] = field(default=(), compare=False)  # the disorder pass records, manifest only
     per_unit_surface: Estimate | None = field(init=False)
 
     def __post_init__(self):
@@ -130,6 +131,11 @@ def _interpolation_term(
     means come from mcmc.TwoLevelInner in place of batch_gibbs; that path
     takes routes="integral", no center bond and DisorderMC only (else
     ValueError, before any draw), and passes workers on.
+
+    The record `disorder_cores` fills goes on the result's passes, with
+    source_variants (per chunk: 2 for the direct route, one per t-node on
+    the exact integral route, none for chains) and engine_rows, the rows
+    batch_gibbs enumerated.
     """
     need_direct, need_integral = _route_flags(routes)
     if mcmc is not None:  # the chain path's contract, checked before any disorder is drawn
@@ -150,12 +156,14 @@ def _interpolation_term(
 
     chains = None if mcmc is None else TwoLevelInner(lattice, x_at, corridor=corridor, config=mcmc, workers=workers)
     moments = Moments()
-    for core, weights in disorder_cores(lattice, method, x_one > 0, x_one):
+    record = {"source_variants": 2 * need_direct + (len(x_at) if chains is None else 0), "engine_rows": 0}
+    for core, weights in disorder_cores(lattice, method, x_one > 0, x_one, record=record):
         rows = []
         if need_direct:
             lz1 = batch_gibbs(lattice, nishimori_couplings(x_one, core).T, need_log_z=True, precise=precise).log_z
             lz0 = batch_gibbs(lattice, nishimori_couplings(x_zero, core).T, need_log_z=True, precise=precise).log_z
             rows.append(lz1 - lz0)
+            record["engine_rows"] += 2 * core.shape[1]
         if need_integral:
             node_rows, center_rows = [], []
             if chains is not None:
@@ -163,6 +171,7 @@ def _interpolation_term(
             else:
                 for xt in x_at:
                     bg = batch_gibbs(lattice, nishimori_couplings(xt, core).T, bonds=corr_idx, precise=precise)
+                    record["engine_rows"] += core.shape[1]
                     node_rows.append(np.mean([bg.bond[b] for b in corr_idx], axis=0))
                     if center_bond is not None:
                         center_rows.append(bg.bond[center_bond])
@@ -181,7 +190,7 @@ def _interpolation_term(
         if center_bond is not None:
             tables["center_bond"] = _curve(tn, est[n + 1 :])
     telemetry = None if chains is None else chains.telemetry()
-    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables, chain_telemetry=telemetry)
+    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables, chain_telemetry=telemetry, passes=(record,))
 
 
 def _curve(tn: np.ndarray, estimates: list[Estimate]) -> tuple[IntegrandPoint, ...]:
@@ -300,19 +309,21 @@ def surface_pressure_periodic(
         raise SizeCapExceeded(big.n_sites)
     direct = integral = None
     tables: dict = {}
+    passes: list[dict] = []
     if need_integral:
         pmf = periodic_minus_free(d, L, x, method, t_nodes, routes="integral")
         spf = surface_pressure_free(d, L, x, k, method, t_nodes, routes="integral")
         integral = Estimate(pmf.integral.value + spf.integral.value, combined_std_error(pmf.integral, spf.integral))
         tables = {**pmf.integrand_tables, **spf.integrand_tables}
+        passes += pmf.passes + spf.passes
     if need_direct:
         small = build_lattice(d, L, Boundary.PERIODIC, allow_side2=True)
-        p_small = quenched_pressure(small, uniform_params(small, x), method)
-        p_big = _scaled(quenched_pressure(big, uniform_params(big, x), method), k ** (-d))
+        p_small = quenched_pressure(small, uniform_params(small, x), method, telemetry=passes)
+        p_big = _scaled(quenched_pressure(big, uniform_params(big, x), method, telemetry=passes), k ** (-d))
         direct = Estimate(p_small.value - p_big.value, combined_std_error(p_small, p_big))
     geometry = Geometry(dim=d, L=L, k=k, corridor_size=decomp.corridor.cardinality)
     kind = SurfaceTermKind.SURFACE_PRESSURE_PERIODIC
-    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables)
+    return SurfaceTermResult(kind, direct, integral, geometry, x, t_nodes, tables, passes=tuple(passes))
 
 
 def scaling_sweep(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nlsurf
-from nlsurf import exact, surface
+from nlsurf import exact, quenched, surface
 from nlsurf.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -449,6 +449,11 @@ def test_cli_import_loads_no_metadata_or_executor():
     assert not {"importlib.metadata", "concurrent.futures"} & loaded
 
 
+_PASS_KEYS = {
+    "method", "nodes", "active_bonds", "group_order", "grid_points", "chunks", "representatives", "source_variants", "engine_rows", "cores_s"
+}
+
+
 @pytest.mark.parametrize(
     "argv, passes",
     [
@@ -465,8 +470,7 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
     assert status in (EXIT_OK, EXIT_VERIFY_FAILED) and "telemetry" not in data  # 2 samples fail checks
     records = json.loads((tmp_path / "t.manifest.json").read_text())["telemetry"]["passes"]
     assert len(records) == passes
-    keys = {"method", "nodes", "active_bonds", "group_order", "grid_points", "representatives", "source_variants", "engine_rows", "cores_s"}
-    assert all(set(r) == keys for r in records)
+    assert all(set(r) == _PASS_KEYS for r in records)
     for r in records:
         assert r["engine_rows"] == r["representatives"] * r["source_variants"] and r["cores_s"] >= 0.0
         if r["method"] == "quadrature":
@@ -478,7 +482,7 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
         assert records[0]["group_order"] == 8 and records[0]["representatives"] == (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8
 
 
-_TERM_TELEMETRY = {"engine_threads", "chunks", "rows", "batch_gibbs"}
+_TERM_TELEMETRY = {"engine_threads", "passes"}
 
 
 @pytest.mark.parametrize(
@@ -490,8 +494,8 @@ _TERM_TELEMETRY = {"engine_threads", "chunks", "rows", "batch_gibbs"}
         ("surface-periodic --dim 1 --L 2 --x 0.5 --nodes 4 --t-nodes 2", _TERM_TELEMETRY),
         ("pressure --dim 1 --side 2 --bc free --x 0.5 --nodes 4", {"engine_threads", "passes"}),
         ("verify --method mc --samples 2", {"engine_threads", "passes"}),
-        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads"}),
-        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "chains"}),
+        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads", "passes"}),
+        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "passes", "chains"}),
         ("lattice-info --dim 1 --side 4 --bc free", set()),
     ],
     ids=["adjacency", "torus-diff", "surface-free", "surface-periodic", "pressure", "verify", "scaling", "scaling-chains", "lattice-info"],
@@ -504,15 +508,15 @@ def test_telemetry_keys_per_command(tmp_path, argv, keys):
     assert set(telemetry) == keys
     if "engine_threads" in keys:
         assert telemetry["engine_threads"] == exact.engine_threads() in (1, 2)
-    if "batch_gibbs" in keys:
-        assert set(telemetry["batch_gibbs"]) == {"f32", "f64"}
-        assert all(set(c) == {"calls", "rows"} for c in telemetry["batch_gibbs"].values())
+    if "passes" in keys:
+        assert telemetry["passes"] and all(set(r) == _PASS_KEYS for r in telemetry["passes"])
 
 
 def test_term_telemetry_counts_every_engine_call(tmp_path, monkeypatch):
     # the bench's adj-mc command: 2 chunks of 4096 samples, each enumerated for
     # 2 endpoint log Z and 16 t-nodes, so 36 float32 calls over 147,456 rows,
-    # as a wrapper around the engine counts them too
+    # as a wrapper around the engine counts them too: the term's one record
+    # holds chunks x source_variants calls and their rows
     calls = []
 
     def counting(lattice, K_batch, **kwargs):
@@ -523,6 +527,39 @@ def test_term_telemetry_counts_every_engine_call(tmp_path, monkeypatch):
     argv = "adjacency --dim 2 --L 2 --x 0.8 --method mc --t-nodes 16 --samples 8192 --seed 1".split()
     status, _, _ = _run_json(tmp_path, "am.json", argv)
     telemetry = json.loads((tmp_path / "am.manifest.json").read_text())["telemetry"]
-    assert status == EXIT_OK and (telemetry["chunks"], telemetry["rows"]) == (2, 8192)
+    [record] = telemetry["passes"]
+    assert status == EXIT_OK and (record["method"], record["chunks"], record["representatives"]) == ("disorder_mc", 2, 8192)
     assert len(calls) == 36 and sum(rows for _, rows in calls) == 147_456 and {dt for dt, _ in calls} == {"f32"}
-    assert telemetry["batch_gibbs"] == {"f32": {"calls": 36, "rows": 147_456}, "f64": {"calls": 0, "rows": 0}}
+    assert (record["chunks"] * record["source_variants"], record["engine_rows"]) == (2 * 18, 147_456)
+
+
+def test_surface_periodic_records_every_pass(tmp_path, monkeypatch):
+    # both routes: the two integral terms' passes, then the two quenched
+    # pressures of the direct route, whose engine rows add up to what a
+    # wrapper around the engine in either module counts
+    rows = []
+
+    def counting(lattice, K_batch, **kwargs):
+        rows.append(len(K_batch))
+        return batch_gibbs(lattice, K_batch, **kwargs)
+
+    monkeypatch.setattr(surface, "batch_gibbs", counting)
+    monkeypatch.setattr(quenched, "batch_gibbs", counting)
+    status, _, _ = _run_json(tmp_path, "sp.json", "surface-periodic --dim 1 --L 2 --k 2 --x 0.8 --nodes 8 --t-nodes 4".split())
+    records = json.loads((tmp_path / "sp.manifest.json").read_text())["telemetry"]["passes"]
+    assert status == EXIT_OK and len(records) == 4 and all(set(r) == _PASS_KEYS for r in records)
+    assert [r["source_variants"] for r in records] == [4, 4, 1, 1]
+    assert [r["grid_points"] for r in records] == [8**2, 8**4, 8**2, 8**4]
+    assert sum(r["engine_rows"] for r in records) == sum(rows)
+
+
+@pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")  # 40 sweeps
+def test_scaling_records_one_pass_per_size(tmp_path):
+    # L=2 is enumerated (2 endpoints and 2 t-nodes a chunk); at L=4 the chains
+    # read the stream, and the engine enumerates nothing
+    argv = "scaling --dim 2 --L-list 2,4 --x 0.5 --method mc --samples 3 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8".split()
+    status, _, _ = _run_json(tmp_path, "s.json", argv)
+    enumerated, chained = json.loads((tmp_path / "s.manifest.json").read_text())["telemetry"]["passes"]
+    assert status == EXIT_OK and enumerated["representatives"] == chained["representatives"] == 3
+    assert (enumerated["source_variants"], enumerated["engine_rows"]) == (4, 12)
+    assert (chained["source_variants"], chained["engine_rows"], chained["active_bonds"]) == (0, 0, 112)

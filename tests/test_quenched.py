@@ -232,11 +232,15 @@ def test_crn_smoothness_in_t():
 def test_disorder_cores_rows_are_keyed_draws():
     # the Monte Carlo cores are bond-major (bonds, samples); column s is
     # standard_normals(seed, bonds, s) whatever chunk it falls in, so a
-    # realization can be regenerated from (seed, s) alone
+    # realization can be regenerated from (seed, s) alone; the record counts
+    # the chunks and rows yielded
     lat = build_lattice(2, 2, Boundary.FREE)
     bonds = np.arange(lat.n_bonds)
-    drawn = list(disorder_cores(lat, DisorderMC(5000, seed=1234)))
+    record = {}
+    drawn = list(disorder_cores(lat, DisorderMC(5000, seed=1234), record=record))
     assert [core.shape for core, _ in drawn] == [(lat.n_bonds, 4096), (lat.n_bonds, 904)]
+    assert (record["method"], record["nodes"], record["group_order"], record["active_bonds"]) == ("disorder_mc", None, 1, lat.n_bonds)
+    assert (record["chunks"], record["representatives"], record["grid_points"]) == (2, 5000, 5000) and record["cores_s"] > 0.0
     assert all(core.flags.c_contiguous and w is None for core, w in drawn)
     cores = np.concatenate([core for core, _ in drawn], axis=1)
     for s in (0, 1, 4094, 4095, 4096, 4097, 4999):
@@ -545,6 +549,20 @@ def test_identity_group_walks_the_full_grid(nodes, n_active):
     assert len(walked) == len(reference)
     for (core, weights), (ref_core, ref_weights) in zip(walked, reference):
         assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
+
+
+def test_orbit_walk_records_what_it_yields():
+    # 9**4 points on the 2x2 box under its 8 symmetries: Burnside's count of
+    # orbits, in one chunk of representatives, as the record says
+    lat = build_lattice(2, 2, Boundary.FREE)
+    job = JointJob(lat, [uniform_params(lat, 0.5)], Quadrature(9), {"z": lambda v: v[0].log_z}, need_log_z=True)
+    _, active, x_ref, group = quenched._grid(job)
+    record = {}
+    walked = list(disorder_cores(lat, Quadrature(9), active, x_ref, group, record))
+    burnside = (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8
+    assert sum(core.shape[1] for core, _ in walked) == burnside == _orbit_count(lat, 9, active, group)
+    assert (record["chunks"], record["representatives"]) == (len(walked), burnside) == (1, burnside)
+    assert (record["method"], record["nodes"], record["group_order"], record["grid_points"]) == ("quadrature", 9, 8, 9**4)
 
 
 def test_orbit_pass_never_writes_into_engine_output(monkeypatch):

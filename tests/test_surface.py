@@ -160,9 +160,9 @@ def test_routes_compute_only_what_is_asked(name, monkeypatch):
         calls.append((tuple(bonds), need_log_z))
         return batch_gibbs(lattice, K, bonds=bonds, need_log_z=need_log_z, **kwargs)
 
-    def counting_pressure(*args):
+    def counting_pressure(*args, **kwargs):
         pressures.append(args)
-        return nlsurf.quenched.quenched_pressure(*args)
+        return nlsurf.quenched.quenched_pressure(*args, **kwargs)
 
     monkeypatch.setattr(nlsurf.surface, "batch_gibbs", counting_gibbs)
     monkeypatch.setattr(nlsurf.quenched, "batch_gibbs", counting_gibbs)
