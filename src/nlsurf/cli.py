@@ -13,6 +13,9 @@ Exit codes: 0 success, 1 verification failure (or rerun mismatch),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -21,6 +24,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows: telemetry.minor_faults is null
+    resource = None
 
 from . import __version__
 from . import verify as verify_mod
@@ -46,6 +54,22 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep 64 MiB free at every glibc heap top (thread arenas too), so what
+    each disorder chunk frees is not trimmed and faulted back in by the next;
+    untouched pad pages are never resident.  Never called by the library."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt (macOS) or no libc by that name (Windows)
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-2, 64 << 20)  # M_TOP_PAD: bytes kept free at a heap's top
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults of the process so far, every thread counted."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
 
 def _versions() -> dict:
@@ -116,7 +140,7 @@ def emit_sweep(results: list[SurfaceTermResult]) -> str:
 def _config_snapshot(args, command: str) -> dict:
     # only the physics/method parameters the run reads enter: the snapshot must be
     # identical across reruns so the manifest id (and the result bytes) reproduce
-    skip = {"out", "format", "workers", "func", "manifest", "original_argv", "start_time"}
+    skip = {"out", "format", "workers", "func", "manifest", "original_argv", "start_time", "start_faults"}
     skip |= {"nodes", "tolerance"} if getattr(args, "method", None) == "mc" else {"samples", "seed"}
     if getattr(args, "mcmc_sweeps", None) is None:
         skip |= {"mcmc_burn_in", "mcmc_stride"}
@@ -157,6 +181,7 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
     files = {out: primary}
     if csv_text is not None and not as_csv:
         files[out.with_suffix(".csv")] = csv_text
+    faults = _minor_faults()
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         for path, content in files.items():
@@ -170,7 +195,7 @@ def _write_run(args, command: str, result: dict, csv_text: str | None = None, te
             "versions": _versions(),
             "wall_time_s": time.time() - args.start_time,
             "outputs": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files},
-            "telemetry": telemetry or {},
+            "telemetry": {**(telemetry or {}), "minor_faults": None if faults is None else faults - args.start_faults},
         }
         out.with_name(out.stem + ".manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except OSError as exc:  # an unwritable --out is bad input, like an unreadable manifest
@@ -417,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -426,6 +452,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     args.original_argv = list(argv)
     args.start_time = time.time()
+    args.start_faults = _minor_faults()
     try:
         return args.func(args)
     except (SizeCapExceeded, GridTooLarge) as exc:

@@ -326,9 +326,10 @@ def engine_threads() -> int:
     """The threads a multi-pass `batch_gibbs` call runs on: 2 when the
     environment pins the BLAS to one thread (OPENBLAS_NUM_THREADS is "1", or
     it is unset and OMP_NUM_THREADS is "1") and the process may run on two
-    or more CPUs, else 1.  The BLAS thread count in effect cannot be read
-    without threadpoolctl, and next to a multithreaded BLAS the helper only
-    oversubscribes the cores, so an unknown count keeps one thread."""
+    or more CPUs, else 1.  It reads the environment, not the BLAS (numpy's
+    bundled OpenBLAS reports the count in effect through a ctypes call, as
+    `bench/run.py` makes it); next to a multithreaded BLAS the helper only
+    oversubscribes the cores, so any other setting keeps one thread."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return 2 if blas == "1" and cpus >= 2 else 1

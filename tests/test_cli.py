@@ -1,8 +1,10 @@
 """CLI: schemas, exit codes, CSV emission, manifest reproducibility."""
 
+import ctypes
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nlsurf
-from nlsurf import exact, quenched, surface
+from nlsurf import cli, exact, quenched, surface
 from nlsurf.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -482,7 +484,7 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
         assert records[0]["group_order"] == 8 and records[0]["representatives"] == (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8
 
 
-_TERM_TELEMETRY = {"engine_threads", "passes"}
+_TERM_TELEMETRY = {"engine_threads", "passes", "minor_faults"}
 
 
 @pytest.mark.parametrize(
@@ -492,11 +494,11 @@ _TERM_TELEMETRY = {"engine_threads", "passes"}
         ("torus-diff --dim 1 --L 4 --x 0.5 --method mc --samples 64 --t-nodes 2", _TERM_TELEMETRY),
         ("surface-free --dim 1 --L 2 --x 0.5 --method mc --samples 64 --t-nodes 2", _TERM_TELEMETRY),
         ("surface-periodic --dim 1 --L 2 --x 0.5 --nodes 4 --t-nodes 2", _TERM_TELEMETRY),
-        ("pressure --dim 1 --side 2 --bc free --x 0.5 --nodes 4", {"engine_threads", "passes"}),
-        ("verify --method mc --samples 2", {"engine_threads", "passes"}),
-        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads", "passes"}),
-        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "passes", "chains"}),
-        ("lattice-info --dim 1 --side 4 --bc free", set()),
+        ("pressure --dim 1 --side 2 --bc free --x 0.5 --nodes 4", {"engine_threads", "passes", "minor_faults"}),
+        ("verify --method mc --samples 2", {"engine_threads", "passes", "minor_faults"}),
+        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads", "passes", "minor_faults"}),
+        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "passes", "chains", "minor_faults"}),
+        ("lattice-info --dim 1 --side 4 --bc free", {"minor_faults"}),
     ],
     ids=["adjacency", "torus-diff", "surface-free", "surface-periodic", "pressure", "verify", "scaling", "scaling-chains", "lattice-info"],
 )
@@ -505,7 +507,7 @@ def test_telemetry_keys_per_command(tmp_path, argv, keys):
     status, data, _ = _run_json(tmp_path, "t.json", argv.split())
     assert status in (EXIT_OK, EXIT_VERIFY_FAILED) and "telemetry" not in data  # 2 samples fail checks
     telemetry = json.loads((tmp_path / "t.manifest.json").read_text())["telemetry"]
-    assert set(telemetry) == keys
+    assert set(telemetry) == keys and type(telemetry["minor_faults"]) is int and telemetry["minor_faults"] >= 0
     if "engine_threads" in keys:
         assert telemetry["engine_threads"] == exact.engine_threads() in (1, 2)
     if "passes" in keys:
@@ -531,6 +533,33 @@ def test_term_telemetry_counts_every_engine_call(tmp_path, monkeypatch):
     assert status == EXIT_OK and (record["method"], record["chunks"], record["representatives"]) == ("disorder_mc", 2, 8192)
     assert len(calls) == 36 and sum(rows for _, rows in calls) == 147_456 and {dt for dt, _ in calls} == {"f32"}
     assert (record["chunks"] * record["source_variants"], record["engine_rows"]) == (2 * 18, 147_456)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap-top pad is a glibc mallopt")
+def test_freed_heap_stays_in_the_process(tmp_path):
+    # cli.run pads glibc's heap tops, so the temporaries each disorder chunk
+    # frees stay mapped: a second run of the bench's adj-mc command faults in
+    # a few dozen pages at most, where trimming at every free faulted about
+    # 13,000 back in on every run (the batch_gibbs helper's arena included)
+    argv = "adjacency --dim 2 --L 2 --x 0.8 --method mc --t-nodes 16 --samples 8192 --seed 1".split()
+    for _ in range(2):
+        status, _, _ = _run_json(tmp_path, "am.json", argv)
+        assert status == EXIT_OK
+    assert json.loads((tmp_path / "am.manifest.json").read_text())["telemetry"]["minor_faults"] < 1000
+
+
+def test_run_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch):
+    # where the C library has no mallopt (macOS), the heap pad is skipped
+    # and nothing else changes
+    argv = "adjacency --dim 1 --L 2 --x 0.8 --method mc --samples 4096 --t-nodes 4".split()
+    _, _, padded = _run_json(tmp_path, "a.json", argv)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+    cli._keep_freed_heap.cache_clear()
+    try:
+        status, _, plain = _run_json(tmp_path, "b.json", argv)
+    finally:
+        cli._keep_freed_heap.cache_clear()  # the next run pads again
+    assert status == EXIT_OK and plain.read_bytes() == padded.read_bytes()
 
 
 def test_surface_periodic_records_every_pass(tmp_path, monkeypatch):
