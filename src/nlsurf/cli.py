@@ -287,14 +287,17 @@ def _cmd_scaling(args) -> int:
     mcmc = None
     if args.mcmc_sweeps is not None:
         mcmc = McmcConfig(sweeps=args.mcmc_sweeps, burn_in=args.mcmc_burn_in, seed=args.seed, measure_stride=args.mcmc_stride)
-    L_list = [int(v) for v in args.L_list.split(",")]
-    results = scaling_sweep(args.dim, args.x, L_list, method=method, t_nodes=args.t_nodes, mcmc=mcmc, workers=args.workers)
+    try:
+        L_list = [int(v) for v in args.L_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--L-list must be comma-separated integers, got {args.L_list!r}") from None
+    results = scaling_sweep(args.dim, args.x, L_list, method=method, t_nodes=args.t_nodes, mcmc=mcmc)
     payload = {
         "method": _method_dict(method),
         "x": args.x,
         "terms": [_term_dict(r) for r in results],
     }
-    telemetry = {"workers": args.workers, "engine_threads": engine_threads(), "passes": [p for r in results for p in r.passes]}
+    telemetry = {"engine_threads": engine_threads(), "passes": [p for r in results for p in r.passes]}
     chains = {f"L{r.geometry.L}": r.chain_telemetry for r in results if r.chain_telemetry}
     if chains:  # the chain engine enters the result only when a chain ran
         payload["method"]["mcmc"] = {
@@ -415,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcmc-burn-in", dest="mcmc_burn_in", type=int, default=500)
     p.add_argument("--mcmc-stride", dest="mcmc_stride", type=int, default=2)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: the plot-ready table alone")
-    workers_help = "threads for the Markov chains: at 2 or more, one helper thread for the whole kernel call draws "
-    workers_help += "their uniforms ahead of the sweeps; results never depend on it"
+    workers_help = "accepted for older command lines and selects nothing: the chains draw on a helper thread when the "
+    workers_help += "process may use two or more CPUs (taskset -c 0 keeps a run on one)"
     p.add_argument("--workers", type=_int_at_least(1), default=1, help=workers_help)
     p.add_argument("--t-nodes", dest="t_nodes", type=_int_at_least(2), default=16)
     common(p)

@@ -31,8 +31,8 @@ share the bond-spin conventions:
   batch, and a 4096-row chunk on lattices of up to 16 configurations in
   float64 or 32 in float32, is one pass.  When the environment pins the
   BLAS to one thread and the process may use two CPUs (`engine_threads`),
-  the caller runs the first half of a call's passes and one helper thread
-  the second half, with the same bytes.
+  the caller runs the first half of a call's passes and the process's one
+  helper thread the second half, with the same bytes.
 
 All exploit the global spin-flip symmetry: bond observables are invariant
 under S -> -S, so configurations with one spin fixed up are enumerated and
@@ -331,16 +331,21 @@ def engine_threads() -> int:
     `bench/run.py` makes it); next to a multithreaded BLAS the helper only
     oversubscribes the cores, so any other setting keeps one thread."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return 2 if blas == "1" and cpus >= 2 else 1
+    return 2 if blas == "1" and _cpus() >= 2 else 1
+
+
+def _cpus() -> int:
+    """The CPUs the process may run on (its affinity mask, so `taskset -c 0` gives 1)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @functools.cache
 def _helper():
-    """The engine's one helper thread, started by the first call that uses it."""
-    from concurrent.futures import ThreadPoolExecutor  # imported here: single-pass runs never load it
+    """The process's one helper thread, for multi-pass `batch_gibbs` calls and
+    the chain draws of `mcmc.run_chains`, started by the first call that uses it."""
+    from concurrent.futures import ThreadPoolExecutor  # imported here: runs that never use it never load it
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="batch_gibbs")
+    return ThreadPoolExecutor(1, thread_name_prefix="nlsurf-helper")
 
 
 if hasattr(os, "register_at_fork"):

@@ -19,13 +19,11 @@ lockstep and never decorrelate.
 Every chain draws from its own Philox stream, `rng.spawn_generator(seed)`, in
 blocks of BLOCK_SWEEPS sweeps with a fixed layout per sweep: one uniform per
 site.  A chain's result is therefore a function of its seed and couplings
-alone, whatever other chains share its batch.  Under workers > 1 one
-helper thread for the whole kernel call draws the next block's uniforms and
+alone, whatever other chains share its batch.  When the process may run on
+two or more CPUs and a kernel call spans two or more blocks, the process's
+one helper thread (`exact._helper`) draws the next block's uniforms and
 thresholds while the sweeps of this one run; the streams are read in the
-same order, so the bytes do not change.  That overlap pays on large
-batches, such as 64 chains on the 8x8 box; on small ones, such as 12 chains
-there or one chain of 4 sites, the helper only contends for the GIL, so
-workers = 1 draws in line.
+same order, so the bytes do not change.  Otherwise they are drawn in line.
 
 Error bars are blocked: the block length comes from the integrated
 autocorrelation time of each measured series, unlike disorder averages where
@@ -47,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .exact import _cpus, _helper
 from .lattice import Corridor, LatticeSpec, bond_endpoints, colour_classes
 from .model import nishimori_couplings
 
@@ -137,17 +136,21 @@ def blocked_estimate(v: np.ndarray) -> tuple[float, float, float, float]:
     return float(v.mean()), se, tau, ess
 
 
-def _ahead(fn, items):
-    """map(fn, items), with fn of the next item computed on one helper thread
-    for the whole kernel call while the caller works on this one.  The calls
-    run one at a time and in item order, so fn may read stateful generators;
-    an error in fn is raised in the caller after the helper has been joined,
-    and no helper outlives the iteration."""
-    # imported here: only chain runs at workers >= 2 pay the few ms it costs at start-up
-    from concurrent.futures import ThreadPoolExecutor
+def _draw_threads(sweeps: int) -> int:
+    """The threads a `run_chains` call of this many sweeps runs on: 2 when
+    the process may run on two or more CPUs and the call spans two or more
+    blocks, else 1.  The kernel runs no BLAS product, so no BLAS rule enters."""
+    return 2 if sweeps > BLOCK_SWEEPS and _cpus() >= 2 else 1
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = None  # the call in flight
+
+def _ahead(fn, items):
+    """map(fn, items), with fn of the next item computed on the process's one
+    helper thread while the caller works on this one.  The calls run one at a
+    time and in item order, so fn may read stateful generators; an error in
+    fn is raised in the caller, and no call is left in flight when the
+    iteration ends, raises or is closed."""
+    helper, pending = _helper(), None  # the call in flight
+    try:
         for item in items:
             if pending is None:
                 pending = helper.submit(fn, item)
@@ -157,6 +160,9 @@ def _ahead(fn, items):
             yield value
         if pending is not None:
             yield pending.result()
+    finally:
+        if pending is not None:
+            pending.exception()  # the join, also when the caller raised between two blocks
 
 
 def run_chains(
@@ -166,17 +172,14 @@ def run_chains(
     config: McmcConfig,
     track: tuple[int, ...],
     record_states: bool = False,
-    workers: int = 1,
 ):
     """Advance one chain per row of kvecs, chain c on stream seeds[c].
 
     Spins are stored with the colour classes contiguous, so each class update
-    works on a slice.  With workers > 1 one helper thread for the whole
-    kernel call draws each block's uniforms and thresholds while this thread
-    runs the sweeps of the block before; the streams are read in the same
-    order, so the outputs are the same bytes.  Returns (bond series (C,
-    measurements, len(track)), encoded states (C, measurements) or None,
-    flips (C,), proposals (C,)).
+    works on a slice.  Each block of uniforms and thresholds is drawn one
+    block ahead on the helper thread where _draw_threads allows, with the
+    same bytes.  Returns (bond series (C, measurements, len(track)), encoded
+    states (C, measurements) or None, flips (C,), proposals (C,)).
     """
     C, n = len(seeds), lattice.n_sites
     if np.shape(kvecs) != (C, lattice.n_bonds):
@@ -218,7 +221,7 @@ def run_chains(
         return start, proposed.sum(axis=(0, 2)), u
 
     starts = range(0, config.sweeps, BLOCK_SWEEPS)
-    for start, n_proposed, threshold in (_ahead if workers > 1 else map)(draw, starts):
+    for start, n_proposed, threshold in (_ahead if _draw_threads(config.sweeps) == 2 else map)(draw, starts):
         nb = len(threshold)
         proposals += n_proposed
         snap = np.empty((nb, C, n))  # measured states of this block
@@ -249,14 +252,12 @@ class TwoLevelInner:
     variant i with couplings x (x + g), x = x_at[i], on stream
     rng.derive_seed(config.seed, s, i).  A kernel call takes max(1,
     CHAIN_BATCH // len(x_at)) whole realizations and is reduced to per-chain
-    scalars before the next, which bounds memory, not results; workers > 1
-    draws each block of uniforms on one helper thread (see run_chains), with
-    the same bytes.
+    scalars before the next, which bounds memory, not results.
     """
 
-    def __init__(self, lattice: LatticeSpec, x_at, *, corridor: Corridor, config: McmcConfig, workers: int = 1):
+    def __init__(self, lattice: LatticeSpec, x_at, *, corridor: Corridor, config: McmcConfig):
         self.lattice, self.x_at, self.track = lattice, np.asarray(x_at), corridor.sorted_indices()
-        self.config, self.workers = config, workers
+        self.config = config
         self.realizations, self.chain_s = 0, 0.0
         self.ess, self.acceptance = [], []  # per chain, across chunks
 
@@ -270,7 +271,7 @@ class TwoLevelInner:
             kvecs = K.transpose(2, 0, 1).reshape(-1, self.lattice.n_bonds)  # row s * len(x_at) + i
             s0 = self.realizations + lo  # stream index of the call's first realization
             seeds = [rng.derive_seed(self.config.seed, s0 + s, i) for s in range(K.shape[2]) for i in range(len(K))]
-            series, _, flips, proposals = run_chains(self.lattice, kvecs, seeds, self.config, self.track, workers=self.workers)
+            series, _, flips, proposals = run_chains(self.lattice, kvecs, seeds, self.config, self.track)
             for c in range(len(seeds)):
                 mean, _, _, chain_ess = blocked_estimate(series[c].mean(axis=1))
                 values.append(mean)
@@ -282,9 +283,10 @@ class TwoLevelInner:
 
     def telemetry(self) -> dict:
         """After the last chunk: the chain telemetry for the manifest (count,
-        site-sweeps, time in the chains, not the draws, mean acceptance, worst
-        ESS, warning count).  Warns PoorMixingWarning, attributed to the first
-        caller outside this package, when the worst ESS falls below MIN_INNER_ESS."""
+        site-sweeps, time in the chains, not the draws, threads, mean
+        acceptance, worst ESS, warning count).  Warns PoorMixingWarning,
+        attributed to the first caller outside this package, when the worst
+        ESS falls below MIN_INNER_ESS."""
         min_ess = min(self.ess)
         poor = min_ess < MIN_INNER_ESS
         if poor:
@@ -300,6 +302,7 @@ class TwoLevelInner:
             "site_sweeps": site_sweeps,
             "chain_s": self.chain_s,
             "ns_per_site_sweep": 1e9 * self.chain_s / site_sweeps,
+            "threads": _draw_threads(self.config.sweeps),
             "mean_acceptance": float(np.mean(self.acceptance)),
             "min_ess": min_ess,
             "poor_mixing_warnings": int(poor),

@@ -4,7 +4,7 @@ Every Gaussian draw is a pure function of (seed, bond index, sample index):
 a Philox4x32-10 block keyed by the seed is evaluated at a counter built from
 the two indices, and the 128-bit output is turned into one normal deviate by
 Box-Muller.  Draws can therefore be generated in any order, in chunks of any
-size, and on any number of workers with bit-identical results.
+size, and on any number of threads with bit-identical results.
 `standard_normals` uses that to evaluate a large draw in blocks of at most
 `_BLOCK` = 2^14 counters.  A block runs the Philox rounds in place on four
 (2, n) uint64 arrays (the state and two scratch buffers) and Box-Muller on

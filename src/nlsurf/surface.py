@@ -117,7 +117,6 @@ def _interpolation_term(
     routes: str = "both",
     center_bond: int | None = None,
     mcmc: McmcConfig | None = None,
-    workers: int = 1,
 ) -> SurfaceTermResult:
     """One corridor interpolation, computing only the routes asked for.
 
@@ -130,7 +129,7 @@ def _interpolation_term(
     t-node].  With an McmcConfig (two-level estimator) the chunk's corridor
     means come from mcmc.TwoLevelInner in place of batch_gibbs; that path
     takes routes="integral", no center bond and DisorderMC only (else
-    ValueError, before any draw), and passes workers on.
+    ValueError, before any draw).
 
     The record `disorder_cores` fills goes on the result's passes, with
     source_variants (per chunk: 2 for the direct route, one per t-node on
@@ -154,7 +153,7 @@ def _interpolation_term(
     x_at = [interpolated_params(lattice, corridor, x, t).x for t in tn]
     precise = isinstance(method, Quadrature)
 
-    chains = None if mcmc is None else TwoLevelInner(lattice, x_at, corridor=corridor, config=mcmc, workers=workers)
+    chains = None if mcmc is None else TwoLevelInner(lattice, x_at, corridor=corridor, config=mcmc)
     moments = Moments()
     record = {"source_variants": 2 * need_direct + (len(x_at) if chains is None else 0), "engine_rows": 0}
     for core, weights in disorder_cores(lattice, method, x_one > 0, x_one, record=record):
@@ -230,7 +229,6 @@ def adjacency_term(
     mcmc: McmcConfig | None = None,
     *,
     routes: str = "both",
-    workers: int = 1,
 ) -> SurfaceTermResult:
     """The adjacency term, plus the center-bond integrand.
 
@@ -242,8 +240,7 @@ def adjacency_term(
     the outer boundary, so the two are kept distinct rather than conflated.
     Beyond the enumeration cap a DisorderMC method plus an McmcConfig run the
     two-level estimator instead: the integral route and the corridor table
-    only, with the chain telemetry on the result for the manifest; workers
-    goes to its chains (see mcmc.run_chains).
+    only, with the chain telemetry on the result for the manifest.
     """
     lattice, corridor = _adjacency_setup(d, L)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
@@ -258,7 +255,7 @@ def adjacency_term(
             f"at L={L} the two-level Markov-chain estimator needs a DisorderMC method and an McmcConfig "
             "(CLI: scaling --method mc --mcmc-sweeps N)",
         )
-    return _interpolation_term(*term, routes="integral", mcmc=mcmc, workers=workers)
+    return _interpolation_term(*term, routes="integral", mcmc=mcmc)
 
 
 def periodic_minus_free(
@@ -334,25 +331,15 @@ def scaling_sweep(
     *,
     t_nodes: int = DEFAULT_T_NODES,
     mcmc: McmcConfig | None = None,
-    workers: int = 1,
 ) -> list[SurfaceTermResult]:
     """Adjacency term per unit surface, T_L / L^(d-1), across box sizes.
 
     Each size runs `adjacency_term`: the exact inner engine within the
     enumeration cap, the two-level estimator (DisorderMC plus McmcConfig)
     beyond it.  Finite-L values only; no thermodynamic limit is claimed.
-    `workers` (at least 1) counts the threads of the two-level chains: at 2
-    or more one helper thread for the whole kernel call draws each block of
-    chain uniforms while the sweeps of the block before run.  Results never
-    depend on it.  It pays on large chain batches, such as 64 chains per
-    size on the 8x8 box; it does not help the exact engine, which starts no
-    thread, nor a few small chains, where the helper only contends for the
-    GIL.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     L_list = list(L_list)
-    if not L_list:
-        raise ValueError("L_list is empty")
-    return [adjacency_term(d, L, x, method, t_nodes, mcmc, workers=workers) for L in L_list]
+    if not L_list or len(set(L_list)) < len(L_list):
+        raise ValueError(f"L_list must name at least one size, each once, got {L_list}")
+    return [adjacency_term(d, L, x, method, t_nodes, mcmc) for L in L_list]
 

@@ -7,6 +7,7 @@ standard errors; stochastic gates are seed-pinned.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -193,7 +194,7 @@ def test_acceptance_10_scaling_evidence():
     _announce(10, f"finite-size evidence (no limit claimed): {per_unit}, {elapsed:.0f}s")
 
 
-def test_acceptance_11_determinism(tmp_path):
+def test_acceptance_11_determinism(tmp_path, monkeypatch):
     # quadrature-backed number reproduces byte-exactly from its manifest
     out = tmp_path / "quad.json"
     argv = ["adjacency", "--dim", "1", "--L", "2", "--x", "0.8", "--method", "quadrature",
@@ -212,10 +213,14 @@ def test_acceptance_11_determinism(tmp_path):
     assert run(["rerun", "--manifest", str(tmp_path / "mc.manifest.json"), "--out", str(tmp_path / "mc2.json")]) == EXIT_OK
     assert (tmp_path / "mc2.json").read_bytes() == first
 
-    # worker count cannot change the two-level estimator
+    # the thread count cannot change the two-level estimator: at one CPU the
+    # chains draw in line, at two on the helper thread
     cfg = McmcConfig(sweeps=400, burn_in=100, seed=5, measure_stride=2)
-    a = scaling_sweep(2, 0.5, [4], method=DisorderMC(4, seed=3), t_nodes=3, mcmc=cfg, workers=1)
-    b = scaling_sweep(2, 0.5, [4], method=DisorderMC(4, seed=3), t_nodes=3, mcmc=cfg, workers=2)
+    a, b = [], []
+    for cpus, runs in ((1, a), (2, b)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        runs += scaling_sweep(2, 0.5, [4], method=DisorderMC(4, seed=3), t_nodes=3, mcmc=cfg)
+        assert runs[0].chain_telemetry["threads"] == cpus
     assert a[0].integral.value == b[0].integral.value
     assert a[0].integral.std_error == b[0].integral.std_error
-    _announce(11, "bit-exact reruns from manifests; worker-count independent")
+    _announce(11, "bit-exact reruns from manifests; thread-count independent")

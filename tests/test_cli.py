@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nlsurf
-from nlsurf import cli, exact, quenched, surface
+from nlsurf import cli, exact, mcmc, quenched, surface
 from nlsurf.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -152,9 +152,8 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_bad_worker_count_is_usage_error(capsys):
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            scaling_sweep(1, 0.5, [2], method=Quadrature(6), t_nodes=2, workers=workers)
+    # scaling still parses --workers (it selects nothing) and refuses a count
+    # below 1; every other command refuses the flag
     for workers in ("0", "-3", "two"):
         for argv in (
             "scaling --dim 1 --L-list 2 --x 0.5 --nodes 6 --t-nodes 2",
@@ -163,6 +162,17 @@ def test_bad_worker_count_is_usage_error(capsys):
             capsys.readouterr()
             assert run(argv.split() + ["--workers", workers]) == EXIT_USAGE
             assert "--workers" in capsys.readouterr().err
+
+
+def test_repeated_or_bad_size_in_L_list_is_usage_error(capsys):
+    # each size names its own term, CSV row and chain telemetry entry, so a
+    # repeat is refused with the sizes named; a non-integer entry by flag
+    for sizes, named in (("4,4", "once, got [4, 4]"), ("2,3,2", "once, got [2, 3, 2]"), ("2,x", "--L-list"), ("2.5", "--L-list"), ("", "--L-list")):
+        capsys.readouterr()
+        argv = ["scaling", "--dim", "2", "--L-list", sizes, "--x", "0.5", "--method", "mc", "--samples", "2", "--mcmc-sweeps", "40", "--mcmc-burn-in", "8"]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 def test_t_nodes_below_two_is_usage_error(capsys):
@@ -319,19 +329,24 @@ def test_scaling_without_chains_records_no_chain_engine(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::nlsurf.mcmc.PoorMixingWarning")
-def test_scaling_worker_count_in_telemetry_only(tmp_path):
-    # a two-level sweep at 1 and 2 workers: the same result and CSV bytes and
-    # manifest id; the worker count is recorded under telemetry alone
+def test_scaling_worker_count_in_telemetry_only(tmp_path, monkeypatch):
+    # a two-level sweep at --workers 1 and 2, each at one and two CPUs: the
+    # same result and CSV bytes and manifest id; the inert worker count is
+    # recorded nowhere, and the chains' telemetry records the threads their
+    # 80 sweeps (3 blocks) ran on: the helper draws at two CPUs
     argv = ["scaling", "--dim", "2", "--L-list", "4", "--x", "0.5", "--method", "mc", "--samples", "2", "--seed", "3",
             "--t-nodes", "2", "--mcmc-sweeps", "80", "--mcmc-burn-in", "10"]
-    runs = []
+    runs = set()
     for workers in (1, 2):
-        status, _, out = _run_json(tmp_path, f"w{workers}.json", argv + ["--workers", str(workers)])
-        assert status == EXIT_OK
-        manifest = json.loads((tmp_path / f"w{workers}.manifest.json").read_text())
-        assert manifest["telemetry"]["workers"] == workers and "workers" not in manifest["config"]
-        runs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes(), manifest["manifest_id"]))
-    assert runs[0] == runs[1]
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            status, _, out = _run_json(tmp_path, f"w{workers}c{cpus}.json", argv + ["--workers", str(workers)])
+            assert status == EXIT_OK
+            manifest = json.loads((tmp_path / f"w{workers}c{cpus}.manifest.json").read_text())
+            assert "workers" not in manifest["telemetry"] and "workers" not in manifest["config"]
+            assert manifest["telemetry"]["chains"]["L4"]["threads"] == cpus
+            runs.add((out.read_bytes(), out.with_suffix(".csv").read_bytes(), manifest["manifest_id"]))
+    assert len(runs) == 1
 
 
 def test_manifest_records_blas_result_does_not(tmp_path, monkeypatch):
@@ -441,8 +456,8 @@ def test_manifest_version_is_the_project_version():
 
 
 def test_cli_import_loads_no_metadata_or_executor():
-    # importlib.metadata pulls in email, socket and calendar, and the chain
-    # helper's executor is imported by the chain runs that use it
+    # importlib.metadata pulls in email, socket and calendar, and the helper
+    # thread's executor is imported by the first run that uses it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     code = "import sys; before = set(sys.modules); import nlsurf.cli; print(' '.join(sorted(set(sys.modules) - before)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -485,6 +500,9 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
 
 
 _TERM_TELEMETRY = {"engine_threads", "passes", "minor_faults"}
+_CHAIN_KEYS = {
+    "chains", "site_sweeps", "chain_s", "ns_per_site_sweep", "threads", "mean_acceptance", "min_ess", "poor_mixing_warnings"
+}
 
 
 @pytest.mark.parametrize(
@@ -496,8 +514,8 @@ _TERM_TELEMETRY = {"engine_threads", "passes", "minor_faults"}
         ("surface-periodic --dim 1 --L 2 --x 0.5 --nodes 4 --t-nodes 2", _TERM_TELEMETRY),
         ("pressure --dim 1 --side 2 --bc free --x 0.5 --nodes 4", {"engine_threads", "passes", "minor_faults"}),
         ("verify --method mc --samples 2", {"engine_threads", "passes", "minor_faults"}),
-        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"workers", "engine_threads", "passes", "minor_faults"}),
-        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"workers", "engine_threads", "passes", "chains", "minor_faults"}),
+        ("scaling --dim 1 --L-list 2 --x 0.5 --nodes 4 --t-nodes 2", {"engine_threads", "passes", "minor_faults"}),
+        ("scaling --dim 2 --L-list 4 --x 0.5 --method mc --samples 2 --t-nodes 2 --mcmc-sweeps 40 --mcmc-burn-in 8", {"engine_threads", "passes", "chains", "minor_faults"}),
         ("lattice-info --dim 1 --side 4 --bc free", {"minor_faults"}),
     ],
     ids=["adjacency", "torus-diff", "surface-free", "surface-periodic", "pressure", "verify", "scaling", "scaling-chains", "lattice-info"],
@@ -512,6 +530,9 @@ def test_telemetry_keys_per_command(tmp_path, argv, keys):
         assert telemetry["engine_threads"] == exact.engine_threads() in (1, 2)
     if "passes" in keys:
         assert telemetry["passes"] and all(set(r) == _PASS_KEYS for r in telemetry["passes"])
+    if "chains" in keys:
+        assert set(telemetry["chains"]) == {"L4"} and set(telemetry["chains"]["L4"]) == _CHAIN_KEYS
+        assert telemetry["chains"]["L4"]["threads"] == mcmc._draw_threads(40) in (1, 2)
 
 
 def test_term_telemetry_counts_every_engine_call(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from nlsurf.exact import (
     gibbs_report,
 )
 from nlsurf.lattice import Boundary, build_lattice, colour_classes, decompose_box, torus_cut
+from nlsurf.mcmc import McmcConfig, run_chains
 from nlsurf.rng import standard_normals
 
 from oracles import FROZEN, brute_gibbs, graycode_gibbs
@@ -495,14 +496,21 @@ def test_batch_peak_memory_is_cache_sized_with_the_helper(monkeypatch, dim, side
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_helper(monkeypatch):
     # a child forked after the helper started would otherwise queue its
-    # passes on a thread that did not survive the fork, and wait forever
+    # engine passes and chain draws on a thread that did not survive the
+    # fork, and wait forever
     lat = build_lattice(2, 4, Boundary.FREE)
     K = 0.8 * (0.8 + standard_normals(3, np.arange(lat.n_bonds)[None, :], np.arange(4096)[:, None]))
     monkeypatch.setattr(exact, "engine_threads", lambda: 2)
-    ref = batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # chain draws on the helper too
+
+    def outputs():
+        chains = run_chains(lat, K[:3], [1, 2, 3], McmcConfig(sweeps=100, burn_in=10, seed=0), (0,))
+        return [batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes(), chains[0].tobytes()]
+
+    ref = outputs()
     pid = os.fork()
     if pid == 0:  # pragma: no cover (the child)
         signal.alarm(60)
-        os._exit(0 if batch_gibbs(lat, K, need_log_z=True, precise=False).log_z.tobytes() == ref else 1)
+        os._exit(0 if outputs() == ref else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0

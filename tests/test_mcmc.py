@@ -2,15 +2,17 @@
 
 import hashlib
 import math
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from nlsurf import exact
 from nlsurf import mcmc as nlmcmc
 from nlsurf import rng as nlrng
-from nlsurf.exact import CouplingField, gibbs_report
+from nlsurf.exact import CouplingField, _gibbs_pass, gibbs_report
 from nlsurf.lattice import Boundary, build_lattice
 from nlsurf.mcmc import (
     BLOCK_SWEEPS,
@@ -222,82 +224,113 @@ def test_batch_composition_independence():
     assert r.chain_telemetry["mean_acceptance"] == float(np.mean([a[2] for a in alone]))
 
 
+def _cpus(monkeypatch, n):
+    """Let the process see n CPUs, as the helper thread's selector reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus, sweeps, threads", [(1, 200, 1), (2, 200, 2), (4, 200, 2), (2, BLOCK_SWEEPS, 1), (2, BLOCK_SWEEPS + 1, 2)])
+def test_chain_draw_threads_rule(monkeypatch, cpus, sweeps, threads):
+    # the helper draws when the process may run on 2 or more CPUs and the call
+    # spans 2 or more blocks, whatever the BLAS thread count
+    _cpus(monkeypatch, cpus)
+    for blas in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert nlmcmc._draw_threads(sweeps) == threads
+
+
 @pytest.mark.parametrize(
     "sweeps, chains",
     [(1500, 5), (BLOCK_SWEEPS - 4, 5), (300, 1)],
     ids=["partial-last-block", "one-block", "one-chain"],
 )
-def test_pipelined_draws_are_byte_identical(sweeps, chains):
-    # workers=2 draws each block on a helper thread: the series, states, flips
-    # and proposals are the bytes of the in-line draws, and no thread is left
+def test_pipelined_draws_are_byte_identical(monkeypatch, sweeps, chains):
+    # at two CPUs the helper thread draws each block of a multi-block call: the
+    # series, states, flips and proposals are the bytes of the in-line draws
+    # the same call makes at one CPU
     lat = build_lattice(2, 3, Boundary.PERIODIC)
     cfg = McmcConfig(sweeps=sweeps, burn_in=10, seed=0, measure_stride=3)
     kv = np.random.default_rng(5).normal(0.3, 0.5, (chains, lat.n_bonds))
     seeds = [nlrng.derive_seed(2, c) for c in range(chains)]
-    before, interval = threading.active_count(), sys.getswitchinterval()
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    outputs = []
     try:
-        inline, ahead = [run_chains(lat, kv, seeds, cfg, (0, 4), record_states=True, workers=w) for w in (1, 2)]
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            outputs.append(run_chains(lat, kv, seeds, cfg, (0, 4), record_states=True))
     finally:
         sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    for a, b in zip(inline, ahead, strict=True):
+    for a, b in zip(*outputs, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_pipelined_draw_error_reaches_the_caller(monkeypatch):
-    # an error on the helper thread is raised by run_chains, after the helper
-    # has been joined; at one worker there is no helper
-    lat = build_lattice(2, 2, Boundary.FREE)
-    cfg = McmcConfig(sweeps=200, burn_in=10, seed=0)
-    calls = []  # the thread of each block draw
+def _recording_streams(calls, fail_after=None):
+    """A stand-in for rng.spawn_generator: its streams append the thread of
+    each block draw to calls, and raise once fail_after draws were made."""
     spawn = nlrng.spawn_generator
 
-    class FailingStream:  # fails on the first draw of the second block
+    class Stream:
         def __init__(self, seed):
             self.g = spawn(seed)
             self.integers = self.g.integers
 
         def random(self, *args, **kwargs):
             calls.append(threading.current_thread())
-            if len(calls) > 2:
+            if fail_after is not None and len(calls) > fail_after:
                 raise RuntimeError("draw failed")
             return self.g.random(*args, **kwargs)
 
-    monkeypatch.setattr(nlrng, "spawn_generator", FailingStream)
-    before = threading.active_count()
-    for workers in (1, 2):
+    return Stream
+
+
+def test_pipelined_draw_error_reaches_the_caller(monkeypatch):
+    # an error on the helper thread is raised by run_chains; at one CPU the
+    # blocks are drawn in line, on the calling thread; the helper survives
+    # the error, and its next run gives the bytes of an in-line run
+    lat = build_lattice(2, 2, Boundary.FREE)
+    cfg = McmcConfig(sweeps=200, burn_in=10, seed=0)
+    kv = np.full((2, lat.n_bonds), 0.3)
+    spawn, calls = nlrng.spawn_generator, []  # the thread of each block draw
+    monkeypatch.setattr(nlrng, "spawn_generator", _recording_streams(calls, fail_after=2))  # the second block fails
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
         calls.clear()
         with pytest.raises(RuntimeError, match="draw failed"):
-            run_chains(lat, np.full((2, lat.n_bonds), 0.3), [1, 2], cfg, (0,), workers=workers)
-        assert threading.active_count() == before
-        # one worker draws in line, on the calling thread
-        assert all((t is threading.main_thread()) == (workers == 1) for t in calls)
+            run_chains(lat, kv, [1, 2], cfg, (0,))
+        assert all((t is threading.main_thread()) == (cpus == 1) for t in calls)
+    monkeypatch.setattr(nlrng, "spawn_generator", spawn)
+    helped = run_chains(lat, kv, [1, 2], cfg, (0,), record_states=True)
+    _cpus(monkeypatch, 1)
+    for a, b in zip(helped, run_chains(lat, kv, [1, 2], cfg, (0,), record_states=True), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_one_helper_thread_per_chain_run(monkeypatch):
-    # 200 sweeps are 7 blocks: at two workers every block is drawn on the same
-    # helper thread, which is not the calling thread and is joined on return
+    # 200 sweeps are 7 blocks: at two CPUs every block is drawn on the same
+    # helper thread, not the calling thread, and it is the one thread that
+    # also runs batch_gibbs helper passes: the process holds one nlsurf helper
     lat = build_lattice(2, 2, Boundary.FREE)
     cfg = McmcConfig(sweeps=200, burn_in=10, seed=0)
-    calls = []  # the thread of each draw
-    spawn = nlrng.spawn_generator
-
-    class RecordingStream:
-        def __init__(self, seed):
-            self.g = spawn(seed)
-            self.integers = self.g.integers
-
-        def random(self, *args, **kwargs):
-            calls.append(threading.current_thread())
-            return self.g.random(*args, **kwargs)
-
-    monkeypatch.setattr(nlrng, "spawn_generator", RecordingStream)
-    before = threading.active_count()
-    run_chains(lat, np.full((2, lat.n_bonds), 0.3), [1, 2], cfg, (0,), workers=2)
+    calls = []  # the thread of each block draw
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(nlrng, "spawn_generator", _recording_streams(calls))
+    run_chains(lat, np.full((2, lat.n_bonds), 0.3), [1, 2], cfg, (0,))
     assert len(calls) == 2 * 7
     assert len(set(calls)) == 1 and calls[0] is not threading.main_thread()
-    assert threading.active_count() == before
+
+    passes = []  # the thread of each engine pass
+
+    def recording_pass(*args):
+        passes.append(threading.current_thread())
+        return _gibbs_pass(*args)
+
+    monkeypatch.setattr(exact, "engine_threads", lambda: 2)
+    monkeypatch.setattr(exact, "_gibbs_pass", recording_pass)
+    box = build_lattice(2, 4, Boundary.FREE)
+    exact.batch_gibbs(box, np.full((4096, box.n_bonds), 0.3), need_log_z=True, precise=False)
+    assert threading.main_thread() in passes and set(passes) - {threading.main_thread()} == {calls[0]}
+    assert [t for t in threading.enumerate() if t.name.startswith("nlsurf-helper")] == [calls[0]]
 
 
 def test_poor_mixing_warning_names_the_caller():

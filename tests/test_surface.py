@@ -127,6 +127,8 @@ def test_scaling_sweep_errors():
         scaling_sweep(1, 0.5, [], method=Q20)
     with pytest.raises(ValueError):
         scaling_sweep(2, 0.5, [4], method=Q20)  # beyond cap without an McmcConfig
+    with pytest.raises(ValueError, match=r"each once, got \[2, 3, 2\]"):  # one term, row and telemetry entry per size
+        scaling_sweep(1, 0.5, [2, 3, 2], method=Q20, t_nodes=2)
 
 
 def test_scaling_sweep_mcmc_route_smoke():
