@@ -242,6 +242,8 @@ def adjacency_term(
     two-level estimator instead: the integral route and the corridor table
     only, with the chain telemetry on the result for the manifest.
     """
+    if L < 2:
+        raise ValueError(f"the adjacency term needs L >= 2, got L={L}: its box has side 2L = {2 * L}, cut into boxes of side L")
     lattice, corridor = _adjacency_setup(d, L)
     geometry = Geometry(dim=d, L=L, k=None, corridor_size=corridor.cardinality)
     term = (SurfaceTermKind.ADJACENCY_TL, geometry, lattice, corridor, x, method, t_nodes, "corridor")

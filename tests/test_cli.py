@@ -175,6 +175,24 @@ def test_repeated_or_bad_size_in_L_list_is_usage_error(capsys):
         assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, L",
+    [
+        ("adjacency --dim 1 --L 1 --x 0.5 --nodes 4 --t-nodes 2", 1),
+        ("adjacency --dim 1 --L 0 --x 0.5 --nodes 4 --t-nodes 2", 0),
+        ("adjacency --dim 1 --L -2 --x 0.5 --nodes 4 --t-nodes 2", -2),
+        ("scaling --dim 1 --L-list 1,2 --x 0.5 --nodes 4 --t-nodes 2", 1),
+    ],
+    ids=["L1", "L0", "L-2", "L-list-1,2"],
+)
+def test_adjacency_side_below_two_is_usage_error(capsys, argv, L):
+    # L is half the box side: the error names L and the 2L box, not the
+    # side that build_lattice or decompose_box would refuse
+    assert run(argv.split()) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"L >= 2, got L={L}" in err and f"side 2L = {2 * L}" in err
+
+
 def test_t_nodes_below_two_is_usage_error(capsys):
     # a t-rule needs two nodes: below that every term command and scaling
     # refuse the value by flag, a direct-only route included
@@ -467,7 +485,8 @@ def test_cli_import_loads_no_metadata_or_executor():
 
 
 _PASS_KEYS = {
-    "method", "nodes", "active_bonds", "group_order", "grid_points", "chunks", "representatives", "source_variants", "engine_rows", "cores_s"
+    "method", "nodes", "active_bonds", "group_order", "grid_points", "chunks", "walked", "representatives", "source_variants",
+    "engine_rows", "cores_s",
 }
 
 
@@ -491,12 +510,14 @@ def test_pass_telemetry_in_manifest_only(tmp_path, argv, passes):
     for r in records:
         assert r["engine_rows"] == r["representatives"] * r["source_variants"] and r["cores_s"] >= 0.0
         if r["method"] == "quadrature":
-            assert r["grid_points"] == r["nodes"] ** r["active_bonds"] and r["representatives"] <= r["grid_points"]
+            assert r["grid_points"] == r["nodes"] ** r["active_bonds"] and r["representatives"] <= r["walked"] <= r["grid_points"]
+            assert r["group_order"] > 1 or r["walked"] == r["grid_points"]
         else:
-            assert r["nodes"] is None and r["group_order"] == 1 and r["representatives"] == r["grid_points"] == 2
+            assert r["nodes"] is None and r["group_order"] == 1 and r["representatives"] == r["walked"] == r["grid_points"] == 2
     if argv[0] == "pressure":
         # Burnside's count of the orbits of 9**4 points under the 8 symmetries of the square's edges
         assert records[0]["group_order"] == 8 and records[0]["representatives"] == (9**4 + 2 * 9**3 + 3 * 9**2 + 2 * 9) // 8
+        assert records[0]["walked"] == 2025  # the points whose digit 0 is their least
 
 
 _TERM_TELEMETRY = {"engine_threads", "passes", "minor_faults"}

@@ -11,7 +11,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from nlsurf.cli import RESULT_SCHEMA
 from nlsurf.exact import CouplingField, gibbs_report
-from nlsurf.lattice import Boundary, build_lattice, decompose_box
+from nlsurf.lattice import Boundary, bond_automorphisms, build_lattice, decompose_box
 from nlsurf import quenched
 from nlsurf.model import NishimoriParams, interpolated_params, uniform_params
 from nlsurf.quenched import (
@@ -263,15 +263,21 @@ def test_disorder_cores_peak_memory_is_cache_sized():
     assert peak < 6 * 2**20
 
 
-def _unravel_walk(lat, nodes, active, x_ref):
-    """Quadrature (core, weights) chunks from one np.unravel_index per chunk: the reference digit walk."""
+def _bond_rules(nodes, act, x_ref):
+    """(nodes, weights) of the Hermite rule on each active bond, scaled as x_ref asks."""
     eps, w = hermegauss(nodes)
     wnorm = w / math.sqrt(2.0 * math.pi)
-    act = np.flatnonzero(active)
     grids = []
     for b in act:
         s = quenched.gh_scale(float(x_ref[b]))
         grids.append((eps, wnorm) if s == 1.0 else (s * eps, wnorm * s * np.exp((1.0 - s * s) * eps * eps / 2.0)))
+    return grids
+
+
+def _unravel_walk(lat, nodes, active, x_ref):
+    """Quadrature (core, weights) chunks from one np.unravel_index per chunk: the reference digit walk."""
+    act = np.flatnonzero(active)
+    grids = _bond_rules(nodes, act, x_ref)
     total = nodes ** len(act)
     for lo in range(0, total, quenched._CHUNK):
         hi = min(lo + quenched._CHUNK, total)
@@ -551,6 +557,95 @@ def test_identity_group_walks_the_full_grid(nodes, n_active):
         assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
 
 
+def _brute_orbit_walk(lat, nodes, active, x_ref, group):
+    """Quadrature (core, weights) chunks of the orbit representatives, by brute force.
+
+    Every grid point in C order is kept when its index is at most the index
+    of each of its images, with stabilizer order 1 plus the number of images
+    equal to it; the kept points are cut into _CHUNK-row chunks.
+    """
+    act = np.flatnonzero(active)
+    grids = _bond_rules(nodes, act, x_ref)
+    shape = (nodes,) * len(act)
+    position = np.zeros(lat.n_bonds, dtype=int)
+    position[act] = np.arange(len(act))
+    kept, stabs = [], []
+    for lo in range(0, nodes ** len(act), 4096):
+        index = np.arange(lo, min(lo + 4096, nodes ** len(act)))
+        digits = np.array(np.unravel_index(index, shape))
+        images = np.empty((len(group) - 1, len(index)), dtype=index.dtype)
+        for g, pi in enumerate(group[1:]):  # the image has p[pi^-1(b)] on bond b
+            image = np.zeros_like(digits)
+            image[position[pi[act]]] = digits
+            images[g] = np.ravel_multi_index(tuple(image), shape)
+        keep = (images >= index).all(axis=0)
+        kept.append(index[keep])
+        stabs.append(1 + (images[:, keep] == index[keep]).sum(axis=0))
+    kept, stabs = np.concatenate(kept), np.concatenate(stabs)
+    for lo in range(0, len(kept), quenched._CHUNK):
+        digits = np.unravel_index(kept[lo : lo + quenched._CHUNK], shape)
+        core, weights = np.zeros((lat.n_bonds, len(digits[0]))), np.ones(len(digits[0]))
+        for b, (nd, wt), digit in zip(act, grids, digits):
+            core[b] = nd[digit]
+            weights *= wt[digit]
+        yield core, weights / stabs[lo : lo + quenched._CHUNK]
+
+
+def _label_group(lat, active, x_ref):
+    """The bond automorphisms that keep the active bonds and their node scales, as `_grid` filters them."""
+    label = np.full(lat.n_bonds, -1.0)
+    label[active] = [quenched.gh_scale(float(x_ref[b])) for b in np.flatnonzero(active)]
+    perms = bond_automorphisms(lat)
+    return perms[(label[perms] == label).all(axis=1)]
+
+
+def _every_second_bond(n_active):
+    """The 4x4 box with bonds 1, 3, 5, ... active at node scales 1 (x 0.5) and below 1 (x 1.2) in turn."""
+    lat = build_lattice(2, 4, Boundary.FREE)
+    active = np.zeros(lat.n_bonds, dtype=bool)
+    active[2 * np.arange(n_active) + 1] = True
+    return lat, active, np.resize([0.5, 0.5, 1.2, 1.2], lat.n_bonds)
+
+
+@pytest.mark.parametrize(
+    "case, nodes, order",
+    [
+        *[(case, nodes, order) for case, (_, _, _, nodes, order) in _ORBIT_CASES.items()],
+        ("box-2x2", 20, 8),  # 22,155 representatives: five full chunks and a short last one
+        ("box-2x2", 2, 8),  # two nodes: most points sit on a mirror
+        ("chain-4", 128, 2),  # 2,097,152 points, 1,056,768 representatives: exactly 258 chunks
+        ("every-second-bond", 5, 2),  # 6 of the box's 24 bonds: one rival position, four free
+        ("middle-bond", 17, 2),  # one active bond, which the reflection keeps: every point fixed twice
+    ],
+)
+def test_orbit_walk_matches_brute_force(case, nodes, order):
+    # the slab walk yields the brute-force representatives, chunks and
+    # stabilizer orders byte for byte
+    if case == "every-second-bond":
+        lat, active, x_ref = _every_second_bond(6)
+    elif case == "middle-bond":
+        lat = build_lattice(1, 4, Boundary.FREE)
+        active, x_ref = np.array([False, True, False]), np.array([0.0, 0.6, 0.0])
+    else:
+        dim, side, boundary, _, _ = _ORBIT_CASES[case]
+        lat = build_lattice(dim, side, boundary)
+        active, x_ref = np.ones(lat.n_bonds, dtype=bool), np.full(lat.n_bonds, 0.6)
+    group = _label_group(lat, active, x_ref)
+    assert len(group) == order
+    record = {}
+    walked = list(disorder_cores(lat, Quadrature(nodes), active, x_ref, group, record))
+    reference = list(_brute_orbit_walk(lat, nodes, active, x_ref, group))
+    assert len(walked) == len(reference) == record["chunks"]
+    for (core, weights), (ref_core, ref_weights) in zip(walked, reference):
+        assert core.tobytes() == ref_core.tobytes() and weights.tobytes() == ref_weights.tobytes()
+    # the walk examines the points whose first digit is at most every digit
+    # that a symmetry moves to the first active bond
+    act = np.flatnonzero(active)
+    rivals = [j for j, b in enumerate(act) if (group[:, b] == act[0]).any()]
+    digits = np.array(np.unravel_index(np.arange(nodes ** len(act)), (nodes,) * len(act)))
+    assert record["walked"] == np.count_nonzero((digits[rivals] >= digits[0]).all(axis=0))
+
+
 def test_orbit_walk_records_what_it_yields():
     # 9**4 points on the 2x2 box under its 8 symmetries: Burnside's count of
     # orbits, in one chunk of representatives, as the record says
@@ -563,6 +658,9 @@ def test_orbit_walk_records_what_it_yields():
     assert sum(core.shape[1] for core, _ in walked) == burnside == _orbit_count(lat, 9, active, group)
     assert (record["chunks"], record["representatives"]) == (len(walked), burnside) == (1, burnside)
     assert (record["method"], record["nodes"], record["group_order"], record["grid_points"]) == ("quadrature", 9, 8, 9**4)
+    # every symmetry of the square moves some edge onto edge 0, so the walk
+    # examines the points whose digit 0 is their least: sum of s**3, s = 1..9
+    assert record["walked"] == sum(s**3 for s in range(1, 10)) == 2025
 
 
 def test_orbit_pass_never_writes_into_engine_output(monkeypatch):
